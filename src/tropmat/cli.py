@@ -34,6 +34,7 @@ from .ideals import (
     principal_ideal_of,
 )
 from .matrix import left_residual, parse_matrix, right_residual
+from .semiring import _as_fraction
 from .structure import (
     group_type_of_H,
     idempotent_form,
@@ -183,15 +184,6 @@ def _cmd_verify(ns) -> tuple[dict, int]:
     return result.as_dict(), 2 if result.failed else 0
 
 
-def _rational(text: str):
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from exc
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="tropmat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -224,9 +216,9 @@ def build_parser() -> _Parser:
     p.add_argument("--M", dest="m", required=True)
     p.add_argument("--N", dest="n", required=True)
     p.add_argument("--family", choices=["W", "X", "Y", "Z"])
-    p.add_argument("--a", type=_rational)
-    p.add_argument("--x", type=_rational)
-    p.add_argument("--y", type=_rational)
+    p.add_argument("--a", type=_as_fraction)
+    p.add_argument("--x", type=_as_fraction)
+    p.add_argument("--y", type=_as_fraction)
     p.set_defaults(handler=_cmd_subgroup)
 
     p = sub.add_parser("ideal", help="two-sided ideal calculus")

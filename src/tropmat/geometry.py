@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, residual_vector
+from .matrix import TropMatrix, TropVector, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
     ExtDistance,
     ProjPoint,
-    TropScalar,
+    _as_fraction,
     delta,
     ext_sub,
 )
@@ -138,9 +138,8 @@ class ConvexSet:
         )
 
 
-parse_set = ConvexSet.parse
-
 _ISO_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 3, "fullline": 4}
+_NO_DIAMETER = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class IsoType:
             raise ValueError(f"{self.kind} types carry no diameter")
 
     def key(self) -> tuple[int, Fraction]:
-        return (_ISO_RANK[self.kind], self.diameter or Fraction(0))
+        return (_ISO_RANK[self.kind], self.diameter or _NO_DIAMETER)
 
     def __str__(self):
         if self.kind == "interval":
@@ -176,12 +175,8 @@ class IsoType:
     def parse(text: str) -> "IsoType":
         token = text.strip()
         if token.startswith("interval:"):
-            d = Fraction(token[len("interval:"):])
-            return IsoType("interval", d)
+            return IsoType("interval", _as_fraction(token[len("interval:"):]))
         return IsoType(token)
-
-
-parse_iso_type = IsoType.parse
 
 
 def _require_2x2(a: TropMatrix):
@@ -278,20 +273,14 @@ def subset(s: ConvexSet, t: ConvexSet) -> bool:
 def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     """Whether v is a tropical linear combination of a's columns.
 
-    Decided by residuation: v is attainable iff the materialized greatest
-    subsolution x of ``a @ x <= v`` attains it.  The zero vector is always a
-    member (scale every column by ``-inf``).
+    Decided by residuation, as right divisibility of the matrix whose two
+    columns are both v.  The zero vector is always a member (scale every
+    column by ``-inf``).
     """
     _require_2x2(a)
     if a.n != v.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {v.n}")
-    if v.is_zero:
-        return True
-    coeffs = residual_vector(a, v)
-    x = TropVector(
-        [TropScalar(0) if c.is_pos_inf else c.to_scalar() for c in coeffs]
-    )
-    return a @ x == v
+    return solves_right(a, TropMatrix([[e, e] for e in v]))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:

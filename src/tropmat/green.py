@@ -26,8 +26,8 @@ from .geometry import (
     proj_row_space,
     subset,
 )
-from .matrix import TropMatrix, left_residual, right_residual
-from .semiring import BOTTOM, ProjPoint, TropScalar
+from .matrix import TropMatrix, VerificationError, left_residual, right_residual
+from .semiring import ProjPoint
 
 
 class GreenRelation(enum.Enum):
@@ -89,39 +89,26 @@ class RClass:
         return out
 
 
-def _require_2x2(a: TropMatrix):
-    if a.n != 2:
-        raise ValueError(f"the classification theory is specific to 2x2 matrices, got {a.n}x{a.n}")
-
-
 def leq_R(a: TropMatrix, b: TropMatrix) -> bool:
     """Right divisibility a = b x, decided as containment of projective
     column spaces."""
-    _require_2x2(a)
-    _require_2x2(b)
     return subset(proj_column_space(a), proj_column_space(b))
 
 
 def leq_L(a: TropMatrix, b: TropMatrix) -> bool:
     """Left divisibility a = x b, decided as containment of projective row
     spaces."""
-    _require_2x2(a)
-    _require_2x2(b)
     return subset(proj_row_space(a), proj_row_space(b))
 
 
 def leq_J(a: TropMatrix, b: TropMatrix) -> bool:
     """Two-sided divisibility a = x b y, decided as isometric embedding of
     projective column spaces."""
-    _require_2x2(a)
-    _require_2x2(b)
     return embeds_isometrically(proj_column_space(a), proj_column_space(b))
 
 
 def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
     """Decide any of the Green's relations or preorders for a 2x2 pair."""
-    _require_2x2(a)
-    _require_2x2(b)
     if rel is GreenRelation.R:
         return proj_column_space(a) == proj_column_space(b)
     if rel is GreenRelation.L:
@@ -162,13 +149,6 @@ def r_class_of(a: TropMatrix) -> RClass:
     return RClass("interval", x=lo.frac, y=hi.frac)
 
 
-def _neg_scalar(p: ProjPoint) -> TropScalar:
-    # negation of a point known to exceed -inf lands back in the plain carrier
-    if p.is_pos_inf:
-        return BOTTOM
-    return TropScalar(-p.frac)
-
-
 def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:
     if x.is_pos_inf and y.is_neg_inf:
         return TropMatrix([["-inf", "-inf"], [0, "-inf"]])
@@ -178,12 +158,10 @@ def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:
         xs, ys = x.to_scalar(), y.to_scalar()
         if xs.is_bottom or ys.is_bottom or xs.frac + ys.frac <= 0:
             return TropMatrix([[0, ys], [xs, xs * ys]])
-    # both exceed -inf and the sum is positive (or infinite)
-    if x.is_pos_inf or y.is_pos_inf:
-        neg_sum = BOTTOM
-    else:
-        neg_sum = TropScalar(-(x.frac + y.frac))
-    return TropMatrix([[neg_sum, _neg_scalar(x)], [_neg_scalar(y), 0]])
+    # both exceed -inf and the sum is positive (or infinite): negating lands
+    # both back in the plain carrier
+    nx, ny = (-x).to_scalar(), (-y).to_scalar()
+    return TropMatrix([[nx * ny, nx], [ny, 0]])
 
 
 def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
@@ -222,9 +200,8 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
             else:
                 zv = n.hi.frac
                 z = TropMatrix([[0, "-inf"], [y, y + zv]])
-    assert proj_column_space(z) == m and proj_row_space(z) == n, (
-        f"witness construction defect for ({m}, {n})"
-    )
+    if proj_column_space(z) != m or proj_row_space(z) != n:
+        raise VerificationError(f"witness construction defect for ({m}, {n})")
     return z
 
 
@@ -249,8 +226,11 @@ def j_factorization(a: TropMatrix, b: TropMatrix) -> tuple[TropMatrix, TropMatri
     image = embed_image(proj_column_space(a), proj_column_space(b))
     z = witness_Z(image, proj_row_space(a))
     y = left_residual(b, z).witness()
-    assert b @ y == z, "residuation defect: z must be right-divisible by b"
+    if b @ y != z:
+        raise VerificationError("residuation defect: z must be right-divisible by b")
     x = right_residual(a, z).witness()
-    assert x @ z == a, "residuation defect: a must be left-divisible by z"
-    assert x @ b @ y == a
+    if x @ z != a:
+        raise VerificationError("residuation defect: a must be left-divisible by z")
+    if x @ b @ y != a:
+        raise VerificationError("j-factorization defect: x @ b @ y differs from a")
     return x, y

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .geometry import IsoType, iso_type, proj_column_space
 from .matrix import TropMatrix
-
-_EMBED_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 4, "fullline": 5}
+from .semiring import _as_fraction
 
 
 @dataclass(frozen=True)
@@ -64,13 +63,12 @@ class IdealDescriptor:
         """Sort key realizing the containment order of the ideals.
 
         Closed empty < closed point < ... open(w) < closed interval(w) <
-        open(w') ... < open line < closed half-infinite < closed full line.
+        open(w') ... < open line < closed half-infinite < closed full line:
+        a closed descriptor extends its type's key by 1, and an open one
+        sits just below the closed type it stops short of.
         """
         if self.kind == "closed":
-            rank = _EMBED_RANK[self.iso.kind]
-            if self.iso.kind == "interval":
-                return (2, self.iso.diameter, 1)
-            return (rank, Fraction(0), 0)
+            return (*self.iso.key(), 1)
         if self.kind == "open":
             return (2, self.width, 0)
         return (3, Fraction(0), 0)
@@ -89,8 +87,8 @@ class IdealDescriptor:
             return IdealDescriptor.open_line()
         if token.startswith("open:"):
             try:
-                w = Fraction(token[len("open:"):])
-            except (ValueError, ZeroDivisionError) as exc:
+                w = _as_fraction(token[len("open:"):])
+            except ValueError as exc:
                 raise ValueError(f"bad open-ideal width in {text!r}: {exc}") from exc
             if w <= 0:
                 raise ValueError(f"open-ideal width must be positive, got {w}")
@@ -102,25 +100,21 @@ class IdealDescriptor:
         )
 
 
-parse_descriptor = IdealDescriptor.parse
-
-
 class Ordering(enum.Enum):
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"
 
 
+def _contains_type(d: IdealDescriptor, t: IsoType) -> bool:
+    """Whether the J-class of isometry type t lies in the ideal d: the
+    principal ideal of that class is contained in d."""
+    return (*t.key(), 1) <= d.key()
+
+
 def ideal_contains(d: IdealDescriptor, a: TropMatrix) -> bool:
     """Membership of a matrix in the ideal described by d."""
-    t = iso_type(proj_column_space(a))
-    if d.kind == "closed":
-        return t.key() <= d.iso.key()
-    if d.kind == "open":
-        if t.kind in ("empty", "point"):
-            return True
-        return t.kind == "interval" and t.diameter < d.width
-    return t.kind in ("empty", "point", "interval")
+    return _contains_type(d, iso_type(proj_column_space(a)))
 
 
 def principal_ideal_of(b: TropMatrix) -> IdealDescriptor:

@@ -18,6 +18,14 @@ import json
 from .semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
 
 
+class VerificationError(AssertionError):
+    """A construction failed the exact check it runs before returning.
+
+    Raised explicitly, so the check also runs under ``python -O``; it is a
+    library defect, never an answer about the input.
+    """
+
+
 class TropVector:
     """An n-tuple of tropical scalars."""
 
@@ -224,30 +232,6 @@ def parse_matrix(text: str) -> TropMatrix:
     return TropMatrix(rows)
 
 
-def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    return a @ b
-
-
-def mat_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    return a + b
-
-
-def transpose(a: TropMatrix) -> TropMatrix:
-    return a.transpose()
-
-
-def is_monomial(a: TropMatrix) -> bool:
-    return a.is_monomial()
-
-
-def mat_vec(a: TropMatrix, v: TropVector) -> TropVector:
-    return a @ v
-
-
-def scale(lam, v: TropVector) -> TropVector:
-    return v.scaled(lam)
-
-
 def monomial_inverse(a: TropMatrix) -> TropMatrix:
     """The two-sided inverse of a monomial matrix: negate each finite entry
     and transpose its position."""
@@ -342,9 +326,12 @@ class ResidualMatrix:
         return f"ResidualMatrix({[[str(e) for e in row] for row in self._rows]!r})"
 
 
-def left_residual(b: TropMatrix, a: TropMatrix) -> ResidualMatrix:
+def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
     """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
-    under the residuated subtraction of ``residual_scalar``."""
+    under the residuated subtraction of ``residual_scalar``.
+
+    The target a may itself be a residual, whose ``+inf`` entries leave their
+    coordinates unconstrained."""
     if b.n != a.n:
         raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
     n = b.n
@@ -374,18 +361,3 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     greatest subsolution attains a.
     """
     return b @ left_residual(b, a).witness() == a
-
-
-def residual_vector(a: TropMatrix, v: TropVector) -> tuple[ProjPoint, ...]:
-    """Greatest x with ``a @ x <= v`` coordinatewise."""
-    if a.n != v.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {v.n}")
-    out = []
-    for k in range(a.n):
-        best = POS_INF
-        for i in range(a.n):
-            cand = residual_scalar(v[i], a[i, k])
-            if cand < best:
-                best = cand
-        out.append(best)
-    return tuple(out)

@@ -30,17 +30,17 @@ _BOUNDARY_GRID = (
 )
 
 
-def _rational(rng: random.Random) -> Fraction:
+def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randrange(-24, 25), rng.randrange(1, 5))
 
 
 def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
     if profile == "dense-rational":
-        return TropScalar(_rational(rng))
+        return TropScalar(_random_rational(rng))
     if profile == "with-neginf":
         if rng.randrange(4) == 0:
             return BOTTOM
-        return TropScalar(_rational(rng))
+        return TropScalar(_random_rational(rng))
     if profile == "boundary":
         if rng.randrange(3) == 0:
             return BOTTOM
@@ -64,7 +64,7 @@ def sample_proj_point(rng: random.Random) -> ProjPoint:
         return NEG_INF
     if roll == 1:
         return POS_INF
-    return ProjPoint(_rational(rng))
+    return ProjPoint(_random_rational(rng))
 
 
 def sample_convex_set(rng: random.Random) -> ConvexSet:
@@ -90,10 +90,10 @@ def sample_isometric_pair(rng: random.Random) -> tuple[ConvexSet, ConvexSet]:
     if lo.is_neg_inf and hi.is_pos_inf:
         return s, ConvexSet.full_line()
     if lo.is_finite and hi.is_finite:
-        shift = _rational(rng)
+        shift = _random_rational(rng)
         d = hi.frac - lo.frac
         return s, ConvexSet.interval(ProjPoint(shift), ProjPoint(shift + d))
-    end = _rational(rng)
+    end = _random_rational(rng)
     if rng.randrange(2) == 0:
         return s, ConvexSet.interval(NEG_INF, ProjPoint(end))
     return s, ConvexSet.interval(ProjPoint(end), POS_INF)
@@ -104,6 +104,6 @@ def sample_descriptor(rng: random.Random) -> IdealDescriptor:
     if roll == 0:
         return IdealDescriptor.open_line()
     if roll <= 2:
-        w = abs(_rational(rng)) + Fraction(1, 3)
+        w = abs(_random_rational(rng)) + Fraction(1, 3)
         return IdealDescriptor.open_finite(w)
     return IdealDescriptor.closed(iso_type(sample_convex_set(rng)))

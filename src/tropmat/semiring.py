@@ -141,16 +141,6 @@ class TropScalar:
 BOTTOM = TropScalar.bottom()
 
 
-def t_add(a, b) -> TropScalar:
-    """Tropical addition: max under the extended order; ``-inf`` is neutral."""
-    return TropScalar(a) + TropScalar(b)
-
-
-def t_mul(a, b) -> TropScalar:
-    """Tropical multiplication: rational addition; ``-inf`` is absorbing."""
-    return TropScalar(a) * TropScalar(b)
-
-
 class ProjPoint:
     """A point of the projective tropical line: a rational, ``-inf`` or ``+inf``.
 

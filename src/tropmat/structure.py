@@ -16,9 +16,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .geometry import ConvexSet, in_column_space, iso_type, proj_column_space, proj_row_space
-from .matrix import TropMatrix, TropVector, residual_scalar, right_residual
-from .semiring import BOTTOM, POS_INF, ProjPoint, TropScalar
+from .geometry import (
+    ConvexSet,
+    _require_2x2,
+    in_column_space,
+    iso_type,
+    proj_column_space,
+    proj_row_space,
+)
+from .matrix import TropMatrix, TropVector, VerificationError, left_residual, right_residual
+from .semiring import ProjPoint, TropScalar
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,7 @@ def in_idempotent_family(a: TropMatrix) -> bool:
     Used as the classification side of the exhaustive idempotent check; it
     never multiplies matrices.
     """
-    if a.n != 2:
-        raise ValueError("the idempotent families are 2x2")
+    _require_2x2(a)
     if a.is_zero:
         return True
     prod = a[0, 1] * a[1, 0]
@@ -93,8 +99,7 @@ def in_idempotent_family(a: TropMatrix) -> bool:
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
     """Classify an idempotent into its family, with fixed priority zero,
     diagonal, upper, lower when parameters land on an overlap."""
-    if e.n != 2:
-        raise ValueError("the idempotent families are 2x2")
+    _require_2x2(e)
     if not is_idempotent(e):
         raise ValueError("matrix is not idempotent")
     if e.is_zero:
@@ -133,22 +138,18 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
             e = TropMatrix([[0, ys], [xs, xs * ys]])
         else:
             # negate into the lower family; safe since neither point is -inf
-            nx = BOTTOM if x.is_pos_inf else TropScalar(-x.frac)
-            ny = BOTTOM if y.is_pos_inf else TropScalar(-y.frac)
+            nx, ny = (-x).to_scalar(), (-y).to_scalar()
             e = TropMatrix([[nx * ny, nx], [ny, 0]])
     elif m == n.negated() and not n.is_point:
         if m.is_empty:
             e = TropMatrix.zero(2)
         else:
             # m = [x, y] with x < y, so y > -inf and x < +inf
-            neg_hi = BOTTOM if m.hi.is_pos_inf else TropScalar(-m.hi.frac)
-            lo = m.lo.to_scalar()
-            e = TropMatrix([[0, neg_hi], [lo, 0]])
+            e = TropMatrix([[0, (-m.hi).to_scalar()], [m.lo.to_scalar(), 0]])
     else:
         return None
-    assert is_idempotent(e) and proj_column_space(e) == m and proj_row_space(e) == n, (
-        f"idempotent construction defect for ({m}, {n})"
-    )
+    if not (is_idempotent(e) and proj_column_space(e) == m and proj_row_space(e) == n):
+        raise VerificationError(f"idempotent construction defect for ({m}, {n})")
     return e
 
 
@@ -170,32 +171,15 @@ def regular_witness(a: TropMatrix) -> TropMatrix:
     """A matrix y with ``a @ y @ a = a``, verified exactly before returning.
 
     The candidate is the greatest subsolution of ``a @ y @ a <= a`` obtained
-    by two nested residuals, with unconstrained coordinates set to 0.  Every
-    2x2 tropical matrix admits such a witness; a verification failure would
-    be a defect, never a normal return.
+    by two nested residuals (the outer one divides the inner residual), with
+    unconstrained coordinates set to 0.  Every 2x2 tropical matrix admits
+    such a witness; a verification failure would be a defect, never a
+    normal return.
     """
-    if a.n != 2:
-        raise ValueError("regularity witnesses are for 2x2 matrices")
-    w = right_residual(a, a)  # greatest W with W @ a <= a
-    n = a.n
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            best = POS_INF
-            for i in range(n):
-                cand = residual_scalar(w[i, j], a[i, k])
-                if cand < best:
-                    best = cand
-            row.append(best)
-        rows.append(row)
-    y = TropMatrix(
-        [
-            [TropScalar(0) if e.is_pos_inf else e.to_scalar() for e in row]
-            for row in rows
-        ]
-    )
-    assert a @ y @ a == a, "regularity witness defect"
+    _require_2x2(a)
+    y = left_residual(a, right_residual(a, a)).witness()
+    if a @ y @ a != a:
+        raise VerificationError("regularity witness defect")
     return y
 
 

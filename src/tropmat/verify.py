@@ -24,6 +24,7 @@ from .green import GreenRelation, d_class_witness, leq_J, leq_L, leq_R, related,
 from .ideals import (
     IdealDescriptor,
     Ordering,
+    _contains_type,
     ideal_compare,
     ideal_contains,
     ideal_from_generators,
@@ -211,16 +212,6 @@ def _suite_oracle_agreement(samples: int, seed: int) -> SuiteResult:
     return res
 
 
-def _type_in(d: IdealDescriptor, t: IsoType) -> bool:
-    if d.kind == "closed":
-        return t.key() <= d.iso.key()
-    if d.kind == "open":
-        return t.kind in ("empty", "point") or (
-            t.kind == "interval" and t.diameter < d.width
-        )
-    return t.kind in ("empty", "point", "interval")
-
-
 def _strict_type(lo: IdealDescriptor, hi: IdealDescriptor) -> IsoType:
     """An isometry type witnessing that the ideal of hi strictly exceeds lo."""
     widths = {Fraction(1)}
@@ -244,7 +235,7 @@ def _strict_type(lo: IdealDescriptor, hi: IdealDescriptor) -> IsoType:
     candidates += [IsoType("interval", w) for w in sorted(widths)]
     candidates += [IsoType("halfinf"), IsoType("fullline")]
     for t in candidates:
-        if _type_in(hi, t) and not _type_in(lo, t):
+        if _contains_type(hi, t) and not _contains_type(lo, t):
             return t
     raise AssertionError(f"no strictness witness between {lo} and {hi}")
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropmat
+
 from tropmat.cli import main
-from tropmat.geometry import ConvexSet, parse_set
-from tropmat.ideals import parse_descriptor
+from tropmat.geometry import ConvexSet
+from tropmat.ideals import IdealDescriptor
 from tropmat.matrix import TropMatrix, parse_matrix
 
 
@@ -38,9 +44,9 @@ def test_classify_round_trips_every_printed_value(capsys):
         code, out = run(capsys, "classify", text)
         assert code == 0
         assert parse_matrix(json.dumps(out["matrix"])) == parse_matrix(text)
-        parse_set(out["pc"])
-        parse_set(out["pr"])
-        parse_descriptor(out["principal_ideal"])
+        ConvexSet.parse(out["pc"])
+        ConvexSet.parse(out["pr"])
+        IdealDescriptor.parse(out["principal_ideal"])
 
 
 def test_relate(capsys):
@@ -202,3 +208,53 @@ def test_set_tokens_round_trip_through_cli(capsys):
         assert code == 0
         assert out["pc"] == m and out["pr"] == n
         assert ConvexSet.parse(out["pc"]) == ConvexSet.parse(m)
+
+
+SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ideal", "compare", "closed:interval:1/0", "openline"),
+        ("ideal", "compare", "closed:interval:1e3", "openline"),
+        ("ideal", "compare", "open:0.5", "openline"),
+        ("ideal", "compare", "open:1/0", "openline"),
+        (*SUBGROUP, "--a", "1e3", "--x", "1", "--y", "3"),
+        (*SUBGROUP, "--a", "2", "--x", "1/0", "--y", "3"),
+    ],
+    ids=["interval-1/0", "interval-1e3", "open-0.5", "open-1/0", "flag-a-1e3", "flag-x-1/0"],
+)
+def test_bad_rational_tokens_are_json_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert list(out) == ["error"] and isinstance(out["error"], str)
+
+
+_BROKEN_RESIDUAL = """
+import sys
+import tropmat.structure as structure
+from tropmat.cli import main
+from tropmat.matrix import ResidualMatrix
+
+if not sys.flags.optimize:
+    sys.exit(3)
+structure.left_residual = lambda b, a: ResidualMatrix([["-inf", "-inf"], ["-inf", "-inf"]])
+sys.exit(main(["regular", '[["0","0"],["1","2"]]']))
+"""
+
+
+def test_verification_survives_python_O():
+    # a residual that returns a wrong answer must still be caught with asserts off
+    src = str(Path(tropmat.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_RESIDUAL],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    out = json.loads(proc.stdout)
+    assert list(out) == ["error"]
+    assert out["error"].startswith("internal verification failure: regularity witness defect")

@@ -13,7 +13,6 @@ from tropmat.geometry import (
     in_column_space,
     iso_type,
     isometric,
-    parse_set,
     proj_column_space,
     proj_point_of,
     proj_row_space,
@@ -185,13 +184,13 @@ def test_canonical_set_round_trips_types():
 
 def test_set_parsing_round_trip():
     for text in ["empty", "{-inf}", "{5/2}", "[-inf,+inf]", "[1,2]", "[-inf,0]"]:
-        assert str(parse_set(text)) == text
+        assert str(ConvexSet.parse(text)) == text
     with pytest.raises(ValueError):
-        parse_set("[2,1]")
+        ConvexSet.parse("[2,1]")
     with pytest.raises(ValueError):
-        parse_set("(0,1)")
+        ConvexSet.parse("(0,1)")
     with pytest.raises(ValueError):
-        parse_set("[1,2,3]")
+        ConvexSet.parse("[1,2,3]")
 
 
 def test_non_square_matrices_rejected():

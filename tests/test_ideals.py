@@ -12,7 +12,6 @@ from tropmat.ideals import (
     ideal_contains,
     ideal_from_generators,
     is_principal,
-    parse_descriptor,
     principal_ideal_of,
 )
 from tropmat.matrix import TropMatrix
@@ -181,13 +180,13 @@ def test_descriptor_tokens_round_trip():
         "openline",
     ]
     for token in tokens:
-        assert str(parse_descriptor(token)) == token
+        assert str(IdealDescriptor.parse(token)) == token
     with pytest.raises(ValueError):
-        parse_descriptor("open:0")
+        IdealDescriptor.parse("open:0")
     with pytest.raises(ValueError):
-        parse_descriptor("open:-1")
+        IdealDescriptor.parse("open:-1")
     with pytest.raises(ValueError):
-        parse_descriptor("halfopen:2")
+        IdealDescriptor.parse("halfopen:2")
     with pytest.raises(ValueError):
         IdealDescriptor.open_finite(0)
 

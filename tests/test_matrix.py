@@ -6,13 +6,10 @@ import pytest
 from tropmat.matrix import (
     TropMatrix,
     TropVector,
-    is_monomial,
     left_residual,
-    mat_vec,
     monomial_inverse,
     parse_matrix,
     right_residual,
-    scale,
     solves_right,
 )
 from tropmat.sampling import sample_matrix
@@ -79,9 +76,9 @@ def test_monomial_inverse_is_two_sided():
 
 def test_mat_vec_and_scale():
     v = TropVector([2, 5])
-    assert scale(0, v) == v
-    assert scale("-inf", v) == TropVector.zero(2)
-    assert mat_vec(TropMatrix([[0, "-inf"], [1, 0]]), v) == TropVector([2, 5])
+    assert v.scaled(0) == v
+    assert v.scaled("-inf") == TropVector.zero(2)
+    assert TropMatrix([[0, "-inf"], [1, 0]]) @ v == TropVector([2, 5])
 
 
 def test_left_residual_of_identity_is_the_matrix():

@@ -13,8 +13,6 @@ from tropmat.semiring import (
     TropScalar,
     delta,
     ext_sub,
-    t_add,
-    t_mul,
 )
 
 SEED = 20260808
@@ -36,15 +34,15 @@ def rand_point(rng):
 
 
 def test_t_add_examples():
-    assert t_add(3, "-inf") == TropScalar(3)
-    assert t_add(2, 5) == TropScalar(5)
-    assert t_add(4, 4) == TropScalar(4)
+    assert TropScalar(3) + TropScalar("-inf") == TropScalar(3)
+    assert TropScalar(2) + TropScalar(5) == TropScalar(5)
+    assert TropScalar(4) + TropScalar(4) == TropScalar(4)
 
 
 def test_t_mul_examples():
-    assert t_mul(7, -7) == TropScalar(0)
-    assert t_mul("-inf", 5) == BOTTOM
-    assert t_mul("1/2", "1/3") == TropScalar("5/6")
+    assert TropScalar(7) * TropScalar(-7) == TropScalar(0)
+    assert TropScalar("-inf") * TropScalar(5) == BOTTOM
+    assert TropScalar("1/2") * TropScalar("1/3") == TropScalar("5/6")
 
 
 def test_ext_sub_examples():

@@ -46,6 +46,18 @@ from .structure import (
 from .verify import SUITES, run_suite
 
 
+def _rational_flag(token: str):
+    """argparse type of the ``--a/--x/--y`` flags: the scalar ``p/q`` grammar.
+
+    Its errors pass through as ``ArgumentTypeError``, so the message names
+    the grammar; argparse would otherwise print this function's name.
+    """
+    try:
+        return _as_fraction(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that raises instead of exiting, so every input
     problem funnels into one JSON error path."""
@@ -216,9 +228,9 @@ def build_parser() -> _Parser:
     p.add_argument("--M", dest="m", required=True)
     p.add_argument("--N", dest="n", required=True)
     p.add_argument("--family", choices=["W", "X", "Y", "Z"])
-    p.add_argument("--a", type=_as_fraction)
-    p.add_argument("--x", type=_as_fraction)
-    p.add_argument("--y", type=_as_fraction)
+    p.add_argument("--a", type=_rational_flag)
+    p.add_argument("--x", type=_rational_flag)
+    p.add_argument("--y", type=_rational_flag)
     p.set_defaults(handler=_cmd_subgroup)
 
     p = sub.add_parser("ideal", help="two-sided ideal calculus")

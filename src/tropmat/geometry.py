@@ -22,8 +22,8 @@ from .semiring import (
     ExtDistance,
     ProjPoint,
     _as_fraction,
+    _image,
     delta,
-    ext_sub,
 )
 
 
@@ -189,32 +189,43 @@ def proj_point_of(v: TropVector) -> ProjPoint:
     under extended subtraction."""
     if v.n != 2:
         raise ValueError("projectivisation here is for 2-vectors")
-    if v.is_zero:
-        raise ValueError("the zero vector has no projective image")
-    return ext_sub(v[1], v[0])
+    x1, x2 = v.entries
+    return _image(x1._f, x2._f)
+
+
+def _span(x1, x2, y1, y2) -> ConvexSet:
+    """The projective span of the raw 2-vectors (x1, x2) and (y1, y2), each
+    entry a Fraction or None for ``-inf``.
+
+    Empty when both vectors are zero; a point when one is (the image of the
+    other); otherwise the closed interval spanned by the two images.
+    """
+    if x1 is None and x2 is None:
+        if y1 is None and y2 is None:
+            return ConvexSet.empty()
+        p = _image(y1, y2)
+        return ConvexSet(p, p)
+    p = _image(x1, x2)
+    if y1 is None and y2 is None:
+        return ConvexSet(p, p)
+    q = _image(y1, y2)
+    return ConvexSet(q, p) if q < p else ConvexSet(p, q)
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
-    """The projectivised column space of a 2x2 matrix.
-
-    Empty for the zero matrix; a point when one column is the zero vector
-    (the image of the other); otherwise the closed interval spanned by the
-    images of the two columns.
-    """
+    """The projectivised column space of a 2x2 matrix: the span of the
+    images of its two columns."""
     _require_2x2(a)
-    if a.is_zero:
-        return ConvexSet.empty()
-    c0, c1 = a.column(0), a.column(1)
-    if c0.is_zero:
-        return ConvexSet.point(proj_point_of(c1))
-    if c1.is_zero:
-        return ConvexSet.point(proj_point_of(c0))
-    return ConvexSet.interval(proj_point_of(c0), proj_point_of(c1))
+    (p, q), (r, s) = a.rows
+    return _span(p._f, r._f, q._f, s._f)
 
 
 def proj_row_space(a: TropMatrix) -> ConvexSet:
-    """The projectivised row space: the column space of the transpose."""
-    return proj_column_space(a.transpose())
+    """The projectivised row space: the span of the images of the two rows,
+    i.e. the column space of the transpose."""
+    _require_2x2(a)
+    (p, q), (r, s) = a.rows
+    return _span(p._f, q._f, r._f, s._f)
 
 
 def diameter(s: ConvexSet) -> ExtDistance:

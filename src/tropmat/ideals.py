@@ -53,7 +53,7 @@ class IdealDescriptor:
 
     @classmethod
     def open_finite(cls, w) -> "IdealDescriptor":
-        return cls("open", width=Fraction(w))
+        return cls("open", width=_as_fraction(w))
 
     @classmethod
     def open_line(cls) -> "IdealDescriptor":

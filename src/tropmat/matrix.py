@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 
-from .semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
+from .semiring import BOTTOM, ProjPoint, TropScalar, _point, _scalar
+
+_ZERO = TropScalar(0)
 
 
 class VerificationError(AssertionError):
@@ -35,6 +37,13 @@ class TropVector:
         self._entries = tuple(TropScalar(e) for e in entries)
         if not self._entries:
             raise ValueError("vectors must have positive dimension")
+
+    @classmethod
+    def _of(cls, entries: tuple[TropScalar, ...]) -> "TropVector":
+        """Wrap a tuple of scalars as it is, without coercion or checks."""
+        v = object.__new__(cls)
+        v._entries = entries
+        return v
 
     @classmethod
     def zero(cls, n: int) -> "TropVector":
@@ -93,6 +102,13 @@ class TropMatrix:
             raise ValueError("matrix must be square and nonempty")
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[TropScalar, ...], ...]) -> "TropMatrix":
+        """Wrap square rows of scalars as they are, without coercion or checks."""
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "TropMatrix":
         return cls([[0 if i == j else BOTTOM for j in range(n)] for i in range(n)])
 
@@ -130,26 +146,14 @@ class TropMatrix:
         if isinstance(other, TropVector):
             if self.n != other.n:
                 raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-            out = []
-            for i in range(self.n):
-                acc = BOTTOM
-                for k in range(self.n):
-                    acc = acc + self._rows[i][k] * other[k]
-                out.append(acc)
-            return TropVector(out)
+            v = [e._f for e in other._entries]
+            return TropVector._of(tuple(_scalar(_dot(row, v)) for row in _raw(self)))
         if isinstance(other, TropMatrix):
             self._same_size(other)
-            n = self.n
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = BOTTOM
-                    for k in range(n):
-                        acc = acc + self._rows[i][k] * other._rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return TropMatrix(out)
+            cols = list(zip(*_raw(other)))
+            return TropMatrix._of(
+                tuple(tuple(_scalar(_dot(row, col)) for col in cols) for row in _raw(self))
+            )
         return NotImplemented
 
     def __add__(self, other):
@@ -164,9 +168,7 @@ class TropMatrix:
         )
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix(
-            [[self._rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return TropMatrix._of(tuple(zip(*self._rows)))
 
     def is_monomial(self) -> bool:
         """True iff exactly one entry per row and per column is not ``-inf``.
@@ -212,6 +214,22 @@ class TropMatrix:
         return f"TropMatrix({self.to_tokens()!r})"
 
 
+def _raw(a: TropMatrix) -> list[list]:
+    """The rows of a as raw values: Fractions, None for ``-inf``."""
+    return [[e._f for e in row] for row in a._rows]
+
+
+def _dot(xs, ys):
+    """The raw max-plus inner product max_k (xs[k] + ys[k]); None is ``-inf``."""
+    best = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            s = x + y
+            if best is None or s > best:
+                best = s
+    return best
+
+
 def parse_matrix(text: str) -> TropMatrix:
     """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
     try:
@@ -246,6 +264,17 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     return TropMatrix(rows)
 
 
+def _residual(kind: int, t, d) -> tuple:
+    """The raw rule of ``residual_scalar``: the target as ``ProjPoint`` parts
+    (kind, t), the divisor d as a Fraction or None for ``-inf``; the result
+    as (kind, frac) parts."""
+    if d is None or kind == 1:
+        return 1, None
+    if kind == -1:
+        return -1, None
+    return 0, t - d
+
+
 def residual_scalar(target, divisor) -> ProjPoint:
     """The greatest t with divisor + t <= target, in the completed order.
 
@@ -254,12 +283,7 @@ def residual_scalar(target, divisor) -> ProjPoint:
     itself be ``+inf`` (residuals of residuals), which is also unconstraining.
     """
     target = target if isinstance(target, ProjPoint) else ProjPoint(target)
-    divisor = TropScalar(divisor)
-    if divisor.is_bottom or target.is_pos_inf:
-        return POS_INF
-    if target.is_neg_inf:
-        return NEG_INF
-    return ProjPoint(target.frac - divisor.frac)
+    return _point(*_residual(target._kind, target._f, TropScalar(divisor)._f))
 
 
 class ResidualMatrix:
@@ -279,6 +303,13 @@ class ResidualMatrix:
         if n == 0 or any(len(row) != n for row in self._rows):
             raise ValueError("residual matrix must be square and nonempty")
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[ProjPoint, ...], ...]) -> "ResidualMatrix":
+        """Wrap square rows of points as they are, without coercion or checks."""
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
+
     @property
     def n(self) -> int:
         return len(self._rows)
@@ -292,16 +323,14 @@ class ResidualMatrix:
         return self._rows[i][j]
 
     def transpose(self) -> "ResidualMatrix":
-        return ResidualMatrix(
-            [[self._rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return ResidualMatrix._of(tuple(zip(*self._rows)))
 
     def witness(self) -> TropMatrix:
-        return TropMatrix(
-            [
-                [TropScalar(0) if e.is_pos_inf else e.to_scalar() for e in row]
+        return TropMatrix._of(
+            tuple(
+                tuple(_ZERO if e._kind == 1 else _scalar(e._f) for e in row)
                 for row in self._rows
-            ]
+            )
         )
 
     def dominates(self, x: TropMatrix) -> bool:
@@ -334,19 +363,24 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     coordinates unconstrained."""
     if b.n != a.n:
         raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
+    if isinstance(a, ResidualMatrix):
+        target = [[(e._kind, e._f) for e in row] for row in a._rows]
+    else:
+        target = [[(-1, None) if f is None else (0, f) for f in row] for row in _raw(a)]
+    divisor = _raw(b)
     n = b.n
     rows = []
     for k in range(n):
         row = []
         for j in range(n):
-            best = POS_INF
+            kind, f = 1, None  # +inf, the unit of min
             for i in range(n):
-                cand = residual_scalar(a[i, j], b[i, k])
-                if cand < best:
-                    best = cand
-            row.append(best)
-        rows.append(row)
-    return ResidualMatrix(rows)
+                ck, cf = _residual(*target[i][j], divisor[i][k])
+                if ck < kind or (ck == kind == 0 and cf < f):
+                    kind, f = ck, cf
+            row.append(_point(kind, f))
+        rows.append(tuple(row))
+    return ResidualMatrix._of(tuple(rows))
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:

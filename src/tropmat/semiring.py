@@ -19,7 +19,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+_new = object.__new__
+_ZERO = Fraction(0)
+
 _RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# Longest rational token accepted, in characters.  It sits below CPython's
+# default 4300-digit limit on int-from-string conversion, so an over-long
+# token is refused here, with the same message on every interpreter.
+MAX_TOKEN_CHARS = 4000
 
 
 def _as_fraction(value) -> Fraction:
@@ -32,6 +39,11 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         token = value.strip()
+        if len(token) > MAX_TOKEN_CHARS:
+            raise ValueError(
+                f"bad rational token of {len(token)} characters: expected an "
+                f"integer or 'p/q' of at most {MAX_TOKEN_CHARS} characters"
+            )
         if not _RATIONAL_TOKEN.match(token):
             raise ValueError(
                 f"bad rational token {value!r}: expected an integer or 'p/q'"
@@ -94,21 +106,21 @@ class TropScalar:
         other = self._coerce(other)
         if self._f is None or other._f is None:
             return BOTTOM
-        return TropScalar(self._f + other._f)
+        return _scalar(self._f + other._f)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         if self._f is None:
             raise ValueError("-inf has no tropical multiplicative inverse")
-        return TropScalar(-self._f)
+        return _scalar(-self._f)
 
     def __eq__(self, other):
+        if isinstance(other, TropScalar):
+            return self._f == other._f
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = TropScalar(other)
-        if not isinstance(other, TropScalar):
-            return NotImplemented
-        return self._f == other._f
+            return self._f == TropScalar(other)._f
+        return NotImplemented
 
     def __hash__(self):
         return hash(self._f) if self._f is not None else hash(("trop", "-inf"))
@@ -139,6 +151,15 @@ class TropScalar:
 
 
 BOTTOM = TropScalar.bottom()
+
+
+def _scalar(f: Fraction | None) -> TropScalar:
+    """Wrap a raw value (a Fraction, or None for ``-inf``) without coercing it."""
+    if f is None:
+        return BOTTOM
+    s = _new(TropScalar)
+    s._f = f
+    return s
 
 
 class ProjPoint:
@@ -194,24 +215,22 @@ class ProjPoint:
         """Reinterpret as a tropical scalar; rejects ``+inf``."""
         if self._kind == 1:
             raise ValueError("+inf is not a tropical scalar")
-        return BOTTOM if self._kind == -1 else TropScalar(self._f)
+        return _scalar(self._f)
 
     def _key(self):
-        return (self._kind, self._f if self._f is not None else Fraction(0))
+        return (self._kind, _ZERO if self._f is None else self._f)
 
     def _coerce(self, other) -> "ProjPoint":
         return other if isinstance(other, ProjPoint) else ProjPoint(other)
 
     def __neg__(self):
-        if self._kind == 0:
-            return ProjPoint(-self._f)
-        return POS_INF if self._kind == -1 else NEG_INF
+        return _point(-self._kind, None if self._f is None else -self._f)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = ProjPoint(other)
         if not isinstance(other, ProjPoint):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
+                return NotImplemented
+            other = ProjPoint(other)
         return self._kind == other._kind and self._f == other._f
 
     def __hash__(self):
@@ -244,6 +263,29 @@ NEG_INF = ProjPoint.neg_inf()
 POS_INF = ProjPoint.pos_inf()
 
 
+def _point(kind: int, f: Fraction | None) -> ProjPoint:
+    """Wrap raw parts (kind -1, 0, +1 for ``-inf``, finite, ``+inf``; the
+    Fraction, or None at the infinities) without coercing them."""
+    if kind:
+        return POS_INF if kind == 1 else NEG_INF
+    p = _new(ProjPoint)
+    p._kind = 0
+    p._f = f
+    return p
+
+
+def _image(x1: Fraction | None, x2: Fraction | None) -> ProjPoint:
+    """The projective image ``x2 - x1`` of the raw pair (x1, x2), None
+    standing for ``-inf``: the rule behind ``ext_sub`` and the space maps."""
+    if x2 is None:
+        if x1 is None:
+            raise ValueError("the zero vector (-inf, -inf) has no projective image")
+        return NEG_INF
+    if x1 is None:
+        return POS_INF
+    return _point(0, x2 - x1)
+
+
 def ext_sub(a, b) -> ProjPoint:
     """Extended subtraction a - b of tropical scalars, landing projectively.
 
@@ -252,14 +294,7 @@ def ext_sub(a, b) -> ProjPoint:
     (-inf, -inf) is rejected: it is the zero vector's coordinate pattern,
     which has no projective image.
     """
-    a, b = TropScalar(a), TropScalar(b)
-    if a.is_bottom and b.is_bottom:
-        raise ValueError("ext_sub(-inf, -inf) is undefined")
-    if a.is_bottom:
-        return NEG_INF
-    if b.is_bottom:
-        return POS_INF
-    return ProjPoint(a.frac - b.frac)
+    return _image(TropScalar(b)._f, TropScalar(a)._f)
 
 
 class ExtDistance:

@@ -209,6 +209,8 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
         xf = TropScalar(x).frac
+        if xf is None:
+            raise ValueError("the interval endpoint x must be a rational, not -inf")
         return TropMatrix([[af, "-inf"], [af + xf, af]])
     if x is None or y is None:
         raise ValueError(f"family {family} needs interval endpoints x < y")

@@ -4,15 +4,25 @@ set that includes ``-inf``.
 Random streams rarely reach the degenerate classes (the zero matrix,
 singleton column spaces, half-infinite intervals); these grids reach all of
 them, and hold the geometric decisions to the residuation oracle and to the
-verified constructions on each one.
+verified constructions on each one.  The product, the residual and the space
+maps, which compute on raw entry values, are also held to references built
+from the public scalar operators.
 """
 
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from tropmat.geometry import iso_type, proj_column_space, proj_row_space
+from tropmat.geometry import (
+    ConvexSet,
+    iso_type,
+    proj_column_space,
+    proj_point_of,
+    proj_row_space,
+)
 from tropmat.green import (
     GreenRelation,
     d_class_witness,
@@ -22,7 +32,16 @@ from tropmat.green import (
     leq_R,
     related,
 )
-from tropmat.matrix import TropMatrix, solves_right
+from tropmat.matrix import (
+    ResidualMatrix,
+    TropMatrix,
+    TropVector,
+    left_residual,
+    residual_scalar,
+    right_residual,
+    solves_right,
+)
+from tropmat.semiring import BOTTOM, TropScalar
 from tropmat.structure import idempotent_in_H, is_idempotent, regular_witness
 
 
@@ -77,3 +96,95 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
     empty_classes = {spaces(a) for a in matrices if idempotent_in_H(*spaces(a)) is None}
     assert empty_classes
     assert not empty_classes & idempotent_classes
+
+
+# Reference versions of the product, the residual and the space maps, built
+# from the public scalar operators one entry at a time.
+
+
+def ref_dot(xs, ys):
+    acc = BOTTOM
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def ref_product(a, b):
+    return TropMatrix([[ref_dot(a.row(i), b.column(j)) for j in range(a.n)] for i in range(a.n)])
+
+
+def ref_left_residual(b, a):
+    n = b.n
+    rows = []
+    for k in range(n):
+        row = []
+        for j in range(n):
+            cands = [residual_scalar(a[i, j], b[i, k]) for i in range(n)]
+            row.append(min(cands))
+        rows.append(row)
+    return ResidualMatrix(rows)
+
+
+def ref_span(vectors):
+    images = [proj_point_of(v) for v in vectors if not v.is_zero]
+    if not images:
+        return ConvexSet.empty()
+    return ConvexSet.interval(min(images), max(images))
+
+
+def assert_plain(a):
+    # an uncoerced result equals and hashes like its re-parsed copy
+    for copy in (TropMatrix(a.to_tokens()), TropMatrix(a.rows)):
+        assert a == copy and hash(a) == hash(copy)
+    assert all(e.frac is None or type(e.frac) is Fraction for row in a.rows for e in row)
+
+
+def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
+    matrices = grid(["-inf", 0, 1])
+    for a, b in product(matrices, repeat=2):
+        ab = a @ b
+        assert ab == ref_product(a, b), (a, b)
+        for j in range(2):
+            v = b.column(j)
+            assert a @ v == TropVector(ref_dot(row, v) for row in a.rows), (a, v)
+        r = left_residual(b, a)
+        assert r == ref_left_residual(b, a), (a, b)
+        assert left_residual(a, r) == ref_left_residual(a, r), (a, b)
+        for m in (a, ab):
+            assert proj_column_space(m) == ref_span([m.column(0), m.column(1)]), m
+            assert proj_row_space(m) == ref_span([m.row(0), m.row(1)]), m
+
+
+def rand_entry(rng):
+    if rng.randrange(4) == 0:
+        return "-inf"
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+
+
+def rand_matrix(rng, n):
+    return TropMatrix([[rand_entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+def test_rewritten_paths_match_the_scalar_reference_on_random_3x3_pairs():
+    rng = random.Random(20260808)
+    for _ in range(200):
+        a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
+        assert a @ b == ref_product(a, b), (a, b)
+        assert left_residual(b, a) == ref_left_residual(b, a), (a, b)
+
+
+def test_uncoerced_results_equal_and_hash_like_coerced_ones():
+    rng = random.Random(20260809)
+    for n in (2, 3):
+        for _ in range(50):
+            a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+            products = (a @ b, a.transpose())
+            witnesses = (left_residual(b, a).witness(), right_residual(a, b).witness())
+            for m in products + witnesses:
+                assert_plain(m)
+            v = a @ b.column(0)
+            assert v == TropVector(v.entries) and hash(v) == hash(TropVector(v.entries))
+            r = left_residual(b, a)
+            for res in (r, r.transpose()):
+                copy = ResidualMatrix([[str(e) for e in row] for row in res.rows])
+                assert res == copy and hash(res) == hash(copy)

@@ -222,13 +222,26 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         ("ideal", "compare", "open:1/0", "openline"),
         (*SUBGROUP, "--a", "1e3", "--x", "1", "--y", "3"),
         (*SUBGROUP, "--a", "2", "--x", "1/0", "--y", "3"),
+        ("ideal", "compare", "open:" + "7" * 5000, "openline"),
     ],
-    ids=["interval-1/0", "interval-1e3", "open-0.5", "open-1/0", "flag-a-1e3", "flag-x-1/0"],
+    ids=[
+        "interval-1/0",
+        "interval-1e3",
+        "open-0.5",
+        "open-1/0",
+        "flag-a-1e3",
+        "flag-x-1/0",
+        "open-5000-digits",
+    ],
 )
 def test_bad_rational_tokens_are_json_errors(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     assert list(out) == ["error"] and isinstance(out["error"], str)
+    # the message names the rational grammar, not a private function or an
+    # interpreter limit
+    assert "'p/q'" in out["error"]
+    assert "_as_fraction" not in out["error"]
 
 
 _BROKEN_RESIDUAL = """

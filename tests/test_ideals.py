@@ -191,6 +191,16 @@ def test_descriptor_tokens_round_trip():
         IdealDescriptor.open_finite(0)
 
 
+def test_open_width_uses_the_rational_grammar():
+    for w, token in [(3, "open:3"), (Fraction(1, 3), "open:1/3"), ("5/2", "open:5/2")]:
+        assert str(IdealDescriptor.open_finite(w)) == token
+    with pytest.raises(TypeError):
+        IdealDescriptor.open_finite(0.5)
+    for bad in ["1e3", "0.5", "1/0"]:
+        with pytest.raises(ValueError):
+            IdealDescriptor.open_finite(bad)
+
+
 def test_descriptor_matches_matrix_membership():
     # the descriptor of b contains exactly the matrices J-below b
     rng = random.Random(SEED + 4)

@@ -6,6 +6,7 @@ import pytest
 from tropmat.semiring import (
     BOTTOM,
     INF_DIST,
+    MAX_TOKEN_CHARS,
     NEG_INF,
     POS_INF,
     ExtDistance,
@@ -122,6 +123,9 @@ def test_bad_tokens_rejected():
         TropScalar("+inf")
     with pytest.raises(TypeError):
         TropScalar(0.5)
+    assert TropScalar("9" * MAX_TOKEN_CHARS).frac == 10**MAX_TOKEN_CHARS - 1
+    with pytest.raises(ValueError, match="at most"):
+        TropScalar("9" * (MAX_TOKEN_CHARS + 1))
 
 
 def test_proj_point_scalar_conversion():

@@ -234,6 +234,8 @@ def test_subgroup_element_validation():
     with pytest.raises(ValueError):
         subgroup_element("Z", 0)
     with pytest.raises(ValueError):
+        subgroup_element("Z", 0, "-inf")
+    with pytest.raises(ValueError):
         subgroup_element("W", "-inf")
 
 

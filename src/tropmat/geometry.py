@@ -23,6 +23,7 @@ from .semiring import (
     ProjPoint,
     _as_fraction,
     _image,
+    _quote,
     delta,
 )
 
@@ -36,11 +37,13 @@ class ConvexSet:
     collapses equal ones to a point.
     """
 
-    __slots__ = ("_lo", "_hi")
+    # _iso holds the isometry type once iso_type has computed it.
+    __slots__ = ("_lo", "_hi", "_iso")
 
     def __init__(self, lo: ProjPoint | None, hi: ProjPoint | None):
         self._lo = lo
         self._hi = hi
+        self._iso = None
 
     @classmethod
     def empty(cls) -> "ConvexSet":
@@ -127,14 +130,14 @@ class ConvexSet:
             parts = token[1:-1].split(",")
             if len(parts) != 2:
                 raise ValueError(
-                    f"bad set literal {text!r}: expected two comma-separated endpoints"
+                    f"bad set literal {_quote(text)}: expected two comma-separated endpoints"
                 )
             lo, hi = ProjPoint(parts[0].strip()), ProjPoint(parts[1].strip())
             if hi < lo:
-                raise ValueError(f"bad set literal {text!r}: endpoints out of order")
+                raise ValueError(f"bad set literal {_quote(text)}: endpoints out of order")
             return ConvexSet.interval(lo, hi)
         raise ValueError(
-            f"bad set literal {text!r}: expected 'empty', '{{p}}', or '[lo,hi]'"
+            f"bad set literal {_quote(text)}: expected 'empty', '{{p}}', or '[lo,hi]'"
         )
 
 
@@ -156,7 +159,7 @@ class IsoType:
 
     def __post_init__(self):
         if self.kind not in _ISO_RANK:
-            raise ValueError(f"unknown isometry type {self.kind!r}")
+            raise ValueError(f"unknown isometry type {_quote(self.kind)}")
         if self.kind == "interval":
             if self.diameter is None or self.diameter <= 0:
                 raise ValueError("interval types carry a positive finite diameter")
@@ -214,18 +217,25 @@ def _span(x1, x2, y1, y2) -> ConvexSet:
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
     """The projectivised column space of a 2x2 matrix: the span of the
-    images of its two columns."""
-    _require_2x2(a)
-    (p, q), (r, s) = a.rows
-    return _span(p._f, r._f, q._f, s._f)
+    images of its two columns.  Computed once per matrix; every call
+    returns the same immutable set."""
+    pc = a._pc
+    if pc is None:
+        _require_2x2(a)
+        (p, q), (r, s) = a.rows
+        pc = a._pc = _span(p._f, r._f, q._f, s._f)
+    return pc
 
 
 def proj_row_space(a: TropMatrix) -> ConvexSet:
     """The projectivised row space: the span of the images of the two rows,
-    i.e. the column space of the transpose."""
-    _require_2x2(a)
-    (p, q), (r, s) = a.rows
-    return _span(p._f, q._f, r._f, s._f)
+    i.e. the column space of the transpose.  Computed once per matrix."""
+    pr = a._pr
+    if pr is None:
+        _require_2x2(a)
+        (p, q), (r, s) = a.rows
+        pr = a._pr = _span(p._f, q._f, r._f, s._f)
+    return pr
 
 
 def diameter(s: ConvexSet) -> ExtDistance:
@@ -237,15 +247,21 @@ def diameter(s: ConvexSet) -> ExtDistance:
 
 
 def iso_type(s: ConvexSet) -> IsoType:
-    if s.is_empty:
-        return IsoType("empty")
-    if s.is_point:
-        return IsoType("point")
-    if s.lo.is_neg_inf and s.hi.is_pos_inf:
-        return IsoType("fullline")
-    if s.lo.is_neg_inf or s.hi.is_pos_inf:
-        return IsoType("halfinf")
-    return IsoType("interval", s.hi.frac - s.lo.frac)
+    """The isometry type of s, computed once per set."""
+    t = s._iso
+    if t is None:
+        if s.is_empty:
+            t = IsoType("empty")
+        elif s.is_point:
+            t = IsoType("point")
+        elif s.lo.is_neg_inf and s.hi.is_pos_inf:
+            t = IsoType("fullline")
+        elif s.lo.is_neg_inf or s.hi.is_pos_inf:
+            t = IsoType("halfinf")
+        else:
+            t = IsoType("interval", s.hi.frac - s.lo.frac)
+        s._iso = t
+    return t
 
 
 def isometric(s: ConvexSet, t: ConvexSet) -> bool:

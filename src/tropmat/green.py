@@ -26,8 +26,8 @@ from .geometry import (
     proj_row_space,
     subset,
 )
-from .matrix import TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import ProjPoint
+from .matrix import _ZERO, TropMatrix, VerificationError, left_residual, right_residual
+from .semiring import BOTTOM, ProjPoint, _quote, _scalar
 
 
 class GreenRelation(enum.Enum):
@@ -48,7 +48,7 @@ class GreenRelation(enum.Enum):
             if member.value == token:
                 return member
         valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown relation {token!r}: expected one of {valid}")
+        raise ValueError(f"unknown relation {_quote(token)}: expected one of {valid}")
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,21 @@ def r_class_of(a: TropMatrix) -> RClass:
 
 
 def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:
+    """A matrix with column space {x} and row space {y}: the nilpotent one
+    for the mixed pair {-inf, +inf}, otherwise the idempotent of the upper
+    family when x + y <= 0 and of the lower family when it is positive."""
     if x.is_pos_inf and y.is_neg_inf:
-        return TropMatrix([["-inf", "-inf"], [0, "-inf"]])
+        return TropMatrix._of(((BOTTOM, BOTTOM), (_ZERO, BOTTOM)))
     if x.is_neg_inf and y.is_pos_inf:
-        return TropMatrix([["-inf", 0], ["-inf", "-inf"]])
+        return TropMatrix._of(((BOTTOM, _ZERO), (BOTTOM, BOTTOM)))
     if not x.is_pos_inf and not y.is_pos_inf:
         xs, ys = x.to_scalar(), y.to_scalar()
         if xs.is_bottom or ys.is_bottom or xs.frac + ys.frac <= 0:
-            return TropMatrix([[0, ys], [xs, xs * ys]])
+            return TropMatrix._of(((_ZERO, ys), (xs, xs * ys)))
     # both exceed -inf and the sum is positive (or infinite): negating lands
     # both back in the plain carrier
     nx, ny = (-x).to_scalar(), (-y).to_scalar()
-    return TropMatrix([[nx * ny, nx], [ny, 0]])
+    return TropMatrix._of(((nx * ny, nx), (ny, _ZERO)))
 
 
 def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
@@ -183,23 +186,23 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
     elif t.kind == "interval":
         x, y = m.lo.frac, m.hi.frac
         w = n.lo.frac
-        z = TropMatrix([[0, w], [x, w + y]])
+        z = TropMatrix._of(((_ZERO, _scalar(w)), (_scalar(x), _scalar(w + y))))
     else:  # one infinite endpoint on each side
         if m.lo.is_neg_inf:
             y = m.hi.frac
             if n.lo.is_neg_inf:
-                z = TropMatrix([[0, n.hi.frac], [y, "-inf"]])
+                z = TropMatrix._of(((_ZERO, _scalar(n.hi.frac)), (_scalar(y), BOTTOM)))
             else:
                 x = n.lo.frac
-                z = TropMatrix([[0, x], ["-inf", x + y]])
+                z = TropMatrix._of(((_ZERO, _scalar(x)), (BOTTOM, _scalar(x + y))))
         else:
             y = m.lo.frac
             if n.hi.is_pos_inf:
                 zv = n.lo.frac
-                z = TropMatrix([["-inf", zv - y], [0, zv]])
+                z = TropMatrix._of(((BOTTOM, _scalar(zv - y)), (_ZERO, _scalar(zv))))
             else:
                 zv = n.hi.frac
-                z = TropMatrix([[0, "-inf"], [y, y + zv]])
+                z = TropMatrix._of(((_ZERO, BOTTOM), (_scalar(y), _scalar(y + zv))))
     if proj_column_space(z) != m or proj_row_space(z) != n:
         raise VerificationError(f"witness construction defect for ({m}, {n})")
     return z

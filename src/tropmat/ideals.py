@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .geometry import IsoType, iso_type, proj_column_space
 from .matrix import TropMatrix
-from .semiring import _as_fraction
+from .semiring import _as_fraction, _quote
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ class IdealDescriptor:
             try:
                 w = _as_fraction(token[len("open:"):])
             except ValueError as exc:
-                raise ValueError(f"bad open-ideal width in {text!r}: {exc}") from exc
+                raise ValueError(f"bad open-ideal width in {_quote(text)}: {exc}") from exc
             if w <= 0:
                 raise ValueError(f"open-ideal width must be positive, got {w}")
             return IdealDescriptor.open_finite(w)
         if token.startswith("closed:"):
             return IdealDescriptor.closed(IsoType.parse(token[len("closed:"):]))
         raise ValueError(
-            f"bad ideal descriptor {text!r}: expected closed:<type>, open:<w>, or openline"
+            f"bad ideal descriptor {_quote(text)}: expected closed:<type>, open:<w>, or openline"
         )
 
 

@@ -93,28 +93,38 @@ class TropMatrix:
     ``A @ v`` the action on column vectors.  Instances are immutable.
     """
 
-    __slots__ = ("_rows",)
+    # _pc and _pr hold the projective column and row spaces once geometry
+    # has computed them; an immutable matrix never needs them cleared.
+    __slots__ = ("_rows", "_pc", "_pr")
 
     def __init__(self, rows):
         self._rows = tuple(tuple(TropScalar(e) for e in row) for row in rows)
         n = len(self._rows)
         if n == 0 or any(len(row) != n for row in self._rows):
             raise ValueError("matrix must be square and nonempty")
+        self._pc = self._pr = None
 
     @classmethod
     def _of(cls, rows: tuple[tuple[TropScalar, ...], ...]) -> "TropMatrix":
         """Wrap square rows of scalars as they are, without coercion or checks."""
         m = object.__new__(cls)
         m._rows = rows
+        m._pc = m._pr = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
-        return cls([[0 if i == j else BOTTOM for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must be square and nonempty")
+        return cls._of(
+            tuple(tuple(_ZERO if i == j else BOTTOM for j in range(n)) for i in range(n))
+        )
 
     @classmethod
     def zero(cls, n: int) -> "TropMatrix":
-        return cls([[BOTTOM] * n for _ in range(n)])
+        if n < 1:
+            raise ValueError("matrix must be square and nonempty")
+        return cls._of(tuple((BOTTOM,) * n for _ in range(n)))
 
     @property
     def n(self) -> int:
@@ -233,7 +243,9 @@ def _dot(xs, ys):
 def parse_matrix(text: str) -> TropMatrix:
     """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
     try:
-        data = json.loads(text)
+        # integers stay strings, so they meet the one rational grammar and
+        # its length cap
+        data = json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad matrix JSON at offset {exc.pos}: {exc.msg}") from exc
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
@@ -273,6 +285,12 @@ def _residual(kind: int, t, d) -> tuple:
     if kind == -1:
         return -1, None
     return 0, t - d
+
+
+def _plain(kind: int, f):
+    """The raw witness entry of a residual entry given as (kind, frac) parts:
+    0 for ``+inf``, which no divisor entry constrains, else its own value."""
+    return _ZERO._f if kind == 1 else f
 
 
 def residual_scalar(target, divisor) -> ProjPoint:
@@ -327,10 +345,7 @@ class ResidualMatrix:
 
     def witness(self) -> TropMatrix:
         return TropMatrix._of(
-            tuple(
-                tuple(_ZERO if e._kind == 1 else _scalar(e._f) for e in row)
-                for row in self._rows
-            )
+            tuple(tuple(_scalar(_plain(e._kind, e._f)) for e in row) for row in self._rows)
         )
 
     def dominates(self, x: TropMatrix) -> bool:
@@ -355,6 +370,29 @@ class ResidualMatrix:
         return f"ResidualMatrix({[[str(e) for e in row] for row in self._rows]!r})"
 
 
+def _parts(raw: list[list]) -> list[list[tuple]]:
+    """Raw rows of a plain matrix as the (kind, frac) parts of points."""
+    return [[(-1, None) if f is None else (0, f) for f in row] for row in raw]
+
+
+def _left_residual_raw(divisor: list[list], target: list[list[tuple]]) -> list[list[tuple]]:
+    """The raw loop of ``left_residual``: the divisor's raw rows and the
+    target's (kind, frac) rows in, the residual's (kind, frac) rows out."""
+    n = len(divisor)
+    rows = []
+    for k in range(n):
+        row = []
+        for j in range(n):
+            kind, f = 1, None  # +inf, the unit of min
+            for i in range(n):
+                ck, cf = _residual(*target[i][j], divisor[i][k])
+                if ck < kind or (ck == kind == 0 and cf < f):
+                    kind, f = ck, cf
+            row.append((kind, f))
+        rows.append(row)
+    return rows
+
+
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
     """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
     under the residuated subtraction of ``residual_scalar``.
@@ -366,21 +404,9 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     if isinstance(a, ResidualMatrix):
         target = [[(e._kind, e._f) for e in row] for row in a._rows]
     else:
-        target = [[(-1, None) if f is None else (0, f) for f in row] for row in _raw(a)]
-    divisor = _raw(b)
-    n = b.n
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            kind, f = 1, None  # +inf, the unit of min
-            for i in range(n):
-                ck, cf = _residual(*target[i][j], divisor[i][k])
-                if ck < kind or (ck == kind == 0 and cf < f):
-                    kind, f = ck, cf
-            row.append(_point(kind, f))
-        rows.append(tuple(row))
-    return ResidualMatrix._of(tuple(rows))
+        target = _parts(_raw(a))
+    rows = _left_residual_raw(_raw(b), target)
+    return ResidualMatrix._of(tuple(tuple(_point(*e) for e in row) for row in rows))
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
@@ -394,4 +420,13 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     Decided by residuation: the equation is solvable iff the materialized
     greatest subsolution attains a.
     """
-    return b @ left_residual(b, a).witness() == a
+    if b.n != a.n:
+        raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
+    divisor, target = _raw(b), _raw(a)
+    x = _left_residual_raw(divisor, _parts(target))
+    cols = list(zip(*([_plain(*e) for e in row] for row in x)))
+    for row, want in zip(divisor, target):
+        for col, t in zip(cols, want):
+            if _dot(row, col) != t:
+                return False
+    return True

@@ -27,6 +27,17 @@ _RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 # default 4300-digit limit on int-from-string conversion, so an over-long
 # token is refused here, with the same message on every interpreter.
 MAX_TOKEN_CHARS = 4000
+# Longest piece of user text an error message quotes, in characters.
+_QUOTE_CHARS = 64
+
+
+def _quote(text) -> str:
+    """``repr`` of user text for an error message.  Text longer than
+    ``_QUOTE_CHARS`` is cut, marked by an ellipsis and its full length, so
+    an over-long input is not echoed back whole."""
+    if not isinstance(text, str) or len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} characters)"
 
 
 def _as_fraction(value) -> Fraction:
@@ -46,7 +57,7 @@ def _as_fraction(value) -> Fraction:
             )
         if not _RATIONAL_TOKEN.match(token):
             raise ValueError(
-                f"bad rational token {value!r}: expected an integer or 'p/q'"
+                f"bad rational token {_quote(value)}: expected an integer or 'p/q'"
             )
         return Fraction(token)
     if isinstance(value, float):

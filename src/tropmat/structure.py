@@ -24,8 +24,16 @@ from .geometry import (
     proj_column_space,
     proj_row_space,
 )
-from .matrix import TropMatrix, TropVector, VerificationError, left_residual, right_residual
-from .semiring import ProjPoint, TropScalar
+from .green import _singleton_witness
+from .matrix import (
+    _ZERO,
+    TropMatrix,
+    TropVector,
+    VerificationError,
+    left_residual,
+    right_residual,
+)
+from .semiring import BOTTOM, TropScalar, _scalar
 
 
 @dataclass(frozen=True)
@@ -48,12 +56,13 @@ class IdempotentForm:
     def matrix(self) -> TropMatrix:
         if self.kind == "zero":
             return TropMatrix.zero(2)
-        x, y = self.x, self.y
+        # the fields are not validated, so the parameters are coerced once
+        x, y = TropScalar(self.x), TropScalar(self.y)
         if self.kind == "diagonal":
-            return TropMatrix([[0, x], [y, 0]])
+            return TropMatrix._of(((_ZERO, x), (y, _ZERO)))
         if self.kind == "upper":
-            return TropMatrix([[0, x], [y, x * y]])
-        return TropMatrix([[x * y, x], [y, 0]])
+            return TropMatrix._of(((_ZERO, x), (y, x * y)))
+        return TropMatrix._of(((x * y, x), (y, _ZERO)))
 
     def params(self) -> dict[str, str]:
         if self.kind == "zero":
@@ -68,9 +77,6 @@ class GroupType(enum.Enum):
     REALS = "reals"
     REALS_TIMES_S2 = "reals-x-s2"
     REALS_WREATH_S2 = "reals-wr-s2"
-
-
-_ZERO = TropScalar(0)
 
 
 def is_idempotent(a: TropMatrix) -> bool:
@@ -112,15 +118,6 @@ def idempotent_form(e: TropMatrix) -> IdempotentForm:
     return IdempotentForm("lower", x, y)
 
 
-def _signed_sum_nonpositive(x: ProjPoint, y: ProjPoint) -> bool:
-    # x + y <= 0 in the extended sense; callers exclude the {-inf, +inf} mix
-    if x.is_neg_inf or y.is_neg_inf:
-        return True
-    if x.is_pos_inf or y.is_pos_inf:
-        return False
-    return x.frac + y.frac <= 0
-
-
 def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     """The idempotent in the H-class with column space m and row space n,
     or None when that H-class has none (or is empty).
@@ -133,19 +130,13 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
         x, y = m.lo, n.lo
         if (x.is_neg_inf and y.is_pos_inf) or (x.is_pos_inf and y.is_neg_inf):
             return None
-        if _signed_sum_nonpositive(x, y):
-            xs, ys = x.to_scalar(), y.to_scalar()
-            e = TropMatrix([[0, ys], [xs, xs * ys]])
-        else:
-            # negate into the lower family; safe since neither point is -inf
-            nx, ny = (-x).to_scalar(), (-y).to_scalar()
-            e = TropMatrix([[nx * ny, nx], [ny, 0]])
+        e = _singleton_witness(x, y)
     elif m == n.negated() and not n.is_point:
         if m.is_empty:
             e = TropMatrix.zero(2)
         else:
             # m = [x, y] with x < y, so y > -inf and x < +inf
-            e = TropMatrix([[0, (-m.hi).to_scalar()], [m.lo.to_scalar(), 0]])
+            e = TropMatrix._of(((_ZERO, (-m.hi).to_scalar()), (m.lo.to_scalar(), _ZERO)))
     else:
         return None
     if not (is_idempotent(e) and proj_column_space(e) == m and proj_row_space(e) == n):
@@ -204,22 +195,22 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
         raise ValueError("the group parameter must be a rational, not -inf")
     af = a.frac
     if family == "W":
-        return TropMatrix([[af, "-inf"], ["-inf", "-inf"]])
+        return TropMatrix._of(((a, BOTTOM), (BOTTOM, BOTTOM)))
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
         xf = TropScalar(x).frac
         if xf is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
-        return TropMatrix([[af, "-inf"], [af + xf, af]])
+        return TropMatrix._of(((a, BOTTOM), (_scalar(af + xf), a)))
     if x is None or y is None:
         raise ValueError(f"family {family} needs interval endpoints x < y")
     xf, yf = TropScalar(x).frac, TropScalar(y).frac
     if xf is None or yf is None or xf >= yf:
         raise ValueError("interval endpoints must be rationals with x < y")
     if family == "X":
-        return TropMatrix([[af, af - yf], [af + xf, af]])
-    return TropMatrix([[af, af - xf], [af + yf, af]])
+        return TropMatrix._of(((a, _scalar(af - yf)), (_scalar(af + xf), a)))
+    return TropMatrix._of(((a, _scalar(af - xf)), (_scalar(af + yf), a)))
 
 
 def fixes_image(e: TropMatrix, v: TropVector) -> bool:

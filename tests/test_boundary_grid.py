@@ -6,13 +6,14 @@ singleton column spaces, half-infinite intervals); these grids reach all of
 them, and hold the geometric decisions to the residuation oracle and to the
 verified constructions on each one.  The product, the residual and the space
 maps, which compute on raw entry values, are also held to references built
-from the public scalar operators.
+from the public scalar operators; the stored spaces to freshly computed ones,
+and ``solves_right`` to the residual it materializes.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -31,6 +32,7 @@ from tropmat.green import (
     leq_L,
     leq_R,
     related,
+    witness_Z,
 )
 from tropmat.matrix import (
     ResidualMatrix,
@@ -42,7 +44,14 @@ from tropmat.matrix import (
     solves_right,
 )
 from tropmat.semiring import BOTTOM, TropScalar
-from tropmat.structure import idempotent_in_H, is_idempotent, regular_witness
+from tropmat.structure import (
+    IdempotentForm,
+    idempotent_form,
+    idempotent_in_H,
+    is_idempotent,
+    regular_witness,
+    subgroup_element,
+)
 
 
 def grid(values):
@@ -155,6 +164,40 @@ def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
             assert proj_row_space(m) == ref_span([m.row(0), m.row(1)]), m
 
 
+def test_spaces_and_iso_types_are_computed_once_per_object():
+    for a in grid(["-inf", 0, 1]):
+        pc, pr = proj_column_space(a), proj_row_space(a)
+        types = iso_type(pc), iso_type(pr)
+        assert proj_column_space(a) is pc and proj_row_space(a) is pr, a
+        assert iso_type(pc) is types[0] and iso_type(pr) is types[1], a
+        fresh = TropMatrix(a.to_tokens())
+        assert spaces(fresh) == (pc, pr), a
+        assert (iso_type(proj_column_space(fresh)), iso_type(proj_row_space(fresh))) == types, a
+    a3 = TropMatrix.identity(3)
+    for space_map in (proj_column_space, proj_row_space):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="specific to 2x2"):
+                space_map(a3)
+
+
+def oracle(b, a):
+    # the residuation definition solves_right computes on raw entries
+    return b @ left_residual(b, a).witness() == a
+
+
+def test_solves_right_matches_the_materialized_residual():
+    matrices = grid(["-inf", 0, 1])
+    for a, b in product(matrices, repeat=2):
+        assert solves_right(b, a) == oracle(b, a), (a, b)
+    rng = random.Random(20260810)
+    for _ in range(200):
+        a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
+        assert solves_right(b, a) == oracle(b, a), (a, b)
+        assert solves_right(b, b @ a), (a, b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solves_right(TropMatrix.identity(3), matrices[0])
+
+
 def rand_entry(rng):
     if rng.randrange(4) == 0:
         return "-inf"
@@ -188,3 +231,25 @@ def test_uncoerced_results_equal_and_hash_like_coerced_ones():
             for res in (r, r.transpose()):
                 copy = ResidualMatrix([[str(e) for e in row] for row in res.rows])
                 assert res == copy and hash(res) == hash(copy)
+
+
+def test_constructed_matrices_equal_and_hash_like_coerced_ones():
+    points = ["-inf", -1, "1/2", "+inf"]
+    sets = [ConvexSet.empty()] + [ConvexSet.point(p) for p in points]
+    sets += [ConvexSet.interval(p, q) for p, q in combinations(points, 2)]
+    for m, n in product(sets, repeat=2):
+        e = idempotent_in_H(m, n)
+        if e is not None:
+            assert_plain(e)
+            assert_plain(idempotent_form(e).matrix())
+        if iso_type(m) == iso_type(n):
+            assert_plain(witness_Z(m, n))
+    for family in "WXYZ":
+        assert_plain(subgroup_element(family, "3/2", -1, 2))
+    # form parameters given as plain ints still build tropical entries
+    upper = IdempotentForm("upper", -1, "-2").matrix()
+    assert_plain(upper)
+    assert upper == TropMatrix([[0, -1], [-2, -3]])
+    for n in (1, 2, 3):
+        assert_plain(TropMatrix.identity(n))
+        assert_plain(TropMatrix.zero(n))

@@ -223,6 +223,8 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         (*SUBGROUP, "--a", "1e3", "--x", "1", "--y", "3"),
         (*SUBGROUP, "--a", "2", "--x", "1/0", "--y", "3"),
         ("ideal", "compare", "open:" + "7" * 5000, "openline"),
+        ("classify", "[[" + "7" * 5000 + ",0],[0,0]]"),
+        ("classify", "[[" + "7" * 4100 + ",0],[0,0]]"),
     ],
     ids=[
         "interval-1/0",
@@ -232,6 +234,8 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         "flag-a-1e3",
         "flag-x-1/0",
         "open-5000-digits",
+        "bare-int-5000-digits",
+        "bare-int-4100-digits",
     ],
 )
 def test_bad_rational_tokens_are_json_errors(capsys, argv):
@@ -242,6 +246,30 @@ def test_bad_rational_tokens_are_json_errors(capsys, argv):
     # interpreter limit
     assert "'p/q'" in out["error"]
     assert "_as_fraction" not in out["error"]
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ideal", "compare", "open:" + "7" * 5000, "openline"),
+        ("ideal", "compare", "closed:" + LONG, "openline"),
+        ("ideal", "compare", LONG, "openline"),
+        ("witness", "--M", LONG, "--N", "empty"),
+        ("witness", "--M", "[0,1,2" + " " * 5000 + "]", "--N", "empty"),
+        ("witness", "--M", "[2," + " " * 5000 + "1]", "--N", "empty"),
+        ("classify", json.dumps([[" " * 5000 + "x", "0"], ["0", "0"]])),
+    ],
+    ids=["open-width", "iso-type", "descriptor", "set", "set-endpoints", "set-order", "rational"],
+)
+def test_errors_quote_long_input_cut(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert list(json.loads(out)) == ["error"]
+    assert len(out.encode()) < 400, out
 
 
 _BROKEN_RESIDUAL = """

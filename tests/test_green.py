@@ -206,6 +206,10 @@ def test_relation_token_round_trip():
         assert GreenRelation.from_token(token).value == token
     with pytest.raises(ValueError):
         GreenRelation.from_token("K")
+    # an over-long token is quoted cut, not echoed whole
+    with pytest.raises(ValueError, match="5000 characters") as exc:
+        GreenRelation.from_token("K" * 5000)
+    assert len(str(exc.value)) < 400
 
 
 def test_only_2x2_accepted():

@@ -91,6 +91,14 @@ def test_left_residual_of_identity_is_the_matrix():
         )
 
 
+def test_witness_puts_zero_in_unconstrained_coordinates():
+    # a -inf column of the divisor leaves its row of the residual at +inf
+    b = TropMatrix([[0, "-inf"], [1, "-inf"]])
+    r = left_residual(b, TropMatrix([[2, 3], [4, 5]]))
+    assert [str(e) for e in r.rows[1]] == ["+inf", "+inf"]
+    assert r.witness() == TropMatrix([[2, 3], [0, 0]])
+
+
 def test_residual_is_greatest_solution_brute_force():
     """B\\B is the maximum of B @ X <= B over an exhaustive grid of X."""
     b = TropMatrix([[0, 1], [2, 3]])
@@ -173,6 +181,9 @@ def test_dimension_mismatch_rejected():
         left_residual(a3, I2)
     with pytest.raises(ValueError):
         I2 @ TropVector([0, 0, 0])
+    for make in (TropMatrix.identity, TropMatrix.zero):
+        with pytest.raises(ValueError, match="nonempty"):
+            make(0)
 
 
 def test_general_n_arithmetic():

@@ -34,7 +34,7 @@ from .ideals import (
     principal_ideal_of,
 )
 from .matrix import left_residual, parse_matrix, right_residual
-from .semiring import _as_fraction
+from .semiring import _as_fraction, _quote
 from .structure import (
     group_type_of_H,
     idempotent_form,
@@ -58,11 +58,27 @@ def _rational_flag(token: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int_flag(token: str) -> int:
+    """argparse type of ``--samples``/``--seed``: an integer of the scalar grammar."""
+    value = _rational_flag(token)
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"bad integer {_quote(token)}: expected an integer")
+    return int(value)
+
+
+# argparse's own messages can echo a whole argument (an unknown subcommand,
+# an unrecognized or ambiguous option), so they are cut at this many
+# characters, far above any message whose token ``_quote`` has cut.
+_MESSAGE_CHARS = 256
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that raises instead of exiting, so every input
     problem funnels into one JSON error path."""
 
     def error(self, message):
+        if len(message) > _MESSAGE_CHARS:
+            message = f"{message[:_MESSAGE_CHARS]}… ({len(message)} characters)"
         raise ValueError(message)
 
 
@@ -205,7 +221,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("relate", help="decide a Green's relation or preorder")
-    p.add_argument("relation", choices=[m.value for m in GreenRelation])
+    p.add_argument("relation", help="one of " + ", ".join(m.value for m in GreenRelation))
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(handler=_cmd_relate)
@@ -227,7 +243,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("subgroup", help="group type of a maximal subgroup")
     p.add_argument("--M", dest="m", required=True)
     p.add_argument("--N", dest="n", required=True)
-    p.add_argument("--family", choices=["W", "X", "Y", "Z"])
+    p.add_argument("--family", help="one of W, X, Y, Z")
     p.add_argument("--a", type=_rational_flag)
     p.add_argument("--x", type=_rational_flag)
     p.add_argument("--y", type=_rational_flag)
@@ -250,9 +266,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_ideal)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--samples", type=_int_flag, default=1000)
+    p.add_argument("--seed", type=_int_flag, default=42)
+    p.add_argument("--suite", required=True, help="one of " + ", ".join(sorted(SUITES)))
     p.set_defaults(handler=_cmd_verify)
 
     return parser

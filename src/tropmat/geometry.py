@@ -192,8 +192,7 @@ def proj_point_of(v: TropVector) -> ProjPoint:
     under extended subtraction."""
     if v.n != 2:
         raise ValueError("projectivisation here is for 2-vectors")
-    x1, x2 = v.entries
-    return _image(x1._f, x2._f)
+    return _image(*v._entries)
 
 
 def _span(x1, x2, y1, y2) -> ConvexSet:
@@ -222,8 +221,8 @@ def proj_column_space(a: TropMatrix) -> ConvexSet:
     pc = a._pc
     if pc is None:
         _require_2x2(a)
-        (p, q), (r, s) = a.rows
-        pc = a._pc = _span(p._f, r._f, q._f, s._f)
+        (p, q), (r, s) = a._rows
+        pc = a._pc = _span(p, r, q, s)
     return pc
 
 
@@ -233,8 +232,8 @@ def proj_row_space(a: TropMatrix) -> ConvexSet:
     pr = a._pr
     if pr is None:
         _require_2x2(a)
-        (p, q), (r, s) = a.rows
-        pr = a._pr = _span(p._f, q._f, r._f, s._f)
+        (p, q), (r, s) = a._rows
+        pr = a._pr = _span(p, q, r, s)
     return pr
 
 
@@ -307,7 +306,7 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     _require_2x2(a)
     if a.n != v.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {v.n}")
-    return solves_right(a, TropMatrix([[e, e] for e in v]))
+    return solves_right(a, TropMatrix._of(tuple((f, f) for f in v._entries)))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:

@@ -26,8 +26,8 @@ from .geometry import (
     proj_row_space,
     subset,
 )
-from .matrix import _ZERO, TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import BOTTOM, ProjPoint, _quote, _scalar
+from .matrix import TropMatrix, VerificationError, left_residual, right_residual
+from .semiring import _ZERO, ProjPoint, _mul, _quote
 
 
 class GreenRelation(enum.Enum):
@@ -154,17 +154,17 @@ def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:
     for the mixed pair {-inf, +inf}, otherwise the idempotent of the upper
     family when x + y <= 0 and of the lower family when it is positive."""
     if x.is_pos_inf and y.is_neg_inf:
-        return TropMatrix._of(((BOTTOM, BOTTOM), (_ZERO, BOTTOM)))
+        return TropMatrix._of(((None, None), (_ZERO, None)))
     if x.is_neg_inf and y.is_pos_inf:
-        return TropMatrix._of(((BOTTOM, _ZERO), (BOTTOM, BOTTOM)))
+        return TropMatrix._of(((None, _ZERO), (None, None)))
     if not x.is_pos_inf and not y.is_pos_inf:
-        xs, ys = x.to_scalar(), y.to_scalar()
-        if xs.is_bottom or ys.is_bottom or xs.frac + ys.frac <= 0:
-            return TropMatrix._of(((_ZERO, ys), (xs, xs * ys)))
+        xy = _mul(x.frac, y.frac)
+        if xy is None or xy <= 0:
+            return TropMatrix._of(((_ZERO, y.frac), (x.frac, xy)))
     # both exceed -inf and the sum is positive (or infinite): negating lands
     # both back in the plain carrier
-    nx, ny = (-x).to_scalar(), (-y).to_scalar()
-    return TropMatrix._of(((nx * ny, nx), (ny, _ZERO)))
+    nx, ny = (-x).frac, (-y).frac
+    return TropMatrix._of(((_mul(nx, ny), nx), (ny, _ZERO)))
 
 
 def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
@@ -186,23 +186,23 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
     elif t.kind == "interval":
         x, y = m.lo.frac, m.hi.frac
         w = n.lo.frac
-        z = TropMatrix._of(((_ZERO, _scalar(w)), (_scalar(x), _scalar(w + y))))
+        z = TropMatrix._of(((_ZERO, w), (x, w + y)))
     else:  # one infinite endpoint on each side
         if m.lo.is_neg_inf:
             y = m.hi.frac
             if n.lo.is_neg_inf:
-                z = TropMatrix._of(((_ZERO, _scalar(n.hi.frac)), (_scalar(y), BOTTOM)))
+                z = TropMatrix._of(((_ZERO, n.hi.frac), (y, None)))
             else:
                 x = n.lo.frac
-                z = TropMatrix._of(((_ZERO, _scalar(x)), (BOTTOM, _scalar(x + y))))
+                z = TropMatrix._of(((_ZERO, x), (None, x + y)))
         else:
             y = m.lo.frac
             if n.hi.is_pos_inf:
                 zv = n.lo.frac
-                z = TropMatrix._of(((BOTTOM, _scalar(zv - y)), (_ZERO, _scalar(zv))))
+                z = TropMatrix._of(((None, zv - y), (_ZERO, zv)))
             else:
                 zv = n.hi.frac
-                z = TropMatrix._of(((_ZERO, BOTTOM), (_scalar(y), _scalar(y + zv))))
+                z = TropMatrix._of(((_ZERO, None), (y, y + zv)))
     if proj_column_space(z) != m or proj_row_space(z) != n:
         raise VerificationError(f"witness construction defect for ({m}, {n})")
     return z

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .semiring import BOTTOM, ProjPoint, TropScalar, _point, _scalar
-
-_ZERO = TropScalar(0)
+from .semiring import _ZERO, ProjPoint, TropScalar, _point, _scalar
 
 
 class VerificationError(AssertionError):
@@ -28,26 +26,31 @@ class VerificationError(AssertionError):
     """
 
 
+def _token(f) -> str:
+    return "-inf" if f is None else str(f)
+
+
 class TropVector:
-    """An n-tuple of tropical scalars."""
+    """An n-tuple of tropical scalars.  Entries are stored raw (a Fraction,
+    or None for ``-inf``); indexing and iteration build fresh, equal scalars."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        self._entries = tuple(TropScalar(e) for e in entries)
+        self._entries = tuple(TropScalar(e)._f for e in entries)
         if not self._entries:
             raise ValueError("vectors must have positive dimension")
 
     @classmethod
-    def _of(cls, entries: tuple[TropScalar, ...]) -> "TropVector":
-        """Wrap a tuple of scalars as it is, without coercion or checks."""
+    def _of(cls, entries: tuple) -> "TropVector":
+        """Wrap a tuple of raw values as it is, without coercion or checks."""
         v = object.__new__(cls)
         v._entries = entries
         return v
 
     @classmethod
     def zero(cls, n: int) -> "TropVector":
-        return cls([BOTTOM] * n)
+        return cls(["-inf"] * n)
 
     @property
     def n(self) -> int:
@@ -55,21 +58,21 @@ class TropVector:
 
     @property
     def entries(self) -> tuple[TropScalar, ...]:
-        return self._entries
+        return tuple(map(_scalar, self._entries))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_bottom for e in self._entries)
+        return all(f is None for f in self._entries)
 
     def scaled(self, lam) -> "TropVector":
         lam = TropScalar(lam)
-        return TropVector([lam * e for e in self._entries])
+        return TropVector([lam * e for e in self])
 
     def __getitem__(self, i: int) -> TropScalar:
-        return self._entries[i]
+        return _scalar(self._entries[i])
 
     def __iter__(self):
-        return iter(self._entries)
+        return map(_scalar, self._entries)
 
     def __eq__(self, other):
         if not isinstance(other, TropVector):
@@ -80,10 +83,10 @@ class TropVector:
         return hash(self._entries)
 
     def __str__(self):
-        return "(" + ", ".join(str(e) for e in self._entries) + ")"
+        return "(" + ", ".join(map(_token, self._entries)) + ")"
 
     def __repr__(self):
-        return f"TropVector({[str(e) for e in self._entries]!r})"
+        return f"TropVector({list(map(_token, self._entries))!r})"
 
 
 class TropMatrix:
@@ -91,6 +94,8 @@ class TropMatrix:
 
     ``A @ B`` is the max-plus product, ``A + B`` the entrywise max, and
     ``A @ v`` the action on column vectors.  Instances are immutable.
+    Entries are stored raw, as in ``TropVector``; ``rows``, ``[i, j]``,
+    ``row`` and ``column`` build fresh, equal scalars.
     """
 
     # _pc and _pr hold the projective column and row spaces once geometry
@@ -98,15 +103,15 @@ class TropMatrix:
     __slots__ = ("_rows", "_pc", "_pr")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(TropScalar(e) for e in row) for row in rows)
+        self._rows = tuple(tuple(TropScalar(e)._f for e in row) for row in rows)
         n = len(self._rows)
         if n == 0 or any(len(row) != n for row in self._rows):
             raise ValueError("matrix must be square and nonempty")
         self._pc = self._pr = None
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[TropScalar, ...], ...]) -> "TropMatrix":
-        """Wrap square rows of scalars as they are, without coercion or checks."""
+    def _of(cls, rows: tuple[tuple, ...]) -> "TropMatrix":
+        """Wrap square rows of raw values as they are, without coercion or checks."""
         m = object.__new__(cls)
         m._rows = rows
         m._pc = m._pr = None
@@ -117,14 +122,14 @@ class TropMatrix:
         if n < 1:
             raise ValueError("matrix must be square and nonempty")
         return cls._of(
-            tuple(tuple(_ZERO if i == j else BOTTOM for j in range(n)) for i in range(n))
+            tuple(tuple(_ZERO if i == j else None for j in range(n)) for i in range(n))
         )
 
     @classmethod
     def zero(cls, n: int) -> "TropMatrix":
         if n < 1:
             raise ValueError("matrix must be square and nonempty")
-        return cls._of(tuple((BOTTOM,) * n for _ in range(n)))
+        return cls._of(tuple((None,) * n for _ in range(n)))
 
     @property
     def n(self) -> int:
@@ -132,37 +137,36 @@ class TropMatrix:
 
     @property
     def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
-        return self._rows
+        return tuple(tuple(map(_scalar, row)) for row in self._rows)
 
     def row(self, i: int) -> TropVector:
-        return TropVector(self._rows[i])
+        return TropVector._of(self._rows[i])
 
     def column(self, j: int) -> TropVector:
-        return TropVector([self._rows[i][j] for i in range(self.n)])
+        return TropVector._of(tuple(row[j] for row in self._rows))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_bottom for row in self._rows for e in row)
+        return all(f is None for row in self._rows for f in row)
 
     def __getitem__(self, ij) -> TropScalar:
         i, j = ij
-        return self._rows[i][j]
+        return _scalar(self._rows[i][j])
 
-    def _same_size(self, other: "TropMatrix"):
+    def _same_size(self, other):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __matmul__(self, other):
         if isinstance(other, TropVector):
-            if self.n != other.n:
-                raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-            v = [e._f for e in other._entries]
-            return TropVector._of(tuple(_scalar(_dot(row, v)) for row in _raw(self)))
+            self._same_size(other)
+            v = other._entries
+            return TropVector._of(tuple(_dot(row, v) for row in self._rows))
         if isinstance(other, TropMatrix):
             self._same_size(other)
-            cols = list(zip(*_raw(other)))
+            cols = list(zip(*other._rows))
             return TropMatrix._of(
-                tuple(tuple(_scalar(_dot(row, col)) for col in cols) for row in _raw(self))
+                tuple(tuple(_dot(row, col) for col in cols) for row in self._rows)
             )
         return NotImplemented
 
@@ -171,10 +175,7 @@ class TropMatrix:
             return NotImplemented
         self._same_size(other)
         return TropMatrix(
-            [
-                [self._rows[i][j] + other._rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
+            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
         )
 
     def transpose(self) -> "TropMatrix":
@@ -185,29 +186,18 @@ class TropMatrix:
 
         These are precisely the invertible elements of the matrix monoid.
         """
-        n = self.n
-        col_counts = [0] * n
-        for i in range(n):
-            row_count = 0
-            for j in range(n):
-                if not self._rows[i][j].is_bottom:
-                    row_count += 1
-                    col_counts[j] += 1
-            if row_count != 1:
-                return False
-        return all(c == 1 for c in col_counts)
+        return all(
+            sum(f is not None for f in line) == 1
+            for line in self._rows + tuple(zip(*self._rows))
+        )
 
     def leq(self, other: "TropMatrix") -> bool:
         """Entrywise order."""
         self._same_size(other)
-        return all(
-            self._rows[i][j] <= other._rows[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return all(x <= y for r, s in zip(self.rows, other.rows) for x, y in zip(r, s))
 
     def to_tokens(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self._rows]
+        return [list(map(_token, row)) for row in self._rows]
 
     def __eq__(self, other):
         if not isinstance(other, TropMatrix):
@@ -222,11 +212,6 @@ class TropMatrix:
 
     def __repr__(self):
         return f"TropMatrix({self.to_tokens()!r})"
-
-
-def _raw(a: TropMatrix) -> list[list]:
-    """The rows of a as raw values: Fractions, None for ``-inf``."""
-    return [[e._f for e in row] for row in a._rows]
 
 
 def _dot(xs, ys):
@@ -248,6 +233,10 @@ def parse_matrix(text: str) -> TropMatrix:
         data = json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad matrix JSON at offset {exc.pos}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError(
+            "bad matrix JSON: nested too deeply for arrays of '-inf' or 'p/q' tokens"
+        ) from None
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix must be a JSON array of arrays of scalar tokens")
     rows = []
@@ -267,13 +256,9 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     and transpose its position."""
     if not a.is_monomial():
         raise ValueError("matrix is not monomial, hence not invertible")
-    n = a.n
-    rows = [[BOTTOM] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not a[i, j].is_bottom:
-                rows[j][i] = -a[i, j]
-    return TropMatrix(rows)
+    return TropMatrix._of(
+        tuple(tuple(None if f is None else -f for f in col) for col in zip(*a._rows))
+    )
 
 
 def _residual(kind: int, t, d) -> tuple:
@@ -290,7 +275,7 @@ def _residual(kind: int, t, d) -> tuple:
 def _plain(kind: int, f):
     """The raw witness entry of a residual entry given as (kind, frac) parts:
     0 for ``+inf``, which no divisor entry constrains, else its own value."""
-    return _ZERO._f if kind == 1 else f
+    return _ZERO if kind == 1 else f
 
 
 def residual_scalar(target, divisor) -> ProjPoint:
@@ -311,19 +296,21 @@ class ResidualMatrix:
     divisor leaves unconstrained.  ``witness()`` returns a concrete plain
     solution by putting 0 in those coordinates (any finite value there
     multiplies only ``-inf`` entries of the divisor, so the choice is free).
+    Entries are stored as raw (kind, frac) parts; ``rows`` and ``[i, j]``
+    build fresh, equal points.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(ProjPoint(e) for e in row) for row in rows)
+        self._rows = tuple(tuple((p._kind, p._f) for p in map(ProjPoint, row)) for row in rows)
         n = len(self._rows)
         if n == 0 or any(len(row) != n for row in self._rows):
             raise ValueError("residual matrix must be square and nonempty")
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[ProjPoint, ...], ...]) -> "ResidualMatrix":
-        """Wrap square rows of points as they are, without coercion or checks."""
+    def _of(cls, rows: tuple[tuple[tuple, ...], ...]) -> "ResidualMatrix":
+        """Wrap square rows of (kind, frac) parts as they are, without checks."""
         m = object.__new__(cls)
         m._rows = rows
         return m
@@ -334,28 +321,24 @@ class ResidualMatrix:
 
     @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        return self._rows
+        return tuple(tuple(_point(*e) for e in row) for row in self._rows)
 
     def __getitem__(self, ij) -> ProjPoint:
         i, j = ij
-        return self._rows[i][j]
+        return _point(*self._rows[i][j])
 
     def transpose(self) -> "ResidualMatrix":
         return ResidualMatrix._of(tuple(zip(*self._rows)))
 
     def witness(self) -> TropMatrix:
-        return TropMatrix._of(
-            tuple(tuple(_scalar(_plain(e._kind, e._f)) for e in row) for row in self._rows)
-        )
+        return TropMatrix._of(tuple(tuple(_plain(*e) for e in row) for row in self._rows))
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""
         if self.n != x.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {x.n}")
         return all(
-            ProjPoint(x[i, j]) <= self._rows[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
+            ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
         )
 
     def __eq__(self, other):
@@ -367,15 +350,15 @@ class ResidualMatrix:
         return hash(self._rows)
 
     def __repr__(self):
-        return f"ResidualMatrix({[[str(e) for e in row] for row in self._rows]!r})"
+        return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
 
 
-def _parts(raw: list[list]) -> list[list[tuple]]:
+def _parts(raw) -> list[list[tuple]]:
     """Raw rows of a plain matrix as the (kind, frac) parts of points."""
     return [[(-1, None) if f is None else (0, f) for f in row] for row in raw]
 
 
-def _left_residual_raw(divisor: list[list], target: list[list[tuple]]) -> list[list[tuple]]:
+def _left_residual_raw(divisor, target) -> tuple:
     """The raw loop of ``left_residual``: the divisor's raw rows and the
     target's (kind, frac) rows in, the residual's (kind, frac) rows out."""
     n = len(divisor)
@@ -389,8 +372,8 @@ def _left_residual_raw(divisor: list[list], target: list[list[tuple]]) -> list[l
                 if ck < kind or (ck == kind == 0 and cf < f):
                     kind, f = ck, cf
             row.append((kind, f))
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
@@ -401,12 +384,8 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     coordinates unconstrained."""
     if b.n != a.n:
         raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
-    if isinstance(a, ResidualMatrix):
-        target = [[(e._kind, e._f) for e in row] for row in a._rows]
-    else:
-        target = _parts(_raw(a))
-    rows = _left_residual_raw(_raw(b), target)
-    return ResidualMatrix._of(tuple(tuple(_point(*e) for e in row) for row in rows))
+    target = a._rows if isinstance(a, ResidualMatrix) else _parts(a._rows)
+    return ResidualMatrix._of(_left_residual_raw(b._rows, target))
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
@@ -422,10 +401,9 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     """
     if b.n != a.n:
         raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
-    divisor, target = _raw(b), _raw(a)
-    x = _left_residual_raw(divisor, _parts(target))
+    x = _left_residual_raw(b._rows, _parts(a._rows))
     cols = list(zip(*([_plain(*e) for e in row] for row in x)))
-    for row, want in zip(divisor, target):
+    for row, want in zip(b._rows, a._rows):
         for col, t in zip(cols, want):
             if _dot(row, col) != t:
                 return False

@@ -31,12 +31,13 @@ MAX_TOKEN_CHARS = 4000
 _QUOTE_CHARS = 64
 
 
-def _quote(text) -> str:
-    """``repr`` of user text for an error message.  Text longer than
-    ``_QUOTE_CHARS`` is cut, marked by an ellipsis and its full length, so
-    an over-long input is not echoed back whole."""
-    if not isinstance(text, str) or len(text) <= _QUOTE_CHARS:
-        return repr(text)
+def _quote(value) -> str:
+    """``repr`` of user input for an error message.  A string (or another
+    value's repr) longer than ``_QUOTE_CHARS`` is cut, marked by an ellipsis
+    and its full length, so an over-long input is not echoed back whole."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return repr(value)
     return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} characters)"
 
 
@@ -65,7 +66,10 @@ def _as_fraction(value) -> Fraction:
             f"refusing float {value!r}: arithmetic here is exact, pass an int, "
             "Fraction, or 'p/q' string"
         )
-    raise TypeError(f"cannot build an exact rational from {value!r}")
+    raise TypeError(
+        f"cannot build an exact rational from {_quote(value)}: pass an int, "
+        "Fraction, or 'p/q' string"
+    )
 
 
 class TropScalar:
@@ -115,9 +119,7 @@ class TropScalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if self._f is None or other._f is None:
-            return BOTTOM
-        return _scalar(self._f + other._f)
+        return _scalar(_mul(self._f, other._f))
 
     __rmul__ = __mul__
 
@@ -162,6 +164,11 @@ class TropScalar:
 
 
 BOTTOM = TropScalar.bottom()
+
+
+def _mul(x: Fraction | None, y: Fraction | None) -> Fraction | None:
+    """The raw tropical product x + y, None standing for ``-inf``."""
+    return None if x is None or y is None else x + y
 
 
 def _scalar(f: Fraction | None) -> TropScalar:

@@ -25,15 +25,8 @@ from .geometry import (
     proj_row_space,
 )
 from .green import _singleton_witness
-from .matrix import (
-    _ZERO,
-    TropMatrix,
-    TropVector,
-    VerificationError,
-    left_residual,
-    right_residual,
-)
-from .semiring import BOTTOM, TropScalar, _scalar
+from .matrix import TropMatrix, TropVector, VerificationError, left_residual, right_residual
+from .semiring import _ZERO, TropScalar, _quote
 
 
 @dataclass(frozen=True)
@@ -59,10 +52,10 @@ class IdempotentForm:
         # the fields are not validated, so the parameters are coerced once
         x, y = TropScalar(self.x), TropScalar(self.y)
         if self.kind == "diagonal":
-            return TropMatrix._of(((_ZERO, x), (y, _ZERO)))
+            return TropMatrix([[0, x], [y, 0]])
         if self.kind == "upper":
-            return TropMatrix._of(((_ZERO, x), (y, x * y)))
-        return TropMatrix._of(((x * y, x), (y, _ZERO)))
+            return TropMatrix([[0, x], [y, x * y]])
+        return TropMatrix([[x * y, x], [y, 0]])
 
     def params(self) -> dict[str, str]:
         if self.kind == "zero":
@@ -93,12 +86,12 @@ def in_idempotent_family(a: TropMatrix) -> bool:
     if a.is_zero:
         return True
     prod = a[0, 1] * a[1, 0]
-    if a[0, 0] == _ZERO and a[1, 1] == _ZERO:
-        return prod <= _ZERO
-    if a[0, 0] == _ZERO and a[1, 1] == prod:
-        return prod <= _ZERO
-    if a[1, 1] == _ZERO and a[0, 0] == prod:
-        return prod <= _ZERO
+    if a[0, 0] == 0 and a[1, 1] == 0:
+        return prod <= 0
+    if a[0, 0] == 0 and a[1, 1] == prod:
+        return prod <= 0
+    if a[1, 1] == 0 and a[0, 0] == prod:
+        return prod <= 0
     return False
 
 
@@ -111,9 +104,9 @@ def idempotent_form(e: TropMatrix) -> IdempotentForm:
     if e.is_zero:
         return IdempotentForm("zero")
     x, y = e[0, 1], e[1, 0]
-    if e[0, 0] == _ZERO and e[1, 1] == _ZERO:
+    if e[0, 0] == 0 and e[1, 1] == 0:
         return IdempotentForm("diagonal", x, y)
-    if e[0, 0] == _ZERO:
+    if e[0, 0] == 0:
         return IdempotentForm("upper", x, y)
     return IdempotentForm("lower", x, y)
 
@@ -136,7 +129,7 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
             e = TropMatrix.zero(2)
         else:
             # m = [x, y] with x < y, so y > -inf and x < +inf
-            e = TropMatrix._of(((_ZERO, (-m.hi).to_scalar()), (m.lo.to_scalar(), _ZERO)))
+            e = TropMatrix._of(((_ZERO, (-m.hi).frac), (m.lo.frac, _ZERO)))
     else:
         return None
     if not (is_idempotent(e) and proj_column_space(e) == m and proj_row_space(e) == n):
@@ -189,28 +182,27 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     realizing the order-2 part of the interval subgroups.
     """
     if family not in _FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}: expected one of {_FAMILY_NAMES}")
-    a = TropScalar(a)
-    if a.is_bottom:
+        raise ValueError(f"unknown family {_quote(family)}: expected one of {_FAMILY_NAMES}")
+    af = TropScalar(a).frac
+    if af is None:
         raise ValueError("the group parameter must be a rational, not -inf")
-    af = a.frac
     if family == "W":
-        return TropMatrix._of(((a, BOTTOM), (BOTTOM, BOTTOM)))
+        return TropMatrix._of(((af, None), (None, None)))
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
         xf = TropScalar(x).frac
         if xf is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
-        return TropMatrix._of(((a, BOTTOM), (_scalar(af + xf), a)))
+        return TropMatrix._of(((af, None), (af + xf, af)))
     if x is None or y is None:
         raise ValueError(f"family {family} needs interval endpoints x < y")
     xf, yf = TropScalar(x).frac, TropScalar(y).frac
     if xf is None or yf is None or xf >= yf:
         raise ValueError("interval endpoints must be rationals with x < y")
     if family == "X":
-        return TropMatrix._of(((a, _scalar(af - yf)), (_scalar(af + xf), a)))
-    return TropMatrix._of(((a, _scalar(af - xf)), (_scalar(af + yf), a)))
+        return TropMatrix._of(((af, af - yf), (af + xf, af)))
+    return TropMatrix._of(((af, af - xf), (af + yf, af)))
 
 
 def fixes_image(e: TropMatrix, v: TropVector) -> bool:

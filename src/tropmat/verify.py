@@ -37,7 +37,7 @@ from .sampling import (
     sample_descriptor,
     sample_matrix,
 )
-from .semiring import BOTTOM, TropScalar
+from .semiring import BOTTOM, TropScalar, _quote
 from .structure import (
     in_idempotent_family,
     is_idempotent,
@@ -291,7 +291,7 @@ SUITES = {
 def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     if name not in SUITES:
         valid = ", ".join(sorted(SUITES))
-        raise ValueError(f"unknown suite {name!r}: expected one of {valid}")
+        raise ValueError(f"unknown suite {_quote(name)}: expected one of {valid}")
     if samples <= 0:
         raise ValueError("samples must be positive")
     if seed < 0:

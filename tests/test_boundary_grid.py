@@ -43,7 +43,7 @@ from tropmat.matrix import (
     right_residual,
     solves_right,
 )
-from tropmat.semiring import BOTTOM, TropScalar
+from tropmat.semiring import BOTTOM, ProjPoint, TropScalar
 from tropmat.structure import (
     IdempotentForm,
     idempotent_form,
@@ -141,11 +141,37 @@ def ref_span(vectors):
     return ConvexSet.interval(min(images), max(images))
 
 
+def assert_scalars(got, want):
+    got = list(got)
+    assert got == list(want) and all(type(e) is TropScalar for e in got)
+    assert all(e.frac is None or type(e.frac) is Fraction for e in got)
+
+
 def assert_plain(a):
-    # an uncoerced result equals and hashes like its re-parsed copy
-    for copy in (TropMatrix(a.to_tokens()), TropMatrix(a.rows)):
+    # an uncoerced result equals and hashes like its re-parsed copy, and its
+    # accessors build scalars (points for a residual) equal to the copy's
+    if isinstance(a, ResidualMatrix):
+        copy = ResidualMatrix([[str(e) for e in row] for row in a.rows])
         assert a == copy and hash(a) == hash(copy)
-    assert all(e.frac is None or type(e.frac) is Fraction for row in a.rows for e in row)
+        for i, row in enumerate(copy.rows):
+            for j, p in enumerate(row):
+                assert a.rows[i][j] == p == a[i, j] and type(a[i, j]) is ProjPoint
+        return
+    if isinstance(a, TropVector):
+        copy = TropVector([str(e) for e in a])
+        assert a == copy and hash(a) == hash(copy)
+        for got in (a.entries, a, [a[i] for i in range(a.n)]):
+            assert_scalars(got, copy.entries)
+        return
+    copy = TropMatrix(a.to_tokens())
+    for c in (copy, TropMatrix(a.rows)):
+        assert a == c and hash(a) == hash(c)
+    for i in range(a.n):
+        assert_scalars(a.rows[i], copy.rows[i])
+        assert_scalars([a[i, j] for j in range(a.n)], copy.rows[i])
+        for vector, want in ((a.row(i), copy.row(i)), (a.column(i), copy.column(i))):
+            assert vector == want
+            assert_plain(vector)
 
 
 def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
@@ -227,10 +253,10 @@ def test_uncoerced_results_equal_and_hash_like_coerced_ones():
                 assert_plain(m)
             v = a @ b.column(0)
             assert v == TropVector(v.entries) and hash(v) == hash(TropVector(v.entries))
+            assert_plain(v)
             r = left_residual(b, a)
             for res in (r, r.transpose()):
-                copy = ResidualMatrix([[str(e) for e in row] for row in res.rows])
-                assert res == copy and hash(res) == hash(copy)
+                assert_plain(res)
 
 
 def test_constructed_matrices_equal_and_hash_like_coerced_ones():

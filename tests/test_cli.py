@@ -225,6 +225,8 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         ("ideal", "compare", "open:" + "7" * 5000, "openline"),
         ("classify", "[[" + "7" * 5000 + ",0],[0,0]]"),
         ("classify", "[[" + "7" * 4100 + ",0],[0,0]]"),
+        ("classify", "[" * 30000 + "]" * 30000),
+        ("classify", json.dumps([[["x" * 5000], "0"], ["0", "0"]])),
     ],
     ids=[
         "interval-1/0",
@@ -236,6 +238,8 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         "open-5000-digits",
         "bare-int-5000-digits",
         "bare-int-4100-digits",
+        "nested-30000-deep",
+        "array-entry",
     ],
 )
 def test_bad_rational_tokens_are_json_errors(capsys, argv):
@@ -261,8 +265,31 @@ LONG = "x" * 5000
         ("witness", "--M", "[0,1,2" + " " * 5000 + "]", "--N", "empty"),
         ("witness", "--M", "[2," + " " * 5000 + "1]", "--N", "empty"),
         ("classify", json.dumps([[" " * 5000 + "x", "0"], ["0", "0"]])),
+        ("classify", json.dumps([[["x" * 5000], "0"], ["0", "0"]])),
+        ("relate", "K" * 3000, "[[0]]", "[[0]]"),
+        ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "K" * 5000, "--a", "1"),
+        ("verify", "--suite", "K" * 3000),
+        ("verify", "--suite", "duality", "--samples", "x" * 3000),
+        # below CPython's 4,300-digit int limit, above the token cap
+        ("verify", "--suite", "duality", "--samples", "1", "--seed", "9" * 4200),
+        ("K" * 5000,),
     ],
-    ids=["open-width", "iso-type", "descriptor", "set", "set-endpoints", "set-order", "rational"],
+    ids=[
+        "open-width",
+        "iso-type",
+        "descriptor",
+        "set",
+        "set-endpoints",
+        "set-order",
+        "rational",
+        "array-entry",
+        "relation",
+        "family",
+        "suite",
+        "samples",
+        "seed",
+        "command",
+    ],
 )
 def test_errors_quote_long_input_cut(capsys, argv):
     code = main(list(argv))

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .geometry import ConvexSet, diameter, iso_type, proj_column_space, proj_row_space
+from .geometry import ConvexSet, IsoType, iso_type, proj_column_space, proj_row_space
 from .green import (
     GreenRelation,
     d_class_witness,
@@ -82,9 +82,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _diameter(t: IsoType) -> str:
+    """The diameter of a set of isometry type t: ``0`` for the empty set and
+    points, the interval's rational diameter, or ``inf`` for unbounded sets."""
+    if t.kind == "interval":
+        return str(t.diameter)
+    return "0" if t.kind in ("empty", "point") else "inf"
+
+
 def _cmd_classify(ns) -> tuple[dict, int]:
     a = parse_matrix(ns.matrix)
     pc = proj_column_space(a)
+    t = iso_type(pc)
     pr = proj_row_space(a)
     rc = r_class_of(a)
     idp = is_idempotent(a)
@@ -99,8 +108,8 @@ def _cmd_classify(ns) -> tuple[dict, int]:
             "pr": str(pr),
             "rclass": rc.kind,
             "rclass_params": rc.params(),
-            "iso_type": str(iso_type(pc)),
-            "diameter": str(diameter(pc)),
+            "iso_type": str(t),
+            "diameter": _diameter(t),
             "idempotent": idp,
             "idempotent_form": form,
             "monomial": a.is_monomial(),

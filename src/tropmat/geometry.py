@@ -19,12 +19,10 @@ from .matrix import TropMatrix, TropVector, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
-    ExtDistance,
     ProjPoint,
     _as_fraction,
     _image,
     _quote,
-    delta,
 )
 
 
@@ -149,9 +147,9 @@ _NO_DIAMETER = Fraction(0)
 class IsoType:
     """Isometry class of a closed convex subset of the projective line.
 
-    ``interval`` carries its (positive, finite) diameter; the other kinds
-    carry none.  Isometric embedding totally orders the types, realized by
-    ``key()``.
+    ``interval`` carries its (positive, finite) diameter, an int, Fraction
+    or ``p/q`` token stored as a Fraction; the other kinds carry none.
+    Isometric embedding totally orders the types, realized by ``key()``.
     """
 
     kind: str
@@ -160,6 +158,9 @@ class IsoType:
     def __post_init__(self):
         if self.kind not in _ISO_RANK:
             raise ValueError(f"unknown isometry type {_quote(self.kind)}")
+        d = self.diameter
+        if d is not None and type(d) is not Fraction:
+            object.__setattr__(self, "diameter", _as_fraction(d))
         if self.kind == "interval":
             if self.diameter is None or self.diameter <= 0:
                 raise ValueError("interval types carry a positive finite diameter")
@@ -178,7 +179,7 @@ class IsoType:
     def parse(text: str) -> "IsoType":
         token = text.strip()
         if token.startswith("interval:"):
-            return IsoType("interval", _as_fraction(token[len("interval:"):]))
+            return IsoType("interval", token[len("interval:"):])
         return IsoType(token)
 
 
@@ -235,14 +236,6 @@ def proj_row_space(a: TropMatrix) -> ConvexSet:
         (p, q), (r, s) = a._rows
         pr = a._pr = _span(p, q, r, s)
     return pr
-
-
-def diameter(s: ConvexSet) -> ExtDistance:
-    """sup of pairwise distances: 0 for the empty set and points, the
-    endpoint distance for intervals."""
-    if s.is_empty or s.is_point:
-        return ExtDistance(0)
-    return delta(s.lo, s.hi)
 
 
 def iso_type(s: ConvexSet) -> IsoType:

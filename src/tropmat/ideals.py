@@ -26,6 +26,7 @@ class IdealDescriptor:
     """Descriptor of a two-sided ideal: a closed isometry type, an open
     interval of finite positive width, or the open full line.
 
+    The width is an int, Fraction or ``p/q`` token, stored as a Fraction.
     Half-infinite open intervals are unrepresentable by construction: no
     ideal corresponds to one.
     """
@@ -35,8 +36,11 @@ class IdealDescriptor:
     width: Fraction | None = None
 
     def __post_init__(self):
+        w = self.width
+        if w is not None and type(w) is not Fraction:
+            object.__setattr__(self, "width", _as_fraction(w))
         if self.kind == "closed":
-            if self.iso is None or self.width is not None:
+            if not isinstance(self.iso, IsoType) or self.width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
         elif self.kind == "open":
             if self.iso is not None or self.width is None or self.width <= 0:
@@ -53,7 +57,7 @@ class IdealDescriptor:
 
     @classmethod
     def open_finite(cls, w) -> "IdealDescriptor":
-        return cls("open", width=_as_fraction(w))
+        return cls("open", width=w)
 
     @classmethod
     def open_line(cls) -> "IdealDescriptor":

@@ -174,9 +174,7 @@ class TropMatrix:
         if not isinstance(other, TropMatrix):
             return NotImplemented
         self._same_size(other)
-        return TropMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)]
-        )
+        return TropMatrix._of(tuple(map(_max_row, self._rows, other._rows)))
 
     def transpose(self) -> "TropMatrix":
         return TropMatrix._of(tuple(zip(*self._rows)))
@@ -190,11 +188,6 @@ class TropMatrix:
             sum(f is not None for f in line) == 1
             for line in self._rows + tuple(zip(*self._rows))
         )
-
-    def leq(self, other: "TropMatrix") -> bool:
-        """Entrywise order."""
-        self._same_size(other)
-        return all(x <= y for r, s in zip(self.rows, other.rows) for x, y in zip(r, s))
 
     def to_tokens(self) -> list[list[str]]:
         return [list(map(_token, row)) for row in self._rows]
@@ -212,6 +205,11 @@ class TropMatrix:
 
     def __repr__(self):
         return f"TropMatrix({self.to_tokens()!r})"
+
+
+def _max_row(xs, ys) -> tuple:
+    """The raw tropical sum of two rows: the entrywise max; None is ``-inf``."""
+    return tuple(y if x is None or (y is not None and y > x) else x for x, y in zip(xs, ys))
 
 
 def _dot(xs, ys):

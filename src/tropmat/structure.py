@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from .geometry import (
     ConvexSet,
     _require_2x2,
-    in_column_space,
     iso_type,
     proj_column_space,
     proj_row_space,
 )
 from .green import _singleton_witness
-from .matrix import TropMatrix, TropVector, VerificationError, left_residual, right_residual
+from .matrix import TropMatrix, VerificationError, left_residual, right_residual
 from .semiring import _ZERO, TropScalar, _quote
 
 
@@ -203,13 +202,3 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     if family == "X":
         return TropMatrix._of(((af, af - yf), (af + xf, af)))
     return TropMatrix._of(((af, af - xf), (af + yf, af)))
-
-
-def fixes_image(e: TropMatrix, v: TropVector) -> bool:
-    """Whether the idempotent e fixes v; true for every member of e's column
-    space (idempotents act as projections onto their image)."""
-    if not is_idempotent(e):
-        raise ValueError("matrix is not idempotent")
-    if not in_column_space(v, e):
-        raise ValueError("vector is outside the idempotent's column space")
-    return e @ v == v

@@ -7,9 +7,12 @@ them, and hold the geometric decisions to the residuation oracle and to the
 verified constructions on each one.  The product, the residual and the space
 maps, which compute on raw entry values, are also held to references built
 from the public scalar operators; the stored spaces to freshly computed ones,
-and ``solves_right`` to the residual it materializes.
+and ``solves_right`` to the residual it materializes.  The ``classify``
+diameter is held to the endpoint distance, and principal-ideal membership to
+the J-preorder.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +20,7 @@ from itertools import combinations, product
 
 import pytest
 
+from tropmat import cli
 from tropmat.geometry import (
     ConvexSet,
     iso_type,
@@ -34,6 +38,7 @@ from tropmat.green import (
     related,
     witness_Z,
 )
+from tropmat.ideals import ideal_contains, principal_ideal_of
 from tropmat.matrix import (
     ResidualMatrix,
     TropMatrix,
@@ -43,7 +48,7 @@ from tropmat.matrix import (
     right_residual,
     solves_right,
 )
-from tropmat.semiring import BOTTOM, ProjPoint, TropScalar
+from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, delta
 from tropmat.structure import (
     IdempotentForm,
     idempotent_form,
@@ -105,6 +110,26 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
     empty_classes = {spaces(a) for a in matrices if idempotent_in_H(*spaces(a)) is None}
     assert empty_classes
     assert not empty_classes & idempotent_classes
+
+
+def test_classify_diameter_on_the_256_matrix_grid(capsys):
+    seen = set()
+    for a in grid(["-inf", -1, 0, 1]):
+        assert cli.main(["classify", str(a)]) == 0
+        got = json.loads(capsys.readouterr().out)["diameter"]
+        pc = proj_column_space(a)
+        want = "0" if pc.is_empty or pc.is_point else str(delta(pc.lo, pc.hi))
+        assert got == want, a
+        seen.add(got)
+    assert seen == {"0", "1", "2", "3", "4", "inf"}
+
+
+def test_principal_ideal_membership_is_the_J_preorder_on_the_256_matrix_grid():
+    matrices = grid(["-inf", -1, 0, 1])
+    for b in matrices:
+        d = principal_ideal_of(b)
+        for a in matrices:
+            assert ideal_contains(d, a) == leq_J(a, b), (a, b)
 
 
 # Reference versions of the product, the residual and the space maps, built

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from tropmat.cli import _diameter
 from tropmat.geometry import (
     ConvexSet,
     IsoType,
     canonical_set,
-    diameter,
     embed_image,
     embeds_isometrically,
     in_column_space,
@@ -38,14 +38,14 @@ def test_row_space_examples():
     assert proj_row_space(TropMatrix.identity(2)) == FULL
     assert proj_row_space(TropMatrix.zero(2)) == ConvexSet.empty()
     a = TropMatrix([[0, 1], [2, 3]])
-    assert diameter(proj_row_space(a)) == diameter(proj_column_space(a))
+    assert _diameter(iso_type(proj_row_space(a))) == _diameter(iso_type(proj_column_space(a)))
 
 
 def test_diameter_examples():
-    assert diameter(ConvexSet.empty()) == ExtDistance(0)
-    assert diameter(ConvexSet.interval(1, 4)) == ExtDistance(3)
-    assert diameter(ConvexSet.interval(0, POS_INF)) == INF_DIST
-    assert diameter(ConvexSet.point(NEG_INF)) == ExtDistance(0)
+    assert _diameter(iso_type(ConvexSet.empty())) == str(ExtDistance(0))
+    assert _diameter(iso_type(ConvexSet.interval(1, 4))) == str(ExtDistance(3))
+    assert _diameter(iso_type(ConvexSet.interval(0, POS_INF))) == str(INF_DIST)
+    assert _diameter(iso_type(ConvexSet.point(NEG_INF))) == str(ExtDistance(0))
 
 
 def test_isometric_examples():
@@ -180,6 +180,20 @@ def test_canonical_set_round_trips_types():
     ]:
         assert iso_type(canonical_set(t)) == t
         assert IsoType.parse(str(t)) == t
+
+
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_iso_type_rejects_a_diameter_outside_the_rational_grammar(bad):
+    with pytest.raises(TypeError):
+        IsoType("interval", bad)
+
+
+def test_iso_type_diameter_takes_the_rational_grammar():
+    t = IsoType("interval", "1/2")
+    assert t == IsoType("interval", Fraction(1, 2))
+    assert str(t) == "interval:1/2"
+    assert canonical_set(t) == ConvexSet.interval(0, Fraction(1, 2))
+    assert type(IsoType("interval", 3).diameter) is Fraction
 
 
 def test_set_parsing_round_trip():

@@ -194,11 +194,29 @@ def test_descriptor_tokens_round_trip():
 def test_open_width_uses_the_rational_grammar():
     for w, token in [(3, "open:3"), (Fraction(1, 3), "open:1/3"), ("5/2", "open:5/2")]:
         assert str(IdealDescriptor.open_finite(w)) == token
+    # the constructor itself coerces, so a width token needs no helper
+    d = IdealDescriptor("open", width="2")
+    assert d == IdealDescriptor.open_finite(2)
+    assert str(d) == "open:2" and type(d.width) is Fraction
     with pytest.raises(TypeError):
         IdealDescriptor.open_finite(0.5)
     for bad in ["1e3", "0.5", "1/0"]:
         with pytest.raises(ValueError):
             IdealDescriptor.open_finite(bad)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: IdealDescriptor("open", width=0.5), TypeError),
+        (lambda: IdealDescriptor("open", width=True), TypeError),
+        (lambda: IdealDescriptor.closed("point"), ValueError),
+    ],
+    ids=["float-width", "bool-width", "str-iso"],
+)
+def test_descriptor_rejects_parameters_of_the_wrong_type(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_descriptor_matches_matrix_membership():

@@ -21,6 +21,11 @@ I2 = TropMatrix.identity(2)
 Z2 = TropMatrix.zero(2)
 
 
+def leq(a, b):
+    """The entrywise order of two matrices."""
+    return all(x <= y for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
+
+
 def test_mat_mul_examples():
     a = TropMatrix([[0, 1], [2, 3]])
     assert I2 @ a == a
@@ -107,7 +112,7 @@ def test_residual_is_greatest_solution_brute_force():
     grid = [BOTTOM] + [TropScalar(v) for v in range(-4, 3)]
     for entries in product(grid, repeat=4):
         x = TropMatrix([entries[:2], entries[2:]])
-        if (b @ x).leq(b):
+        if leq(b @ x, b):
             assert r.dominates(x)
 
 
@@ -130,7 +135,7 @@ def test_galois_connection():
         b = sample_matrix(rng, "with-neginf", n)
         x = sample_matrix(rng, "with-neginf", n)
         r = left_residual(b, a)
-        assert (b @ x).leq(a) == r.dominates(x)
+        assert leq(b @ x, a) == r.dominates(x)
 
 
 def test_solves_right_matches_brute_force_in_3x3():
@@ -157,7 +162,7 @@ def test_right_residual_galois():
         b = sample_matrix(rng, "with-neginf")
         x = sample_matrix(rng, "with-neginf")
         r = right_residual(a, b)
-        assert (x @ b).leq(a) == r.dominates(x)
+        assert leq(x @ b, a) == r.dominates(x)
 
 
 def test_product_laws_on_random_triples():

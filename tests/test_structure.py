@@ -6,6 +6,7 @@ import pytest
 
 from tropmat.geometry import (
     ConvexSet,
+    in_column_space,
     isometric,
     proj_column_space,
     proj_row_space,
@@ -16,7 +17,6 @@ from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
 from tropmat.structure import (
     GroupType,
     IdempotentForm,
-    fixes_image,
     group_type_of_H,
     idempotent_form,
     idempotent_in_H,
@@ -131,7 +131,9 @@ def test_idempotent_in_H_exhaustive_endpoint_grid():
             assert proj_column_space(e) == m
             assert proj_row_space(e) == n
             for j in range(2):
-                assert fixes_image(e, e.column(j))
+                v = e.column(j)
+                assert in_column_space(v, e)
+                assert e @ v == v
             found_kinds.add(idempotent_form(e).kind)
     assert found_kinds == {"zero", "diagonal", "upper", "lower"}
 
@@ -261,13 +263,12 @@ def test_group_type_rejects_idempotent_free_H_classes():
 
 
 def test_fixes_image():
+    """An idempotent fixes every member of its column space: it acts as a
+    projection onto its image."""
     e = TropMatrix([[0, -3], [1, 0]])
-    v = TropVector([0, 1])
-    assert fixes_image(e, v)
-    assert fixes_image(e, TropVector.zero(2))
-    for j in range(2):
-        assert fixes_image(e, e.column(j))
-    with pytest.raises(ValueError):
-        fixes_image(TropMatrix([[1, "-inf"], ["-inf", 0]]), v)
-    with pytest.raises(ValueError):
-        fixes_image(e, TropVector([5, 2]))  # outside the column space
+    members = [TropVector([0, 1]), TropVector.zero(2), e.column(0), e.column(1)]
+    for v in members:
+        assert in_column_space(v, e)
+        assert e @ v == v
+    assert not is_idempotent(TropMatrix([[1, "-inf"], ["-inf", 0]]))
+    assert not in_column_space(TropVector([5, 2]), e)

@@ -12,7 +12,6 @@ from .semiring import (
     POS_INF,
     ProjPoint,
     TropScalar,
-    ext_sub,
 )
 from .matrix import (
     ResidualMatrix,
@@ -41,13 +40,11 @@ from .geometry import (
 )
 from .green import (
     GreenRelation,
-    RClass,
     d_class_witness,
     j_factorization,
     leq_J,
     leq_L,
     leq_R,
-    r_class_of,
     related,
     witness_Z,
 )
@@ -69,7 +66,6 @@ from .ideals import (
     ideal_compare,
     ideal_contains,
     ideal_from_generators,
-    is_principal,
     principal_ideal_of,
 )
 
@@ -87,7 +83,6 @@ __all__ = [
     "IsoType",
     "Ordering",
     "ProjPoint",
-    "RClass",
     "ResidualMatrix",
     "TropMatrix",
     "TropScalar",
@@ -97,7 +92,6 @@ __all__ = [
     "decompose",
     "embed_image",
     "embeds_isometrically",
-    "ext_sub",
     "group_type_of_H",
     "idempotent_form",
     "idempotent_in_H",
@@ -107,7 +101,6 @@ __all__ = [
     "in_column_space",
     "in_idempotent_family",
     "is_idempotent",
-    "is_principal",
     "iso_type",
     "isometric",
     "j_factorization",
@@ -121,7 +114,6 @@ __all__ = [
     "proj_column_space",
     "proj_point_of",
     "proj_row_space",
-    "r_class_of",
     "regular_witness",
     "related",
     "residual_scalar",

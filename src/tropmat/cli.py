@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .geometry import ConvexSet, IsoType, iso_type, proj_column_space, proj_row_space
 from .green import (
     GreenRelation,
     d_class_witness,
     j_factorization,
-    r_class_of,
     related,
     witness_Z,
 )
@@ -90,12 +90,30 @@ def _diameter(t: IsoType) -> str:
     return "0" if t.kind in ("empty", "point") else "inf"
 
 
+def _rclass(pc: ConvexSet) -> tuple[str, dict[str, str]]:
+    """The R-class of a matrix, named by its column space pc: the shape of
+    pc (one of eight) and its finite endpoints, ``x`` below ``y`` and a
+    lone one ``y``."""
+    if pc.is_empty:
+        return "zero", {}
+    lo, hi = pc.lo, pc.hi
+    if pc.is_point:
+        if lo.is_finite:
+            return "point", {"y": str(lo)}
+        return ("point-neginf" if lo.is_neg_inf else "point-posinf"), {}
+    if lo.is_neg_inf:
+        return ("fullline", {}) if hi.is_pos_inf else ("half-low", {"y": str(hi)})
+    if hi.is_pos_inf:
+        return "half-high", {"y": str(lo)}
+    return "interval", {"x": str(lo), "y": str(hi)}
+
+
 def _cmd_classify(ns) -> tuple[dict, int]:
     a = parse_matrix(ns.matrix)
     pc = proj_column_space(a)
     t = iso_type(pc)
     pr = proj_row_space(a)
-    rc = r_class_of(a)
+    rclass, rclass_params = _rclass(pc)
     idp = is_idempotent(a)
     form = None
     if idp:
@@ -106,8 +124,8 @@ def _cmd_classify(ns) -> tuple[dict, int]:
             "matrix": a.to_tokens(),
             "pc": str(pc),
             "pr": str(pr),
-            "rclass": rc.kind,
-            "rclass_params": rc.params(),
+            "rclass": rclass,
+            "rclass_params": rclass_params,
             "iso_type": str(t),
             "diameter": _diameter(t),
             "idempotent": idp,
@@ -218,7 +236,7 @@ def _cmd_ideal(ns) -> tuple[dict, int]:
 
 def _cmd_verify(ns) -> tuple[dict, int]:
     result = run_suite(ns.suite, ns.samples, ns.seed)
-    return result.as_dict(), 2 if result.failed else 0
+    return asdict(result), 2 if result.failed else 0
 
 
 def build_parser() -> _Parser:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, solves_right
+from .matrix import TropMatrix, TropVector, _same_size, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
+    _ZERO,
     ProjPoint,
     _as_fraction,
     _image,
@@ -140,7 +141,6 @@ class ConvexSet:
 
 
 _ISO_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 3, "fullline": 4}
-_NO_DIAMETER = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class IsoType:
             raise ValueError(f"{self.kind} types carry no diameter")
 
     def key(self) -> tuple[int, Fraction]:
-        return (_ISO_RANK[self.kind], self.diameter or _NO_DIAMETER)
+        return (_ISO_RANK[self.kind], self.diameter or _ZERO)
 
     def __str__(self):
         if self.kind == "interval":
@@ -262,22 +262,14 @@ def isometric(s: ConvexSet, t: ConvexSet) -> bool:
     return iso_type(s) == iso_type(t)
 
 
-def _as_iso_type(x) -> IsoType:
-    if isinstance(x, IsoType):
-        return x
-    if isinstance(x, ConvexSet):
-        return iso_type(x)
-    raise TypeError(f"expected a convex set or isometry type, got {x!r}")
-
-
-def embeds_isometrically(s, t) -> bool:
-    """Whether s embeds isometrically into t (arguments may be sets or types).
+def embeds_isometrically(s: ConvexSet, t: ConvexSet) -> bool:
+    """Whether s embeds isometrically into t.
 
     The embedding order is total on isometry types: empty, then points, then
     finite intervals by diameter, then half-infinite intervals, then the full
     line.
     """
-    return _as_iso_type(s).key() <= _as_iso_type(t).key()
+    return iso_type(s).key() <= iso_type(t).key()
 
 
 def subset(s: ConvexSet, t: ConvexSet) -> bool:
@@ -297,8 +289,7 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     column by ``-inf``).
     """
     _require_2x2(a)
-    if a.n != v.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {v.n}")
+    _same_size(a, v)
     return solves_right(a, TropMatrix._of(tuple((f, f) for f in v._entries)))
 
 

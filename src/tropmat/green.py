@@ -13,8 +13,6 @@ whenever A is J-below B.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import (
     ConvexSet,
@@ -49,44 +47,6 @@ class GreenRelation(enum.Enum):
                 return member
         valid = ", ".join(m.value for m in cls)
         raise ValueError(f"unknown relation {_quote(token)}: expected one of {valid}")
-
-
-@dataclass(frozen=True)
-class RClass:
-    """Canonical descriptor of an R-class.
-
-    The eight kinds mirror the eight shapes a projective column space can
-    take: nothing, a point (at -inf, finite, or at +inf), a half-infinite
-    interval bounded above or below, a finite interval, or the whole line.
-    Parameters are the finite endpoints.
-    """
-
-    kind: str
-    x: Fraction | None = None
-    y: Fraction | None = None
-
-    _KINDS = (
-        "zero",
-        "point-neginf",
-        "point",
-        "point-posinf",
-        "half-low",
-        "interval",
-        "half-high",
-        "fullline",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown R-class kind {self.kind!r}")
-
-    def params(self) -> dict[str, str]:
-        out = {}
-        if self.x is not None:
-            out["x"] = str(self.x)
-        if self.y is not None:
-            out["y"] = str(self.y)
-        return out
 
 
 def leq_R(a: TropMatrix, b: TropMatrix) -> bool:
@@ -124,29 +84,6 @@ def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
     if rel is GreenRelation.LEQ_L:
         return leq_L(a, b)
     return leq_J(a, b)
-
-
-def r_class_of(a: TropMatrix) -> RClass:
-    """The canonical R-class descriptor of a 2x2 matrix, read off its
-    projective column space."""
-    pc = proj_column_space(a)
-    if pc.is_empty:
-        return RClass("zero")
-    if pc.is_point:
-        p = pc.lo
-        if p.is_neg_inf:
-            return RClass("point-neginf")
-        if p.is_pos_inf:
-            return RClass("point-posinf")
-        return RClass("point", y=p.frac)
-    lo, hi = pc.lo, pc.hi
-    if lo.is_neg_inf and hi.is_pos_inf:
-        return RClass("fullline")
-    if lo.is_neg_inf:
-        return RClass("half-low", y=hi.frac)
-    if hi.is_pos_inf:
-        return RClass("half-high", y=lo.frac)
-    return RClass("interval", x=lo.frac, y=hi.frac)
 
 
 def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:

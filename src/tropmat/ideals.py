@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .geometry import IsoType, iso_type, proj_column_space
 from .matrix import TropMatrix
-from .semiring import _as_fraction, _quote
+from .semiring import _ZERO, _as_fraction, _quote
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class IdealDescriptor:
             return (*self.iso.key(), 1)
         if self.kind == "open":
             return (2, self.width, 0)
-        return (3, Fraction(0), 0)
+        return (3, _ZERO, 0)
 
     def __str__(self):
         if self.kind == "closed":
@@ -147,10 +147,6 @@ def ideal_from_generators(generators: list[TropMatrix]) -> IdealDescriptor:
         if cand.key() > best.key():
             best = cand
     return best
-
-
-def is_principal(d: IdealDescriptor) -> bool:
-    return d.kind == "closed"
 
 
 def decompose(d: IdealDescriptor) -> tuple[IdealDescriptor, IsoType | None]:

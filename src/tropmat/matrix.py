@@ -26,6 +26,12 @@ class VerificationError(AssertionError):
     """
 
 
+def _same_size(x, y):
+    """Reject a pair of matrices or vectors of different dimensions."""
+    if x.n != y.n:
+        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
+
+
 def _token(f) -> str:
     return "-inf" if f is None else str(f)
 
@@ -153,17 +159,13 @@ class TropMatrix:
         i, j = ij
         return _scalar(self._rows[i][j])
 
-    def _same_size(self, other):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
     def __matmul__(self, other):
         if isinstance(other, TropVector):
-            self._same_size(other)
+            _same_size(self, other)
             v = other._entries
             return TropVector._of(tuple(_dot(row, v) for row in self._rows))
         if isinstance(other, TropMatrix):
-            self._same_size(other)
+            _same_size(self, other)
             cols = list(zip(*other._rows))
             return TropMatrix._of(
                 tuple(tuple(_dot(row, col) for col in cols) for row in self._rows)
@@ -173,7 +175,7 @@ class TropMatrix:
     def __add__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        self._same_size(other)
+        _same_size(self, other)
         return TropMatrix._of(tuple(map(_max_row, self._rows, other._rows)))
 
     def transpose(self) -> "TropMatrix":
@@ -333,8 +335,7 @@ class ResidualMatrix:
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""
-        if self.n != x.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {x.n}")
+        _same_size(self, x)
         return all(
             ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
         )
@@ -380,8 +381,7 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
 
     The target a may itself be a residual, whose ``+inf`` entries leave their
     coordinates unconstrained."""
-    if b.n != a.n:
-        raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
+    _same_size(b, a)
     target = a._rows if isinstance(a, ResidualMatrix) else _parts(a._rows)
     return ResidualMatrix._of(_left_residual_raw(b._rows, target))
 
@@ -397,8 +397,7 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     Decided by residuation: the equation is solvable iff the materialized
     greatest subsolution attains a.
     """
-    if b.n != a.n:
-        raise ValueError(f"dimension mismatch: {b.n} vs {a.n}")
+    _same_size(b, a)
     x = _left_residual_raw(b._rows, _parts(a._rows))
     cols = list(zip(*([_plain(*e) for e in row] for row in x)))
     for row, want in zip(b._rows, a._rows):

@@ -22,7 +22,8 @@ from fractions import Fraction
 _new = object.__new__
 _ZERO = Fraction(0)
 
-_RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: ``\d`` would also match the other Unicode digits.
+_RATIONAL_TOKEN = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 # Longest rational token accepted, in characters.  It sits below CPython's
 # default 4300-digit limit on int-from-string conversion, so an over-long
 # token is refused here, with the same message on every interpreter.
@@ -93,12 +94,6 @@ class TropScalar:
         else:
             self._f = _as_fraction(value)
 
-    @classmethod
-    def bottom(cls) -> "TropScalar":
-        s = object.__new__(cls)
-        s._f = None
-        return s
-
     @property
     def is_bottom(self) -> bool:
         return self._f is None
@@ -163,7 +158,7 @@ class TropScalar:
         return f"TropScalar({str(self)!r})"
 
 
-BOTTOM = TropScalar.bottom()
+BOTTOM = TropScalar("-inf")
 
 
 def _mul(x: Fraction | None, y: Fraction | None) -> Fraction | None:
@@ -203,14 +198,6 @@ class ProjPoint:
             self._kind, self._f = 1, None
         else:
             self._kind, self._f = 0, _as_fraction(value)
-
-    @classmethod
-    def neg_inf(cls) -> "ProjPoint":
-        return cls("-inf")
-
-    @classmethod
-    def pos_inf(cls) -> "ProjPoint":
-        return cls("+inf")
 
     @property
     def is_finite(self) -> bool:
@@ -277,8 +264,8 @@ class ProjPoint:
         return f"ProjPoint({str(self)!r})"
 
 
-NEG_INF = ProjPoint.neg_inf()
-POS_INF = ProjPoint.pos_inf()
+NEG_INF = ProjPoint("-inf")
+POS_INF = ProjPoint("+inf")
 
 
 def _point(kind: int, f: Fraction | None) -> ProjPoint:
@@ -294,7 +281,7 @@ def _point(kind: int, f: Fraction | None) -> ProjPoint:
 
 def _image(x1: Fraction | None, x2: Fraction | None) -> ProjPoint:
     """The projective image ``x2 - x1`` of the raw pair (x1, x2), None
-    standing for ``-inf``: the rule behind ``ext_sub`` and the space maps."""
+    standing for ``-inf``: the rule behind ``proj_point_of`` and the space maps."""
     if x2 is None:
         if x1 is None:
             raise ValueError("the zero vector (-inf, -inf) has no projective image")
@@ -302,17 +289,6 @@ def _image(x1: Fraction | None, x2: Fraction | None) -> ProjPoint:
     if x1 is None:
         return POS_INF
     return _point(0, x2 - x1)
-
-
-def ext_sub(a, b) -> ProjPoint:
-    """Extended subtraction a - b of tropical scalars, landing projectively.
-
-    Returns the rational difference when both arguments are rational, ``+inf``
-    when only b is ``-inf``, and ``-inf`` when only a is.  The pair
-    (-inf, -inf) is rejected: it is the zero vector's coordinate pattern,
-    which has no projective image.
-    """
-    return _image(TropScalar(b)._f, TropScalar(a)._f)
 
 
 class ExtDistance:

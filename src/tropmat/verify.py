@@ -70,17 +70,6 @@ class SuiteResult:
         else:
             self.fail(message)
 
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rng": self.rng,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": self.failures,
-        }
-
 
 def matrix_with_iso_type(t: IsoType) -> TropMatrix:
     """A concrete matrix whose projective column space has the given type."""

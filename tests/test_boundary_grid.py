@@ -8,8 +8,8 @@ verified constructions on each one.  The product, the residual and the space
 maps, which compute on raw entry values, are also held to references built
 from the public scalar operators; the stored spaces to freshly computed ones,
 and ``solves_right`` to the residual it materializes.  The ``classify``
-diameter is held to the endpoint distance, and principal-ideal membership to
-the J-preorder.
+diameter is held to the endpoint distance, its R-class name to the relation
+R, and principal-ideal membership to the J-preorder.
 """
 
 import json
@@ -122,6 +122,36 @@ def test_classify_diameter_on_the_256_matrix_grid(capsys):
         assert got == want, a
         seen.add(got)
     assert seen == {"0", "1", "2", "3", "4", "inf"}
+
+
+RCLASS_KINDS = {
+    "zero",
+    "point-neginf",
+    "point",
+    "point-posinf",
+    "half-low",
+    "interval",
+    "half-high",
+    "fullline",
+}
+
+
+def test_classify_rclass_on_the_256_matrix_grid(capsys):
+    matrices = grid(["-inf", -1, 0, 1])
+    names = []
+    for a in matrices:
+        assert cli.main(["classify", str(a)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        pc = proj_column_space(a)
+        ends = [] if pc.is_empty else [pc.lo] if pc.is_point else [pc.lo, pc.hi]
+        finite = [str(p) for p in ends if p.is_finite]
+        # the finite endpoints in order, named x and y, a lone one y
+        assert list(out["rclass_params"].values()) == finite, a
+        assert list(out["rclass_params"]) == ["x", "y"][2 - len(finite):], a
+        names.append((out["rclass"], tuple(out["rclass_params"].items())))
+    assert {kind for kind, _ in names} == RCLASS_KINDS
+    for (a, name_a), (b, name_b) in product(zip(matrices, names), repeat=2):
+        assert (name_a == name_b) == related(GreenRelation.R, a, b), (a, b)
 
 
 def test_principal_ideal_membership_is_the_J_preorder_on_the_256_matrix_grid():

@@ -11,7 +11,7 @@ import tropmat
 from tropmat.cli import main
 from tropmat.geometry import ConvexSet
 from tropmat.ideals import IdealDescriptor
-from tropmat.matrix import TropMatrix, parse_matrix
+from tropmat.matrix import parse_matrix
 
 
 def run(capsys, *argv):
@@ -227,6 +227,9 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         ("classify", "[[" + "7" * 4100 + ",0],[0,0]]"),
         ("classify", "[" * 30000 + "]" * 30000),
         ("classify", json.dumps([[["x" * 5000], "0"], ["0", "0"]])),
+        # Unicode digits outside ASCII: int() and Fraction() would read them
+        ("classify", '[["\u0663","0"],["0","0"]]'),
+        ("classify", '[["\uff15","0"],["0","0"]]'),
     ],
     ids=[
         "interval-1/0",
@@ -240,6 +243,8 @@ SUBGROUP = ("subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
         "bare-int-4100-digits",
         "nested-30000-deep",
         "array-entry",
+        "arabic-indic-digit",
+        "fullwidth-digit",
     ],
 )
 def test_bad_rational_tokens_are_json_errors(capsys, argv):

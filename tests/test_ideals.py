@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmat.geometry import ConvexSet, IsoType, iso_type, proj_column_space
+from tropmat.geometry import IsoType
 from tropmat.ideals import (
     IdealDescriptor,
     Ordering,
@@ -11,7 +11,6 @@ from tropmat.ideals import (
     ideal_compare,
     ideal_contains,
     ideal_from_generators,
-    is_principal,
     principal_ideal_of,
 )
 from tropmat.matrix import TropMatrix
@@ -71,8 +70,8 @@ def test_generators():
 
 
 def test_is_principal_and_decompose():
-    assert is_principal(closed("point"))
-    assert not is_principal(IdealDescriptor.open_finite(2))
+    assert closed("point").kind == "closed"
+    assert IdealDescriptor.open_finite(2).kind != "closed"
     assert decompose(IdealDescriptor.open_finite(2)) == (
         closed("interval", Fraction(2)),
         IsoType("interval", Fraction(2)),

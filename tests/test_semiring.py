@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from tropmat.geometry import proj_point_of
+from tropmat.matrix import TropVector
 from tropmat.semiring import (
     BOTTOM,
     INF_DIST,
@@ -13,7 +15,6 @@ from tropmat.semiring import (
     ProjPoint,
     TropScalar,
     delta,
-    ext_sub,
 )
 
 SEED = 20260808
@@ -44,6 +45,11 @@ def test_t_mul_examples():
     assert TropScalar(7) * TropScalar(-7) == TropScalar(0)
     assert TropScalar("-inf") * TropScalar(5) == BOTTOM
     assert TropScalar("1/2") * TropScalar("1/3") == TropScalar("5/6")
+
+
+def ext_sub(a, b):
+    """Extended subtraction a - b: the projective image of the vector (b, a)."""
+    return proj_point_of(TropVector([b, a]))
 
 
 def test_ext_sub_examples():

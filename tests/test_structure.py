@@ -7,7 +7,6 @@ import pytest
 from tropmat.geometry import (
     ConvexSet,
     in_column_space,
-    isometric,
     proj_column_space,
     proj_row_space,
 )

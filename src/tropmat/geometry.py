@@ -23,6 +23,7 @@ from .semiring import (
     ProjPoint,
     _as_fraction,
     _image,
+    _point,
     _quote,
 )
 
@@ -188,31 +189,38 @@ def _require_2x2(a: TropMatrix):
         raise ValueError(f"the classification theory is specific to 2x2 matrices, got {a.n}x{a.n}")
 
 
+def _proj(parts: tuple[int, int], den: int) -> ProjPoint:
+    """The point of (kind, num) image parts over den."""
+    kind, x = parts
+    return _point(kind, Fraction(x, den) if kind == 0 else None)
+
+
 def proj_point_of(v: TropVector) -> ProjPoint:
     """The projective image of a nonzero 2-vector (x1, x2), namely x2 - x1
     under extended subtraction."""
     if v.n != 2:
         raise ValueError("projectivisation here is for 2-vectors")
-    return _image(*v._entries)
+    return _proj(_image(*v._entries), v._den)
 
 
-def _span(x1, x2, y1, y2) -> ConvexSet:
-    """The projective span of the raw 2-vectors (x1, x2) and (y1, y2), each
-    entry a Fraction or None for ``-inf``.
+def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
+    """The projective span of the 2-vectors (x1, x2) and (y1, y2), each entry
+    a numerator over den or None for ``-inf``.
 
     Empty when both vectors are zero; a point when one is (the image of the
-    other); otherwise the closed interval spanned by the two images.
+    other); otherwise the closed interval spanned by the two images, which
+    are ordered on numerators before their points are built.
     """
     if x1 is None and x2 is None:
-        if y1 is None and y2 is None:
+        x1, x2, y1, y2 = y1, y2, x1, x2
+        if x1 is None and x2 is None:
             return ConvexSet.empty()
-        p = _image(y1, y2)
-        return ConvexSet(p, p)
     p = _image(x1, x2)
-    if y1 is None and y2 is None:
-        return ConvexSet(p, p)
-    q = _image(y1, y2)
-    return ConvexSet(q, p) if q < p else ConvexSet(p, q)
+    q = p if y1 is None and y2 is None else _image(y1, y2)
+    if q < p:
+        p, q = q, p
+    lo = _proj(p, den)
+    return ConvexSet(lo, lo if q == p else _proj(q, den))
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
@@ -223,7 +231,7 @@ def proj_column_space(a: TropMatrix) -> ConvexSet:
     if pc is None:
         _require_2x2(a)
         (p, q), (r, s) = a._rows
-        pc = a._pc = _span(p, r, q, s)
+        pc = a._pc = _span(p, r, q, s, a._den)
     return pc
 
 
@@ -234,7 +242,7 @@ def proj_row_space(a: TropMatrix) -> ConvexSet:
     if pr is None:
         _require_2x2(a)
         (p, q), (r, s) = a._rows
-        pr = a._pr = _span(p, q, r, s)
+        pr = a._pr = _span(p, q, r, s, a._den)
     return pr
 
 
@@ -290,7 +298,7 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     """
     _require_2x2(a)
     _same_size(a, v)
-    return solves_right(a, TropMatrix._of(tuple((f, f) for f in v._entries)))
+    return solves_right(a, TropMatrix._over(tuple((x, x) for x in v._entries), v._den))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:

@@ -9,13 +9,23 @@ divisor is the zero vector); such entries are quarantined in
 ``ResidualMatrix`` and replaced by 0 when a concrete solution over the plain
 semiring is materialized.  This makes ``A = B @ X`` decidable:  it is
 solvable iff the materialized greatest subsolution attains A.
+
+Each matrix, vector and residual matrix stores one positive ``int``
+denominator ``den``, the lcm of the reduced denominators of its finite
+entries, and ``int`` numerators over it (None for ``-inf``).  That form is
+canonical, so equality and hashing compare it structurally.  Max and +
+commute with scaling by a positive integer, so the kernels rescale two
+operands to the lcm of their denominators, compute on ints and bring the
+result to lowest terms; only the public accessors build ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import gcd, lcm
 
-from .semiring import _ZERO, ProjPoint, TropScalar, _point, _scalar
+from .semiring import ProjPoint, TropScalar, _point, _scalar
 
 
 class VerificationError(AssertionError):
@@ -32,26 +42,74 @@ def _same_size(x, y):
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
-def _token(f) -> str:
-    return "-inf" if f is None else str(f)
+def _frac(x, den) -> Fraction | None:
+    """The value of the numerator x over den; None (``-inf``) stays None."""
+    return None if x is None else Fraction(x, den)
+
+
+def _token(x, den) -> str:
+    return "-inf" if x is None else str(Fraction(x, den))
+
+
+def _stored(rows) -> tuple[tuple[tuple, ...], int]:
+    """The stored form of rows of Fractions (or ints; None for ``-inf``):
+    numerator rows over den, the lcm of the entries' reduced denominators."""
+    den = lcm(*[f.denominator for row in rows for f in row if f is not None])
+    return (
+        tuple([
+            tuple([None if f is None else f.numerator * (den // f.denominator) for f in row])
+            for row in rows
+        ]),
+        den,
+    )
+
+
+def _lowest(rows, den) -> tuple[tuple[tuple, ...], int]:
+    """Numerator rows over den in lowest terms, which is the stored form:
+    both divided by the gcd of den and every finite numerator."""
+    if den != 1:
+        g = gcd(den, *(x for row in rows for x in row if x is not None))
+        if g != 1:
+            rows = tuple(tuple(None if x is None else x // g for x in row) for row in rows)
+            return rows, den // g
+    return rows, den
+
+
+def _rescaled(rows, k: int) -> tuple:
+    """Numerator rows multiplied by the positive int k."""
+    if k == 1:
+        return rows
+    return tuple(tuple(None if x is None else x * k for x in row) for row in rows)
+
+
+def _common(xs, dx: int, ys, dy: int) -> tuple[tuple, tuple, int]:
+    """Two sets of numerator rows over the lcm of their denominators dx and
+    dy, and that lcm."""
+    if dx == dy:
+        return xs, ys, dx
+    den = lcm(dx, dy)
+    return _rescaled(xs, den // dx), _rescaled(ys, den // dy), den
 
 
 class TropVector:
-    """An n-tuple of tropical scalars.  Entries are stored raw (a Fraction,
-    or None for ``-inf``); indexing and iteration build fresh, equal scalars."""
+    """An n-tuple of tropical scalars.  Entries are stored as int numerators
+    (None for ``-inf``) over one denominator, in the canonical form the
+    module docstring describes; indexing and iteration build fresh, equal
+    scalars."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_den")
 
     def __init__(self, entries):
-        self._entries = tuple(TropScalar(e)._f for e in entries)
-        if not self._entries:
+        entries = tuple(TropScalar(e)._f for e in entries)
+        if not entries:
             raise ValueError("vectors must have positive dimension")
+        (self._entries,), self._den = _stored((entries,))
 
     @classmethod
-    def _of(cls, entries: tuple) -> "TropVector":
-        """Wrap a tuple of raw values as it is, without coercion or checks."""
+    def _over(cls, entries: tuple, den: int) -> "TropVector":
+        """The vector of numerators over den, brought to lowest terms."""
         v = object.__new__(cls)
-        v._entries = entries
+        (v._entries,), v._den = _lowest((entries,), den)
         return v
 
     @classmethod
@@ -64,7 +122,7 @@ class TropVector:
 
     @property
     def entries(self) -> tuple[TropScalar, ...]:
-        return tuple(map(_scalar, self._entries))
+        return tuple(self)
 
     @property
     def is_zero(self) -> bool:
@@ -75,24 +133,28 @@ class TropVector:
         return TropVector([lam * e for e in self])
 
     def __getitem__(self, i: int) -> TropScalar:
-        return _scalar(self._entries[i])
+        return _scalar(_frac(self._entries[i], self._den))
 
     def __iter__(self):
-        return map(_scalar, self._entries)
+        den = self._den
+        return (_scalar(_frac(x, den)) for x in self._entries)
 
     def __eq__(self, other):
         if not isinstance(other, TropVector):
             return NotImplemented
-        return self._entries == other._entries
+        return self._den == other._den and self._entries == other._entries
 
     def __hash__(self):
-        return hash(self._entries)
+        return hash((self._entries, self._den))
+
+    def _tokens(self) -> list[str]:
+        return [_token(x, self._den) for x in self._entries]
 
     def __str__(self):
-        return "(" + ", ".join(map(_token, self._entries)) + ")"
+        return "(" + ", ".join(self._tokens()) + ")"
 
     def __repr__(self):
-        return f"TropVector({list(map(_token, self._entries))!r})"
+        return f"TropVector({self._tokens()!r})"
 
 
 class TropMatrix:
@@ -100,26 +162,34 @@ class TropMatrix:
 
     ``A @ B`` is the max-plus product, ``A + B`` the entrywise max, and
     ``A @ v`` the action on column vectors.  Instances are immutable.
-    Entries are stored raw, as in ``TropVector``; ``rows``, ``[i, j]``,
-    ``row`` and ``column`` build fresh, equal scalars.
+    Entries are stored as int numerators over one denominator, as in
+    ``TropVector``; ``rows``, ``[i, j]``, ``row`` and ``column`` build
+    fresh, equal scalars.
     """
 
     # _pc and _pr hold the projective column and row spaces once geometry
     # has computed them; an immutable matrix never needs them cleared.
-    __slots__ = ("_rows", "_pc", "_pr")
+    __slots__ = ("_rows", "_den", "_pc", "_pr")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(TropScalar(e)._f for e in row) for row in rows)
-        n = len(self._rows)
-        if n == 0 or any(len(row) != n for row in self._rows):
+        rows = tuple(tuple(TropScalar(e)._f for e in row) for row in rows)
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
+        self._rows, self._den = _stored(rows)
         self._pc = self._pr = None
 
     @classmethod
-    def _of(cls, rows: tuple[tuple, ...]) -> "TropMatrix":
-        """Wrap square rows of raw values as they are, without coercion or checks."""
+    def _of(cls, rows) -> "TropMatrix":
+        """The matrix of square rows of Fractions (None for ``-inf``),
+        without coercion or checks."""
+        return cls._over(*_stored(rows))
+
+    @classmethod
+    def _over(cls, rows: tuple[tuple, ...], den: int) -> "TropMatrix":
+        """The matrix of square numerator rows over den, brought to lowest terms."""
         m = object.__new__(cls)
-        m._rows = rows
+        m._rows, m._den = _lowest(rows, den)
         m._pc = m._pr = None
         return m
 
@@ -127,15 +197,13 @@ class TropMatrix:
     def identity(cls, n: int) -> "TropMatrix":
         if n < 1:
             raise ValueError("matrix must be square and nonempty")
-        return cls._of(
-            tuple(tuple(_ZERO if i == j else None for j in range(n)) for i in range(n))
-        )
+        return cls._over(tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, n: int) -> "TropMatrix":
         if n < 1:
             raise ValueError("matrix must be square and nonempty")
-        return cls._of(tuple((None,) * n for _ in range(n)))
+        return cls._over(tuple((None,) * n for _ in range(n)), 1)
 
     @property
     def n(self) -> int:
@@ -143,13 +211,14 @@ class TropMatrix:
 
     @property
     def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
-        return tuple(tuple(map(_scalar, row)) for row in self._rows)
+        den = self._den
+        return tuple(tuple(_scalar(_frac(x, den)) for x in row) for row in self._rows)
 
     def row(self, i: int) -> TropVector:
-        return TropVector._of(self._rows[i])
+        return TropVector._over(self._rows[i], self._den)
 
     def column(self, j: int) -> TropVector:
-        return TropVector._of(tuple(row[j] for row in self._rows))
+        return TropVector._over(tuple(row[j] for row in self._rows), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -157,18 +226,19 @@ class TropMatrix:
 
     def __getitem__(self, ij) -> TropScalar:
         i, j = ij
-        return _scalar(self._rows[i][j])
+        return _scalar(_frac(self._rows[i][j], self._den))
 
     def __matmul__(self, other):
         if isinstance(other, TropVector):
             _same_size(self, other)
-            v = other._entries
-            return TropVector._of(tuple(_dot(row, v) for row in self._rows))
+            rows, (v,), den = _common(self._rows, self._den, (other._entries,), other._den)
+            return TropVector._over(tuple(_dot(row, v) for row in rows), den)
         if isinstance(other, TropMatrix):
             _same_size(self, other)
-            cols = list(zip(*other._rows))
-            return TropMatrix._of(
-                tuple(tuple(_dot(row, col) for col in cols) for row in self._rows)
+            rows, cols, den = _common(self._rows, self._den, other._rows, other._den)
+            cols = list(zip(*cols))
+            return TropMatrix._over(
+                tuple([tuple([_dot(row, col) for col in cols]) for row in rows]), den
             )
         return NotImplemented
 
@@ -176,10 +246,11 @@ class TropMatrix:
         if not isinstance(other, TropMatrix):
             return NotImplemented
         _same_size(self, other)
-        return TropMatrix._of(tuple(map(_max_row, self._rows, other._rows)))
+        xs, ys, den = _common(self._rows, self._den, other._rows, other._den)
+        return TropMatrix._over(tuple(map(_max_row, xs, ys)), den)
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix._of(tuple(zip(*self._rows)))
+        return TropMatrix._over(tuple(zip(*self._rows)), self._den)
 
     def is_monomial(self) -> bool:
         """True iff exactly one entry per row and per column is not ``-inf``.
@@ -192,15 +263,16 @@ class TropMatrix:
         )
 
     def to_tokens(self) -> list[list[str]]:
-        return [list(map(_token, row)) for row in self._rows]
+        den = self._den
+        return [[_token(x, den) for x in row] for row in self._rows]
 
     def __eq__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self._rows, self._den))
 
     def __str__(self):
         return json.dumps(self.to_tokens())
@@ -210,12 +282,14 @@ class TropMatrix:
 
 
 def _max_row(xs, ys) -> tuple:
-    """The raw tropical sum of two rows: the entrywise max; None is ``-inf``."""
+    """The tropical sum of two numerator rows over one denominator: the
+    entrywise max; None is ``-inf``."""
     return tuple(y if x is None or (y is not None and y > x) else x for x, y in zip(xs, ys))
 
 
 def _dot(xs, ys):
-    """The raw max-plus inner product max_k (xs[k] + ys[k]); None is ``-inf``."""
+    """The max-plus inner product max_k (xs[k] + ys[k]) of two numerator
+    rows over one denominator; None is ``-inf``."""
     best = None
     for x, y in zip(xs, ys):
         if x is not None and y is not None:
@@ -256,15 +330,15 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     and transpose its position."""
     if not a.is_monomial():
         raise ValueError("matrix is not monomial, hence not invertible")
-    return TropMatrix._of(
-        tuple(tuple(None if f is None else -f for f in col) for col in zip(*a._rows))
+    return TropMatrix._over(
+        tuple(tuple(None if x is None else -x for x in col) for col in zip(*a._rows)), a._den
     )
 
 
 def _residual(kind: int, t, d) -> tuple:
-    """The raw rule of ``residual_scalar``: the target as ``ProjPoint`` parts
-    (kind, t), the divisor d as a Fraction or None for ``-inf``; the result
-    as (kind, frac) parts."""
+    """The rule of ``residual_scalar``: the target as ``ProjPoint`` parts
+    (kind, t), the divisor d, None for ``-inf``; the result as (kind, value)
+    parts.  t and d are Fractions, or numerators over one denominator."""
     if d is None or kind == 1:
         return 1, None
     if kind == -1:
@@ -272,10 +346,10 @@ def _residual(kind: int, t, d) -> tuple:
     return 0, t - d
 
 
-def _plain(kind: int, f):
-    """The raw witness entry of a residual entry given as (kind, frac) parts:
+def _plain(kind: int, x):
+    """The witness numerator of a residual entry given as (kind, num) parts:
     0 for ``+inf``, which no divisor entry constrains, else its own value."""
-    return _ZERO if kind == 1 else f
+    return 0 if kind == 1 else x
 
 
 def residual_scalar(target, divisor) -> ProjPoint:
@@ -296,23 +370,38 @@ class ResidualMatrix:
     divisor leaves unconstrained.  ``witness()`` returns a concrete plain
     solution by putting 0 in those coordinates (any finite value there
     multiplies only ``-inf`` entries of the divisor, so the choice is free).
-    Entries are stored as raw (kind, frac) parts; ``rows`` and ``[i, j]``
-    build fresh, equal points.
+    Entries are stored as (kind, num) parts, kind -1, 0, +1 for ``-inf``,
+    finite, ``+inf`` and num an int numerator over the matrix's one
+    denominator (None at the infinities), canonical as in ``TropMatrix``;
+    ``rows`` and ``[i, j]`` build fresh, equal points.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple((p._kind, p._f) for p in map(ProjPoint, row)) for row in rows)
-        n = len(self._rows)
-        if n == 0 or any(len(row) != n for row in self._rows):
+        points = tuple(tuple(map(ProjPoint, row)) for row in rows)
+        n = len(points)
+        if n == 0 or any(len(row) != n for row in points):
             raise ValueError("residual matrix must be square and nonempty")
+        nums, self._den = _stored(tuple(tuple(p._f for p in row) for row in points))
+        self._rows = tuple(
+            tuple((p._kind, x) for p, x in zip(prow, xrow)) for prow, xrow in zip(points, nums)
+        )
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[tuple, ...], ...]) -> "ResidualMatrix":
-        """Wrap square rows of (kind, frac) parts as they are, without checks."""
+    def _over(cls, rows: tuple[tuple[tuple, ...], ...], den: int) -> "ResidualMatrix":
+        """The residual matrix of square rows of (kind, num) parts over den,
+        brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *(x for row in rows for _, x in row if x is not None))
+            if g != 1:
+                den //= g
+                rows = tuple(
+                    tuple((kind, None if x is None else x // g) for kind, x in row) for row in rows
+                )
         m = object.__new__(cls)
         m._rows = rows
+        m._den = den
         return m
 
     @property
@@ -321,17 +410,21 @@ class ResidualMatrix:
 
     @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        return tuple(tuple(_point(*e) for e in row) for row in self._rows)
+        den = self._den
+        return tuple(tuple(_point(k, _frac(x, den)) for k, x in row) for row in self._rows)
 
     def __getitem__(self, ij) -> ProjPoint:
         i, j = ij
-        return _point(*self._rows[i][j])
+        kind, x = self._rows[i][j]
+        return _point(kind, _frac(x, self._den))
 
     def transpose(self) -> "ResidualMatrix":
-        return ResidualMatrix._of(tuple(zip(*self._rows)))
+        return ResidualMatrix._over(tuple(zip(*self._rows)), self._den)
 
     def witness(self) -> TropMatrix:
-        return TropMatrix._of(tuple(tuple(_plain(*e) for e in row) for row in self._rows))
+        return TropMatrix._over(
+            tuple(tuple(_plain(*e) for e in row) for row in self._rows), self._den
+        )
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""
@@ -343,23 +436,24 @@ class ResidualMatrix:
     def __eq__(self, other):
         if not isinstance(other, ResidualMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self._rows, self._den))
 
     def __repr__(self):
         return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
 
 
-def _parts(raw) -> list[list[tuple]]:
-    """Raw rows of a plain matrix as the (kind, frac) parts of points."""
-    return [[(-1, None) if f is None else (0, f) for f in row] for row in raw]
+def _parts(rows) -> list[list[tuple]]:
+    """Numerator rows of a plain matrix as the (kind, num) parts of points."""
+    return [[(-1, None) if x is None else (0, x) for x in row] for row in rows]
 
 
 def _left_residual_raw(divisor, target) -> tuple:
-    """The raw loop of ``left_residual``: the divisor's raw rows and the
-    target's (kind, frac) rows in, the residual's (kind, frac) rows out."""
+    """The loop of ``left_residual`` on numerators over one denominator: the
+    divisor's rows and the target's (kind, num) rows in, the residual's
+    (kind, num) rows out, not yet in lowest terms."""
     n = len(divisor)
     rows = []
     for k in range(n):
@@ -382,13 +476,35 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     The target a may itself be a residual, whose ``+inf`` entries leave their
     coordinates unconstrained."""
     _same_size(b, a)
-    target = a._rows if isinstance(a, ResidualMatrix) else _parts(a._rows)
-    return ResidualMatrix._of(_left_residual_raw(b._rows, target))
+    den = lcm(b._den, a._den)
+    k = den // a._den
+    if isinstance(a, ResidualMatrix):
+        target = [[(kind, None if x is None else x * k) for kind, x in row] for row in a._rows]
+    else:
+        target = _parts(_rescaled(a._rows, k))
+    divisor = _rescaled(b._rows, den // b._den)
+    return ResidualMatrix._over(_left_residual_raw(divisor, target), den)
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
     """The greatest X with ``X @ b <= a``; the transpose dual of left_residual."""
     return left_residual(b.transpose(), a.transpose()).transpose()
+
+
+def _least(t1, d1, t2, d2):
+    """The witness entry min(t1 - d1, t2 - d2) of a 2x2 greatest subsolution,
+    on numerators over one denominator: a ``-inf`` divisor entry drops its
+    term (both dropped leave ``+inf``, whose witness entry is 0), and a
+    ``-inf`` target entry over a finite divisor entry gives ``-inf``."""
+    if d1 is None:
+        if d2 is None:
+            return 0
+        return None if t2 is None else t2 - d2
+    if t1 is None:
+        return None
+    if d2 is None:
+        return t1 - d1
+    return None if t2 is None else min(t1 - d1, t2 - d2)
 
 
 def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
@@ -398,9 +514,21 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     greatest subsolution attains a.
     """
     _same_size(b, a)
-    x = _left_residual_raw(b._rows, _parts(a._rows))
+    divisor, target, _ = _common(b._rows, b._den, a._rows, a._den)
+    if b.n == 2:
+        # unrolled, it runs in about a third of the time of the loop below
+        ((p, q), (r, s)), ((e, f), (g, h)) = divisor, target
+        x0 = (_least(e, p, g, r), _least(e, q, g, s))
+        x1 = (_least(f, p, h, r), _least(f, q, h, s))
+        return (
+            _dot((p, q), x0) == e
+            and _dot((p, q), x1) == f
+            and _dot((r, s), x0) == g
+            and _dot((r, s), x1) == h
+        )
+    x = _left_residual_raw(divisor, _parts(target))
     cols = list(zip(*([_plain(*e) for e in row] for row in x)))
-    for row, want in zip(b._rows, a._rows):
+    for row, want in zip(divisor, target):
         for col, t in zip(cols, want):
             if _dot(row, col) != t:
                 return False

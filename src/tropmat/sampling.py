@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
 from .matrix import TropMatrix, TropVector
-from .semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
+from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _scalar
 
 RNG_ALGORITHM = "mt19937"
 
@@ -34,24 +34,30 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randrange(-24, 25), rng.randrange(1, 5))
 
 
-def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
+def _draw(rng: random.Random, profile: str) -> Fraction | None:
+    """One entry's value under a profile, None for ``-inf``: the draw rule
+    behind every scalar, vector and matrix sampler."""
     if profile == "dense-rational":
-        return TropScalar(_random_rational(rng))
+        return _random_rational(rng)
     if profile == "with-neginf":
         if rng.randrange(4) == 0:
-            return BOTTOM
-        return TropScalar(_random_rational(rng))
+            return None
+        return _random_rational(rng)
     if profile == "boundary":
         if rng.randrange(3) == 0:
-            return BOTTOM
-        return TropScalar(rng.choice(_BOUNDARY_GRID))
+            return None
+        return rng.choice(_BOUNDARY_GRID)
     raise ValueError(f"unknown profile {profile!r}: expected one of {PROFILES}")
 
 
+def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
+    return _scalar(_draw(rng, profile))
+
+
 def sample_matrix(rng: random.Random, profile: str, n: int = 2) -> TropMatrix:
-    return TropMatrix(
-        [[sample_scalar(rng, profile) for _ in range(n)] for _ in range(n)]
-    )
+    if n < 1:
+        raise ValueError("matrix must be square and nonempty")
+    return TropMatrix._of([[_draw(rng, profile) for _ in range(n)] for _ in range(n)])
 
 
 def sample_vector(rng: random.Random, profile: str, n: int = 2) -> TropVector:

@@ -279,16 +279,20 @@ def _point(kind: int, f: Fraction | None) -> ProjPoint:
     return p
 
 
-def _image(x1: Fraction | None, x2: Fraction | None) -> ProjPoint:
-    """The projective image ``x2 - x1`` of the raw pair (x1, x2), None
-    standing for ``-inf``: the rule behind ``proj_point_of`` and the space maps."""
+def _image(x1, x2) -> tuple[int, int]:
+    """The projective image ``x2 - x1`` of the nonzero pair (x1, x2) of
+    numerators over one denominator, None standing for ``-inf``: the rule
+    behind ``proj_point_of`` and the space maps.
+
+    Returned as (kind, num) parts, num 0 at the infinities, so that parts
+    order like the points they stand for."""
     if x2 is None:
         if x1 is None:
             raise ValueError("the zero vector (-inf, -inf) has no projective image")
-        return NEG_INF
+        return -1, 0
     if x1 is None:
-        return POS_INF
-    return _point(0, x2 - x1)
+        return 1, 0
+    return 0, x2 - x1
 
 
 class ExtDistance:

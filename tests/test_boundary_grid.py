@@ -5,7 +5,7 @@ Random streams rarely reach the degenerate classes (the zero matrix,
 singleton column spaces, half-infinite intervals); these grids reach all of
 them, and hold the geometric decisions to the residuation oracle and to the
 verified constructions on each one.  The product, the residual and the space
-maps, which compute on raw entry values, are also held to references built
+maps, which compute on integer numerators, are also held to references built
 from the public scalar operators; the stored spaces to freshly computed ones,
 and ``solves_right`` to the residual it materializes.  The ``classify``
 diameter is held to the endpoint distance, its R-class name to the relation
@@ -243,6 +243,60 @@ def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
         for m in (a, ab):
             assert proj_column_space(m) == ref_span([m.column(0), m.column(1)]), m
             assert proj_row_space(m) == ref_span([m.row(0), m.row(1)]), m
+
+
+def ref_right_residual(a, b):
+    # the greatest X with X @ b <= a: X[i,k] = min_j (a[i,j] - b[k,j])
+    n = b.n
+    return ResidualMatrix(
+        [
+            [min(residual_scalar(a[i, j], b[k, j]) for j in range(n)) for k in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def ref_witness(r):
+    return TropMatrix([[0 if p.is_pos_inf else p.to_scalar() for p in row] for row in r.rows])
+
+
+def test_kernels_match_the_scalar_reference_on_the_half_and_third_grid():
+    # every entry of the {-inf,-1,0,1} grids is an integer, so each matrix
+    # there stores den 1; over {-inf, 1/2, -1/3} products cancel
+    # (1/2 + 1/2 = 1) and mix (1/2 - 1/3 = 1/6), so results must come back
+    # to the lowest common denominator of their entries
+    matrices = grid(["-inf", "1/2", "-1/3"])
+    assert len(matrices) == 81
+    dens, checked = set(), set()
+    for a, b in product(matrices, repeat=2):
+        ab, total = a @ b, a + b
+        assert ab == ref_product(a, b), (a, b)
+        ref_total = TropMatrix([[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
+        assert total == ref_total, (a, b)
+        r, s = left_residual(b, a), right_residual(a, b)
+        ref_r, ref_s = ref_left_residual(b, a), ref_right_residual(a, b)
+        assert r == ref_r and r.witness() == ref_witness(ref_r), (a, b)
+        assert s == ref_s and s.witness() == ref_witness(ref_s), (a, b)
+        for m in (ab, total):
+            assert proj_column_space(m) == ref_span([m.column(0), m.column(1)]), m
+            assert proj_row_space(m) == ref_span([m.row(0), m.row(1)]), m
+        # results equal as stored share one check; a result not in lowest
+        # terms differs, as stored, from its value's canonical form, so it
+        # is checked on its own
+        results = {ab, total, ab.transpose(), r, r.transpose(), s, r.witness(), s.witness()}
+        for m in results - checked:
+            assert_plain(m)
+            checked.add(m)
+        fracs = [e.frac for row in ab.rows + total.rows for e in row]
+        dens.update(f.denominator for f in fracs if f is not None)
+    assert dens == {1, 2, 3, 6}
+    for a in matrices:
+        t = a.transpose()
+        assert t == TropMatrix([[a[j, i] for j in range(2)] for i in range(2)]), a
+        for m in (a, t):
+            assert proj_column_space(m) == ref_span([m.column(0), m.column(1)]), m
+            assert proj_row_space(m) == ref_span([m.row(0), m.row(1)]), m
+        assert_plain(t)
 
 
 def test_spaces_and_iso_types_are_computed_once_per_object():

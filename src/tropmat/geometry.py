@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, _same_size, solves_right
+from .matrix import TropMatrix, TropVector, _frac, _same_size, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -32,38 +32,50 @@ class ConvexSet:
     """A closed convex subset of the projective line.
 
     Canonical form: empty (no endpoints), a point (equal endpoints), or an
-    interval with ``lo < hi`` strictly.  Construct through ``empty()``,
-    ``point()`` and ``interval()``; the latter sorts its endpoints and
-    collapses equal ones to a point.
+    interval with ``lo < hi`` strictly.  ``ConvexSet(lo, hi)`` takes both
+    endpoints in order, or None for both; ``empty()``, ``point()`` and
+    ``interval()`` also build sets, the latter sorting its endpoints and
+    collapsing equal ones to a point.
     """
 
     # _iso holds the isometry type once iso_type has computed it.
     __slots__ = ("_lo", "_hi", "_iso")
 
-    def __init__(self, lo: ProjPoint | None, hi: ProjPoint | None):
-        self._lo = lo
-        self._hi = hi
-        self._iso = None
+    def __init__(self, lo, hi):
+        if lo is not None or hi is not None:
+            if lo is None or hi is None:
+                raise ValueError("a convex set has both endpoints or neither")
+            lo, hi = ProjPoint(lo), ProjPoint(hi)
+            if hi < lo:
+                raise ValueError(f"convex set endpoints out of order: {lo} > {hi}")
+        self._lo, self._hi, self._iso = lo, hi, None
+
+    @classmethod
+    def _of(cls, lo: ProjPoint | None, hi: ProjPoint | None) -> "ConvexSet":
+        """The set of points lo <= hi (or None for both), unchecked."""
+        s = object.__new__(cls)
+        s._lo, s._hi, s._iso = lo, hi, None
+        return s
 
     @classmethod
     def empty(cls) -> "ConvexSet":
-        return cls(None, None)
+        return cls._of(None, None)
 
     @classmethod
     def point(cls, p) -> "ConvexSet":
         p = ProjPoint(p)
-        return cls(p, p)
+        return cls._of(p, p)
 
     @classmethod
     def interval(cls, a, b) -> "ConvexSet":
         a, b = ProjPoint(a), ProjPoint(b)
         if b < a:
             a, b = b, a
-        return cls(a, b)
+        return cls._of(a, b)
 
     @classmethod
     def full_line(cls) -> "ConvexSet":
-        return cls(NEG_INF, POS_INF)
+        return cls._of(NEG_INF, POS_INF)
 
     @property
     def is_empty(self) -> bool:
@@ -99,7 +111,7 @@ class ConvexSet:
         """The pointwise negation; swaps and negates the endpoints."""
         if self._lo is None:
             return self
-        return ConvexSet(-self._hi, -self._lo)
+        return ConvexSet._of(-self._hi, -self._lo)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexSet):
@@ -189,10 +201,10 @@ def _require_2x2(a: TropMatrix):
         raise ValueError(f"the classification theory is specific to 2x2 matrices, got {a.n}x{a.n}")
 
 
-def _proj(parts: tuple[int, int], den: int) -> ProjPoint:
-    """The point of (kind, num) image parts over den."""
-    kind, x = parts
-    return _point(kind, Fraction(x, den) if kind == 0 else None)
+def _proj(key: tuple, den: int) -> ProjPoint:
+    """The point of an image's order key, its value a numerator over den."""
+    kind, x = key
+    return _point((kind, _frac(x, den)))
 
 
 def proj_point_of(v: TropVector) -> ProjPoint:
@@ -220,7 +232,7 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     if q < p:
         p, q = q, p
     lo = _proj(p, den)
-    return ConvexSet(lo, lo if q == p else _proj(q, den))
+    return ConvexSet._of(lo, lo if q == p else _proj(q, den))
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:

@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .semiring import ProjPoint, TropScalar, _point, _scalar
+from .semiring import _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _scalar, _scalar_key
 
 
 class VerificationError(AssertionError):
@@ -51,9 +51,19 @@ def _token(x, den) -> str:
     return "-inf" if x is None else str(Fraction(x, den))
 
 
+def _square(rows, what: str = "matrix"):
+    """Rows that form a square, nonempty grid; a ValueError otherwise."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError(f"{what} must be square and nonempty")
+    return rows
+
+
 def _stored(rows) -> tuple[tuple[tuple, ...], int]:
     """The stored form of rows of Fractions (or ints; None for ``-inf``):
-    numerator rows over den, the lcm of the entries' reduced denominators."""
+    numerator rows over den, the lcm of the entries' reduced denominators.
+    It is already in lowest terms: a prime dividing den divides some entry's
+    reduced denominator to the full power, so not that entry's numerator."""
     den = lcm(*[f.denominator for row in rows for f in row if f is not None])
     return (
         tuple([
@@ -100,7 +110,7 @@ class TropVector:
     __slots__ = ("_entries", "_den")
 
     def __init__(self, entries):
-        entries = tuple(TropScalar(e)._f for e in entries)
+        entries = tuple(_scalar_key(e)[1] for e in entries)
         if not entries:
             raise ValueError("vectors must have positive dimension")
         (self._entries,), self._den = _stored((entries,))
@@ -172,18 +182,17 @@ class TropMatrix:
     __slots__ = ("_rows", "_den", "_pc", "_pr")
 
     def __init__(self, rows):
-        rows = tuple(tuple(TropScalar(e)._f for e in row) for row in rows)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square and nonempty")
-        self._rows, self._den = _stored(rows)
+        self._rows, self._den = _stored(_square([[_scalar_key(e)[1] for e in row] for row in rows]))
         self._pc = self._pr = None
 
     @classmethod
     def _of(cls, rows) -> "TropMatrix":
         """The matrix of square rows of Fractions (None for ``-inf``),
         without coercion or checks."""
-        return cls._over(*_stored(rows))
+        m = object.__new__(cls)
+        m._rows, m._den = _stored(rows)
+        m._pc = m._pr = None
+        return m
 
     @classmethod
     def _over(cls, rows: tuple[tuple, ...], den: int) -> "TropMatrix":
@@ -318,11 +327,11 @@ def parse_matrix(text: str) -> TropMatrix:
         out = []
         for j, tok in enumerate(row):
             try:
-                out.append(TropScalar(tok))
+                out.append(_scalar_key(tok)[1])
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"matrix entry ({i},{j}): {exc}") from exc
         rows.append(out)
-    return TropMatrix(rows)
+    return TropMatrix._of(_square(rows))
 
 
 def monomial_inverse(a: TropMatrix) -> TropMatrix:
@@ -335,21 +344,22 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     )
 
 
-def _residual(kind: int, t, d) -> tuple:
-    """The rule of ``residual_scalar``: the target as ``ProjPoint`` parts
-    (kind, t), the divisor d, None for ``-inf``; the result as (kind, value)
-    parts.  t and d are Fractions, or numerators over one denominator."""
+def _residual(t: tuple, d) -> tuple:
+    """The rule of ``residual_scalar``: the target's order key t and the
+    divisor d (None for ``-inf``) in, the result's order key out.  Values
+    are Fractions, or numerators over one denominator."""
+    kind = t[0]
     if d is None or kind == 1:
-        return 1, None
+        return _POS_KEY
     if kind == -1:
-        return -1, None
-    return 0, t - d
+        return _NEG_KEY
+    return 0, t[1] - d
 
 
-def _plain(kind: int, x):
-    """The witness numerator of a residual entry given as (kind, num) parts:
-    0 for ``+inf``, which no divisor entry constrains, else its own value."""
-    return 0 if kind == 1 else x
+def _plain(k: tuple):
+    """The witness numerator of a residual entry's key: 0 for ``+inf``,
+    which no divisor entry constrains, else its own value."""
+    return 0 if k[0] == 1 else k[1]
 
 
 def residual_scalar(target, divisor) -> ProjPoint:
@@ -359,8 +369,7 @@ def residual_scalar(target, divisor) -> ProjPoint:
     ``-inf`` when a ``-inf`` target meets a finite divisor.  The target may
     itself be ``+inf`` (residuals of residuals), which is also unconstraining.
     """
-    target = target if isinstance(target, ProjPoint) else ProjPoint(target)
-    return _point(*_residual(target._kind, target._f, TropScalar(divisor)._f))
+    return _point(_residual(ProjPoint(target)._k, _scalar_key(divisor)[1]))
 
 
 class ResidualMatrix:
@@ -370,27 +379,24 @@ class ResidualMatrix:
     divisor leaves unconstrained.  ``witness()`` returns a concrete plain
     solution by putting 0 in those coordinates (any finite value there
     multiplies only ``-inf`` entries of the divisor, so the choice is free).
-    Entries are stored as (kind, num) parts, kind -1, 0, +1 for ``-inf``,
-    finite, ``+inf`` and num an int numerator over the matrix's one
-    denominator (None at the infinities), canonical as in ``TropMatrix``;
-    ``rows`` and ``[i, j]`` build fresh, equal points.
+    Entries are stored as the order keys of their points (see ``semiring``)
+    with an int numerator over the matrix's one denominator for the value,
+    canonical as in ``TropMatrix``; ``rows`` and ``[i, j]`` build fresh,
+    equal points.
     """
 
     __slots__ = ("_rows", "_den")
 
     def __init__(self, rows):
-        points = tuple(tuple(map(ProjPoint, row)) for row in rows)
-        n = len(points)
-        if n == 0 or any(len(row) != n for row in points):
-            raise ValueError("residual matrix must be square and nonempty")
-        nums, self._den = _stored(tuple(tuple(p._f for p in row) for row in points))
+        keys = _square([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
+        nums, self._den = _stored([[f for _, f in row] for row in keys])
         self._rows = tuple(
-            tuple((p._kind, x) for p, x in zip(prow, xrow)) for prow, xrow in zip(points, nums)
+            tuple((k[0], x) for k, x in zip(krow, xrow)) for krow, xrow in zip(keys, nums)
         )
 
     @classmethod
     def _over(cls, rows: tuple[tuple[tuple, ...], ...], den: int) -> "ResidualMatrix":
-        """The residual matrix of square rows of (kind, num) parts over den,
+        """The residual matrix of square rows of (kind, num) keys over den,
         brought to lowest terms."""
         if den != 1:
             g = gcd(den, *(x for row in rows for _, x in row if x is not None))
@@ -411,19 +417,19 @@ class ResidualMatrix:
     @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
         den = self._den
-        return tuple(tuple(_point(k, _frac(x, den)) for k, x in row) for row in self._rows)
+        return tuple(tuple(_point((k, _frac(x, den))) for k, x in row) for row in self._rows)
 
     def __getitem__(self, ij) -> ProjPoint:
         i, j = ij
         kind, x = self._rows[i][j]
-        return _point(kind, _frac(x, self._den))
+        return _point((kind, _frac(x, self._den)))
 
     def transpose(self) -> "ResidualMatrix":
         return ResidualMatrix._over(tuple(zip(*self._rows)), self._den)
 
     def witness(self) -> TropMatrix:
         return TropMatrix._over(
-            tuple(tuple(_plain(*e) for e in row) for row in self._rows), self._den
+            tuple(tuple(map(_plain, row)) for row in self._rows), self._den
         )
 
     def dominates(self, x: TropMatrix) -> bool:
@@ -445,28 +451,15 @@ class ResidualMatrix:
         return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
 
 
-def _parts(rows) -> list[list[tuple]]:
-    """Numerator rows of a plain matrix as the (kind, num) parts of points."""
-    return [[(-1, None) if x is None else (0, x) for x in row] for row in rows]
-
-
 def _left_residual_raw(divisor, target) -> tuple:
     """The loop of ``left_residual`` on numerators over one denominator: the
-    divisor's rows and the target's (kind, num) rows in, the residual's
-    (kind, num) rows out, not yet in lowest terms."""
+    divisor's rows and the target's rows of keys in, the residual's rows of
+    keys out, not yet in lowest terms."""
     n = len(divisor)
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            kind, f = 1, None  # +inf, the unit of min
-            for i in range(n):
-                ck, cf = _residual(*target[i][j], divisor[i][k])
-                if ck < kind or (ck == kind == 0 and cf < f):
-                    kind, f = ck, cf
-            row.append((kind, f))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(min(_residual(target[i][j], divisor[i][k]) for i in range(n)) for j in range(n))
+        for k in range(n)
+    )
 
 
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
@@ -481,7 +474,7 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     if isinstance(a, ResidualMatrix):
         target = [[(kind, None if x is None else x * k) for kind, x in row] for row in a._rows]
     else:
-        target = _parts(_rescaled(a._rows, k))
+        target = [[_NEG_KEY if x is None else (0, x) for x in row] for row in _rescaled(a._rows, k)]
     divisor = _rescaled(b._rows, den // b._den)
     return ResidualMatrix._over(_left_residual_raw(divisor, target), den)
 
@@ -514,22 +507,15 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     greatest subsolution attains a.
     """
     _same_size(b, a)
-    divisor, target, _ = _common(b._rows, b._den, a._rows, a._den)
-    if b.n == 2:
-        # unrolled, it runs in about a third of the time of the loop below
-        ((p, q), (r, s)), ((e, f), (g, h)) = divisor, target
-        x0 = (_least(e, p, g, r), _least(e, q, g, s))
-        x1 = (_least(f, p, h, r), _least(f, q, h, s))
-        return (
-            _dot((p, q), x0) == e
-            and _dot((p, q), x1) == f
-            and _dot((r, s), x0) == g
-            and _dot((r, s), x1) == h
-        )
-    x = _left_residual_raw(divisor, _parts(target))
-    cols = list(zip(*([_plain(*e) for e in row] for row in x)))
-    for row, want in zip(divisor, target):
-        for col, t in zip(cols, want):
-            if _dot(row, col) != t:
-                return False
-    return True
+    if b.n != 2:
+        return b @ left_residual(b, a).witness() == a
+    # unrolled, it runs in about a third of the time of the general path
+    ((p, q), (r, s)), ((e, f), (g, h)), _ = _common(b._rows, b._den, a._rows, a._den)
+    x0 = (_least(e, p, g, r), _least(e, q, g, s))
+    x1 = (_least(f, p, h, r), _least(f, q, h, s))
+    return (
+        _dot((p, q), x0) == e
+        and _dot((p, q), x1) == f
+        and _dot((r, s), x0) == g
+        and _dot((r, s), x1) == h
+    )

@@ -12,6 +12,13 @@ Everything here is exact: scalars are arbitrary-precision ``Fraction`` values
 and the infinities are explicit variants, never sentinel numerics.  The
 classification machinery built on top compares endpoints for *equality*, so
 there is deliberately no floating-point mode.
+
+A scalar, a projective point and a distance each store one order key
+``(kind, value)``: kind -1, 0 or +1 for ``-inf``, finite or ``+inf``, and
+value the Fraction, or None at the infinities.  Two keys of the same
+infinite kind are equal, so keys order like the values as plain tuples; the
+matrix kernels compare keys of the same shape, with int numerators over one
+denominator for values.
 """
 
 from __future__ import annotations
@@ -73,7 +80,57 @@ def _as_fraction(value) -> Fraction:
     )
 
 
-class TropScalar:
+class _Key:
+    """The comparison core of the values of the extended line.
+
+    Each value stores its order key ``_k = (kind, value)`` (see the module
+    docstring), and every comparison, equality and hash is one of keys.  A
+    plain int or Fraction operand is coerced to the class first; values of
+    different classes are never equal.
+    """
+
+    __slots__ = ("_k",)
+
+    def _coerce(self, other):
+        return other if isinstance(other, type(self)) else type(self)(other)
+
+    @property
+    def frac(self) -> Fraction | None:
+        """The rational value, or None at an infinity."""
+        return self._k[1]
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._k == other._k
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._k == type(self)(other)._k
+        return NotImplemented
+
+    def __hash__(self):
+        kind, f = self._k
+        return hash(f if kind == 0 else self._k)
+
+    def __lt__(self, other):
+        return self._k < self._coerce(other)._k
+
+    def __le__(self, other):
+        return self._k <= self._coerce(other)._k
+
+    def __gt__(self, other):
+        return self._k > self._coerce(other)._k
+
+    def __ge__(self, other):
+        return self._k >= self._coerce(other)._k
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+_NEG_KEY = (-1, None)
+_POS_KEY = (1, None)
+
+
+class TropScalar(_Key):
     """A max-plus scalar: an exact rational, or the bottom element ``-inf``.
 
     Operators follow the tropical convention: ``a + b`` is max, ``a * b`` is
@@ -82,80 +139,50 @@ class TropScalar:
     ``TropScalar("1/2")`` and ``TropScalar(Fraction(1, 2))`` all work.
     """
 
-    __slots__ = ("_f",)
+    __slots__ = ()
 
     def __init__(self, value):
-        if isinstance(value, TropScalar):
-            self._f = value._f
-        elif isinstance(value, str) and value.strip() == "-inf":
-            self._f = None
-        elif isinstance(value, str) and value.strip() == "+inf":
-            raise ValueError("+inf is not a tropical scalar (it only exists projectively)")
-        else:
-            self._f = _as_fraction(value)
+        self._k = _scalar_key(value)
 
     @property
     def is_bottom(self) -> bool:
-        return self._f is None
-
-    @property
-    def frac(self) -> Fraction | None:
-        """The rational value, or None for ``-inf``."""
-        return self._f
-
-    def _coerce(self, other) -> "TropScalar":
-        return other if isinstance(other, TropScalar) else TropScalar(other)
+        return self._k[0] == -1
 
     def __add__(self, other):
         other = self._coerce(other)
-        return self if other <= self else other
+        return self if other._k <= self._k else other
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return _scalar(_mul(self._f, other._f))
+        return _scalar(_mul(self._k[1], other._k[1]))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        if self._f is None:
+        kind, f = self._k
+        if kind:
             raise ValueError("-inf has no tropical multiplicative inverse")
-        return _scalar(-self._f)
-
-    def __eq__(self, other):
-        if isinstance(other, TropScalar):
-            return self._f == other._f
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._f == TropScalar(other)._f
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._f) if self._f is not None else hash(("trop", "-inf"))
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if self._f is None:
-            return other._f is not None
-        if other._f is None:
-            return False
-        return self._f < other._f
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        return self < other or self == other
-
-    def __gt__(self, other):
-        return self._coerce(other) < self
-
-    def __ge__(self, other):
-        return self._coerce(other) <= self
+        return _scalar(-f)
 
     def __str__(self):
-        return "-inf" if self._f is None else str(self._f)
+        kind, f = self._k
+        return "-inf" if kind else str(f)
 
-    def __repr__(self):
-        return f"TropScalar({str(self)!r})"
+
+def _scalar_key(value) -> tuple:
+    """The order key of a tropical scalar given as a ``TropScalar``, an int,
+    a Fraction, or a ``-inf`` or ``p/q`` token; ``+inf`` is refused."""
+    if isinstance(value, TropScalar):
+        return value._k
+    if isinstance(value, str):
+        token = value.strip()
+        if token == "-inf":
+            return _NEG_KEY
+        if token == "+inf":
+            raise ValueError("+inf is not a tropical scalar (it only exists projectively)")
+    return 0, _as_fraction(value)
 
 
 BOTTOM = TropScalar("-inf")
@@ -171,208 +198,123 @@ def _scalar(f: Fraction | None) -> TropScalar:
     if f is None:
         return BOTTOM
     s = _new(TropScalar)
-    s._f = f
+    s._k = (0, f)
     return s
 
 
-class ProjPoint:
+class ProjPoint(_Key):
     """A point of the projective tropical line: a rational, ``-inf`` or ``+inf``.
 
     Totally ordered with ``-inf`` least and ``+inf`` greatest.  Negation is
-    defined everywhere and swaps the infinities.
+    defined everywhere and swaps the infinities.  Built from a point, a
+    ``+inf`` token, or anything ``TropScalar`` accepts.
     """
 
-    __slots__ = ("_kind", "_f")  # _kind: -1 bottom, 0 finite, +1 top
+    __slots__ = ()
 
     def __init__(self, value):
         if isinstance(value, ProjPoint):
-            self._kind, self._f = value._kind, value._f
-        elif isinstance(value, TropScalar):
-            if value.is_bottom:
-                self._kind, self._f = -1, None
-            else:
-                self._kind, self._f = 0, value.frac
-        elif isinstance(value, str) and value.strip() == "-inf":
-            self._kind, self._f = -1, None
+            self._k = value._k
         elif isinstance(value, str) and value.strip() == "+inf":
-            self._kind, self._f = 1, None
+            self._k = _POS_KEY
         else:
-            self._kind, self._f = 0, _as_fraction(value)
+            self._k = _scalar_key(value)
 
     @property
     def is_finite(self) -> bool:
-        return self._kind == 0
+        return self._k[0] == 0
 
     @property
     def is_neg_inf(self) -> bool:
-        return self._kind == -1
+        return self._k[0] == -1
 
     @property
     def is_pos_inf(self) -> bool:
-        return self._kind == 1
-
-    @property
-    def frac(self) -> Fraction | None:
-        """The rational value, or None at either infinity."""
-        return self._f
+        return self._k[0] == 1
 
     def to_scalar(self) -> TropScalar:
         """Reinterpret as a tropical scalar; rejects ``+inf``."""
-        if self._kind == 1:
+        if self._k[0] == 1:
             raise ValueError("+inf is not a tropical scalar")
-        return _scalar(self._f)
-
-    def _key(self):
-        return (self._kind, _ZERO if self._f is None else self._f)
-
-    def _coerce(self, other) -> "ProjPoint":
-        return other if isinstance(other, ProjPoint) else ProjPoint(other)
+        return _scalar(self._k[1])
 
     def __neg__(self):
-        return _point(-self._kind, None if self._f is None else -self._f)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
-                return NotImplemented
-            other = ProjPoint(other)
-        return self._kind == other._kind and self._f == other._f
-
-    def __hash__(self):
-        return hash(self._f) if self._kind == 0 else hash(("proj", self._kind))
-
-    def __lt__(self, other):
-        return self._key() < self._coerce(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= self._coerce(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > self._coerce(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= self._coerce(other)._key()
+        kind, f = self._k
+        return _point((-kind, None if f is None else -f))
 
     def __str__(self):
-        if self._kind == -1:
-            return "-inf"
-        if self._kind == 1:
-            return "+inf"
-        return str(self._f)
-
-    def __repr__(self):
-        return f"ProjPoint({str(self)!r})"
+        kind, f = self._k
+        if kind:
+            return "+inf" if kind == 1 else "-inf"
+        return str(f)
 
 
 NEG_INF = ProjPoint("-inf")
 POS_INF = ProjPoint("+inf")
 
 
-def _point(kind: int, f: Fraction | None) -> ProjPoint:
-    """Wrap raw parts (kind -1, 0, +1 for ``-inf``, finite, ``+inf``; the
-    Fraction, or None at the infinities) without coercing them."""
-    if kind:
-        return POS_INF if kind == 1 else NEG_INF
+def _point(k: tuple) -> ProjPoint:
+    """Wrap an order key (kind, value), the value None at the infinities,
+    without coercing it."""
     p = _new(ProjPoint)
-    p._kind = 0
-    p._f = f
+    p._k = k
     return p
 
 
-def _image(x1, x2) -> tuple[int, int]:
+def _image(x1, x2) -> tuple:
     """The projective image ``x2 - x1`` of the nonzero pair (x1, x2) of
     numerators over one denominator, None standing for ``-inf``: the rule
     behind ``proj_point_of`` and the space maps.
 
-    Returned as (kind, num) parts, num 0 at the infinities, so that parts
+    Returned as an order key with a numerator for its value, so that images
     order like the points they stand for."""
     if x2 is None:
         if x1 is None:
             raise ValueError("the zero vector (-inf, -inf) has no projective image")
-        return -1, 0
+        return _NEG_KEY
     if x1 is None:
-        return 1, 0
+        return _POS_KEY
     return 0, x2 - x1
 
 
-class ExtDistance:
+class ExtDistance(_Key):
     """A distance value: a nonnegative exact rational, or infinite.
 
     Supports addition (infinity absorbs) and total order (infinity greatest),
     which is all the triangle inequality and diameter comparisons need.
     """
 
-    __slots__ = ("_f",)
+    __slots__ = ()
 
     def __init__(self, value):
         if isinstance(value, ExtDistance):
-            self._f = value._f
+            self._k = value._k
         elif isinstance(value, str) and value.strip() == "inf":
-            self._f = None
+            self._k = _POS_KEY
         else:
             f = _as_fraction(value)
             if f < 0:
                 raise ValueError(f"distances are nonnegative, got {f}")
-            self._f = f
-
-    @classmethod
-    def infinite(cls) -> "ExtDistance":
-        d = object.__new__(cls)
-        d._f = None
-        return d
+            self._k = (0, f)
 
     @property
     def is_infinite(self) -> bool:
-        return self._f is None
-
-    @property
-    def frac(self) -> Fraction | None:
-        return self._f
-
-    def _coerce(self, other) -> "ExtDistance":
-        return other if isinstance(other, ExtDistance) else ExtDistance(other)
+        return self._k[0] == 1
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self._f is None or other._f is None:
+        if self._k[0] or other._k[0]:
             return INF_DIST
-        return ExtDistance(self._f + other._f)
+        return ExtDistance(self._k[1] + other._k[1])
 
     __radd__ = __add__
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = ExtDistance(other)
-        if not isinstance(other, ExtDistance):
-            return NotImplemented
-        return self._f == other._f
-
-    def __hash__(self):
-        return hash(self._f) if self._f is not None else hash(("dist", "inf"))
-
-    def _key(self):
-        return (1, Fraction(0)) if self._f is None else (0, self._f)
-
-    def __lt__(self, other):
-        return self._key() < self._coerce(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= self._coerce(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > self._coerce(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= self._coerce(other)._key()
-
     def __str__(self):
-        return "inf" if self._f is None else str(self._f)
-
-    def __repr__(self):
-        return f"ExtDistance({str(self)!r})"
+        kind, f = self._k
+        return "inf" if kind else str(f)
 
 
-INF_DIST = ExtDistance.infinite()
+INF_DIST = ExtDistance("inf")
 
 
 def delta(x, y) -> ExtDistance:

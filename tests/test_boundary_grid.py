@@ -9,7 +9,8 @@ maps, which compute on integer numerators, are also held to references built
 from the public scalar operators; the stored spaces to freshly computed ones,
 and ``solves_right`` to the residual it materializes.  The ``classify``
 diameter is held to the endpoint distance, its R-class name to the relation
-R, and principal-ideal membership to the J-preorder.
+R, principal-ideal membership to the J-preorder, and the grid part of each
+maximal subgroup to its group type.
 """
 
 import json
@@ -50,7 +51,9 @@ from tropmat.matrix import (
 )
 from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, delta
 from tropmat.structure import (
+    GroupType,
     IdempotentForm,
+    group_type_of_H,
     idempotent_form,
     idempotent_in_H,
     is_idempotent,
@@ -110,6 +113,37 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
     empty_classes = {spaces(a) for a in matrices if idempotent_in_H(*spaces(a)) is None}
     assert empty_classes
     assert not empty_classes & idempotent_classes
+
+
+def test_maximal_subgroups_on_the_256_matrix_grid():
+    """Each idempotent's H-class, cut down to the grid, behaves like the
+    group ``group_type_of_H`` names: e is the identity, products stay in the
+    class, only the wreath product fails to commute, and the elements of
+    order two are as many as its S2 factor allows."""
+    matrices = grid(["-inf", -1, 0, 1])
+    idempotents = [e for e in matrices if is_idempotent(e)]
+    assert len(idempotents) == 32
+    types = Counter()
+    members = 0
+    for e in idempotents:
+        kind = group_type_of_H(*spaces(e))
+        types[kind.value] += 1
+        h_class = [a for a in matrices if spaces(a) == spaces(e)]
+        members += len(h_class)
+        pairs = list(product(h_class, repeat=2))
+        assert all(e @ h == h == h @ e for h in h_class), e
+        assert all(spaces(g @ h) == spaces(e) for g, h in pairs), e
+        commutes = all(g @ h == h @ g for g, h in pairs)
+        assert commutes == (kind is not GroupType.REALS_WREATH_S2), e
+        involutions = sum(h != e and h @ h == e for h in h_class)
+        if kind in (GroupType.TRIVIAL, GroupType.REALS):
+            assert involutions == 0, e
+        elif kind is GroupType.REALS_TIMES_S2:
+            assert involutions <= 1, e
+        else:
+            assert involutions >= 1, e
+    assert members == 92
+    assert types == {"trivial": 1, "reals": 27, "reals-x-s2": 3, "reals-wr-s2": 1}
 
 
 def test_classify_diameter_on_the_256_matrix_grid(capsys):

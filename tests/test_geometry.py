@@ -20,7 +20,7 @@ from tropmat.geometry import (
 )
 from tropmat.matrix import TropMatrix, TropVector
 from tropmat.sampling import sample_convex_set, sample_matrix, sample_vector
-from tropmat.semiring import NEG_INF, POS_INF, ExtDistance, INF_DIST
+from tropmat.semiring import NEG_INF, POS_INF, ExtDistance, INF_DIST, ProjPoint
 
 SEED = 20260808
 
@@ -206,6 +206,21 @@ def test_set_parsing_round_trip():
         ConvexSet.parse("(0,1)")
     with pytest.raises(ValueError):
         ConvexSet.parse("[1,2,3]")
+
+
+def test_convex_set_constructor_checks_its_endpoints():
+    # out of order, and one endpoint missing: each used to build a set that
+    # its own repr, contains, iso_type or equality got wrong
+    for lo, hi in [(ProjPoint(3), ProjPoint(1)), (3, 1), (None, ProjPoint(1)), (ProjPoint(1), None)]:
+        with pytest.raises(ValueError):
+            ConvexSet(lo, hi)
+    s = ConvexSet(1, 3)
+    assert s.lo.is_finite and s == ConvexSet.interval(1, 3)
+    assert ConvexSet.parse(str(s)) == s
+    assert s.contains(2) and iso_type(s) == IsoType("interval", 2)
+    assert ConvexSet(None, None) == ConvexSet.empty()
+    assert ConvexSet("-inf", "+inf") == FULL
+    assert ConvexSet(ProjPoint(2), 2).is_point
 
 
 def test_non_square_matrices_rejected():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -140,3 +141,49 @@ def test_proj_point_scalar_conversion():
     assert ProjPoint(2).to_scalar() == TropScalar(2)
     with pytest.raises(ValueError):
         POS_INF.to_scalar()
+
+
+# Each grid is sorted; a value's index is its place in the order.
+SCALAR_GRID = ["-inf", -1, Fraction(-1, 2), 0, Fraction(1, 3), 2]
+POINT_GRID = SCALAR_GRID + ["+inf"]
+DISTANCE_GRID = [0, Fraction(1, 2), 3, "inf"]
+
+
+def comparisons(x, y):
+    return (x < y, x <= y, x > y, x >= y, x == y, x != y)
+
+
+@pytest.mark.parametrize(
+    "cls, grid",
+    [(TropScalar, SCALAR_GRID), (ProjPoint, POINT_GRID), (ExtDistance, DISTANCE_GRID)],
+)
+def test_key_order_is_the_order_of_the_grid_on_every_pair(cls, grid):
+    for (i, u), (j, v) in product(enumerate(grid), repeat=2):
+        x, y = cls(u), cls(v)  # fresh objects, so equal ones are never identical
+        assert comparisons(x, y) == comparisons(i, j), (x, y)
+        if i == j:
+            assert hash(x) == hash(y), x
+        if not isinstance(v, str):
+            # a plain int or Fraction operand, on either side
+            assert comparisons(x, v) == comparisons(i, j), (x, v)
+            assert comparisons(v, x) == comparisons(j, i), (v, x)
+            if i == j:
+                assert hash(x) == hash(v), x
+
+
+@pytest.mark.parametrize("cls", [TropScalar, ProjPoint, ExtDistance])
+def test_bool_operands_are_refused(cls):
+    zero, one = cls(0), cls(1)
+    assert zero == 0 and zero != False  # noqa: E712
+    assert one == 1 and one != True  # noqa: E712
+    for op in (lambda x: x < True, lambda x: x <= False, lambda x: x > True, lambda x: x >= False):
+        with pytest.raises(TypeError):
+            op(one)
+    with pytest.raises(TypeError):
+        cls(True)
+
+
+def test_a_scalar_never_equals_a_point():
+    for s, p in product(SCALAR_GRID, POINT_GRID):
+        assert TropScalar(s) != ProjPoint(p) and ProjPoint(p) != TropScalar(s), (s, p)
+        assert not TropScalar(s) == ProjPoint(p)

@@ -212,7 +212,7 @@ def proj_point_of(v: TropVector) -> ProjPoint:
     under extended subtraction."""
     if v.n != 2:
         raise ValueError("projectivisation here is for 2-vectors")
-    return _proj(_image(*v._entries), v._den)
+    return _proj(_image(*v._rows), v._den)
 
 
 def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
@@ -310,7 +310,7 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     """
     _require_2x2(a)
     _same_size(a, v)
-    return solves_right(a, TropMatrix._over(tuple((x, x) for x in v._entries), v._den))
+    return solves_right(a, TropMatrix._over(tuple((x, x) for x in v._rows), v._den))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:

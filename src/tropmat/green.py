@@ -113,6 +113,12 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
     """
     if not isometric(m, n):
         raise ValueError(f"no matrix has column space {m} and row space {n}: not isometric")
+    return _witness_Z(m, n)
+
+
+def _witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
+    """The construction of ``witness_Z`` for an isometric pair (m, n), by
+    cases on the isometry type, checked before returning."""
     t = iso_type(m)
     if t.kind == "empty":
         z = TropMatrix.zero(2)

@@ -141,12 +141,7 @@ def ideal_from_generators(generators: list[TropMatrix]) -> IdealDescriptor:
     principal descriptors, so finitely generated ideals are principal."""
     if not generators:
         raise ValueError("need at least one generator")
-    best = principal_ideal_of(generators[0])
-    for g in generators[1:]:
-        cand = principal_ideal_of(g)
-        if cand.key() > best.key():
-            best = cand
-    return best
+    return max(map(principal_ideal_of, generators), key=IdealDescriptor.key)
 
 
 def decompose(d: IdealDescriptor) -> tuple[IdealDescriptor, IsoType | None]:

@@ -12,11 +12,12 @@ solvable iff the materialized greatest subsolution attains A.
 
 Each matrix, vector and residual matrix stores one positive ``int``
 denominator ``den``, the lcm of the reduced denominators of its finite
-entries, and ``int`` numerators over it (None for ``-inf``).  That form is
-canonical, so equality and hashing compare it structurally.  Max and +
-commute with scaling by a positive integer, so the kernels rescale two
-operands to the lcm of their denominators, compute on ints and bring the
-result to lowest terms; only the public accessors build ``Fraction`` values.
+entries, and ``int`` numerators over it (None for ``-inf``), in the store
+the three share, ``_Store``.  That form is canonical, so ``_Store``'s one
+equality and hash compare it structurally.  Max and + commute with scaling
+by a positive integer, so the kernels rescale two operands to the lcm of
+their denominators, compute on ints and bring the result to lowest terms;
+only the public accessors build ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -101,25 +102,46 @@ def _common(xs, dx: int, ys, dy: int) -> tuple[tuple, tuple, int]:
     return _rescaled(xs, den // dx), _rescaled(ys, den // dy), den
 
 
-class TropVector:
+class _Store:
+    """The store of a vector, matrix or residual matrix: its numerators
+    ``_rows`` (a vector's one row, a matrix's tuple of rows) over the
+    positive int ``_den``, in canonical form, so two values of one type are
+    equal exactly when their stores are."""
+
+    __slots__ = ("_rows", "_den")
+
+    @property
+    def n(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._den == other._den and self._rows == other._rows
+
+    def __hash__(self):
+        return hash((self._rows, self._den))
+
+
+class TropVector(_Store):
     """An n-tuple of tropical scalars.  Entries are stored as int numerators
     (None for ``-inf``) over one denominator, in the canonical form the
     module docstring describes; indexing and iteration build fresh, equal
     scalars."""
 
-    __slots__ = ("_entries", "_den")
+    __slots__ = ()
 
     def __init__(self, entries):
         entries = tuple(_scalar_key(e)[1] for e in entries)
         if not entries:
             raise ValueError("vectors must have positive dimension")
-        (self._entries,), self._den = _stored((entries,))
+        (self._rows,), self._den = _stored((entries,))
 
     @classmethod
     def _over(cls, entries: tuple, den: int) -> "TropVector":
         """The vector of numerators over den, brought to lowest terms."""
         v = object.__new__(cls)
-        (v._entries,), v._den = _lowest((entries,), den)
+        (v._rows,), v._den = _lowest((entries,), den)
         return v
 
     @classmethod
@@ -127,38 +149,26 @@ class TropVector:
         return cls(["-inf"] * n)
 
     @property
-    def n(self) -> int:
-        return len(self._entries)
-
-    @property
     def entries(self) -> tuple[TropScalar, ...]:
         return tuple(self)
 
     @property
     def is_zero(self) -> bool:
-        return all(f is None for f in self._entries)
+        return all(f is None for f in self._rows)
 
     def scaled(self, lam) -> "TropVector":
         lam = TropScalar(lam)
         return TropVector([lam * e for e in self])
 
     def __getitem__(self, i: int) -> TropScalar:
-        return _scalar(_frac(self._entries[i], self._den))
+        return _scalar(_frac(self._rows[i], self._den))
 
     def __iter__(self):
         den = self._den
-        return (_scalar(_frac(x, den)) for x in self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, TropVector):
-            return NotImplemented
-        return self._den == other._den and self._entries == other._entries
-
-    def __hash__(self):
-        return hash((self._entries, self._den))
+        return (_scalar(_frac(x, den)) for x in self._rows)
 
     def _tokens(self) -> list[str]:
-        return [_token(x, self._den) for x in self._entries]
+        return [_token(x, self._den) for x in self._rows]
 
     def __str__(self):
         return "(" + ", ".join(self._tokens()) + ")"
@@ -167,7 +177,7 @@ class TropVector:
         return f"TropVector({self._tokens()!r})"
 
 
-class TropMatrix:
+class TropMatrix(_Store):
     """An n-by-n matrix of tropical scalars.
 
     ``A @ B`` is the max-plus product, ``A + B`` the entrywise max, and
@@ -179,7 +189,7 @@ class TropMatrix:
 
     # _pc and _pr hold the projective column and row spaces once geometry
     # has computed them; an immutable matrix never needs them cleared.
-    __slots__ = ("_rows", "_den", "_pc", "_pr")
+    __slots__ = ("_pc", "_pr")
 
     def __init__(self, rows):
         self._rows, self._den = _stored(_square([[_scalar_key(e)[1] for e in row] for row in rows]))
@@ -204,19 +214,12 @@ class TropMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
-        if n < 1:
-            raise ValueError("matrix must be square and nonempty")
-        return cls._over(tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n)), 1)
+        rows = tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n))
+        return cls._over(_square(rows), 1)
 
     @classmethod
     def zero(cls, n: int) -> "TropMatrix":
-        if n < 1:
-            raise ValueError("matrix must be square and nonempty")
-        return cls._over(tuple((None,) * n for _ in range(n)), 1)
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
+        return cls._over(_square(tuple((None,) * n for _ in range(n))), 1)
 
     @property
     def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
@@ -240,7 +243,7 @@ class TropMatrix:
     def __matmul__(self, other):
         if isinstance(other, TropVector):
             _same_size(self, other)
-            rows, (v,), den = _common(self._rows, self._den, (other._entries,), other._den)
+            rows, (v,), den = _common(self._rows, self._den, (other._rows,), other._den)
             return TropVector._over(tuple(_dot(row, v) for row in rows), den)
         if isinstance(other, TropMatrix):
             _same_size(self, other)
@@ -274,14 +277,6 @@ class TropMatrix:
     def to_tokens(self) -> list[list[str]]:
         den = self._den
         return [[_token(x, den) for x in row] for row in self._rows]
-
-    def __eq__(self, other):
-        if not isinstance(other, TropMatrix):
-            return NotImplemented
-        return self._den == other._den and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self._rows, self._den))
 
     def __str__(self):
         return json.dumps(self.to_tokens())
@@ -372,7 +367,7 @@ def residual_scalar(target, divisor) -> ProjPoint:
     return _point(_residual(ProjPoint(target)._k, _scalar_key(divisor)[1]))
 
 
-class ResidualMatrix:
+class ResidualMatrix(_Store):
     """Greatest-subsolution matrix over the completed carrier.
 
     Entries are projective-line values; ``+inf`` marks coordinates the
@@ -385,7 +380,7 @@ class ResidualMatrix:
     equal points.
     """
 
-    __slots__ = ("_rows", "_den")
+    __slots__ = ()
 
     def __init__(self, rows):
         keys = _square([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
@@ -411,10 +406,6 @@ class ResidualMatrix:
         return m
 
     @property
-    def n(self) -> int:
-        return len(self._rows)
-
-    @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
         den = self._den
         return tuple(tuple(_point((k, _frac(x, den))) for k, x in row) for row in self._rows)
@@ -438,14 +429,6 @@ class ResidualMatrix:
         return all(
             ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidualMatrix):
-            return NotImplemented
-        return self._den == other._den and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self._rows, self._den))
 
     def __repr__(self):
         return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"

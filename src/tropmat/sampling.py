@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
-from .matrix import TropMatrix, TropVector
+from .matrix import TropMatrix, TropVector, _square
 from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _scalar
 
 RNG_ALGORITHM = "mt19937"
@@ -55,9 +55,7 @@ def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
 
 
 def sample_matrix(rng: random.Random, profile: str, n: int = 2) -> TropMatrix:
-    if n < 1:
-        raise ValueError("matrix must be square and nonempty")
-    return TropMatrix._of([[_draw(rng, profile) for _ in range(n)] for _ in range(n)])
+    return TropMatrix._of(_square([[_draw(rng, profile) for _ in range(n)] for _ in range(n)]))
 
 
 def sample_vector(rng: random.Random, profile: str, n: int = 2) -> TropVector:

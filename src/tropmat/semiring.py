@@ -85,14 +85,20 @@ class _Key:
 
     Each value stores its order key ``_k = (kind, value)`` (see the module
     docstring), and every comparison, equality and hash is one of keys.  A
-    plain int or Fraction operand is coerced to the class first; values of
+    plain int or Fraction operand is coerced to the class first (one it
+    refuses equals no value); a string operand is refused.  Values of
     different classes are never equal.
     """
 
     __slots__ = ("_k",)
 
     def _coerce(self, other):
-        return other if isinstance(other, type(self)) else type(self)(other)
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, str):
+            name = type(self).__name__
+            raise TypeError(f"cannot compare or combine {name} with the string {_quote(other)}")
+        return type(self)(other)
 
     @property
     def frac(self) -> Fraction | None:
@@ -103,7 +109,10 @@ class _Key:
         if isinstance(other, type(self)):
             return self._k == other._k
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._k == type(self)(other)._k
+            try:
+                return self._k == type(self)(other)._k
+            except ValueError:  # a value the class refuses equals none of its own
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -143,10 +152,6 @@ class TropScalar(_Key):
 
     def __init__(self, value):
         self._k = _scalar_key(value)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self._k[0] == -1
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -8,7 +8,9 @@ row-space pair (M, N) contains an idempotent iff M and N are mutually
 negated singletons-or-intervals in the precise sense of
 ``idempotent_in_H``; those H-classes are the maximal subgroups, and their
 abstract type depends only on the shape of M: trivial, the reals, the reals
-times the order-2 group, or the reals wreath the order-2 group.
+times the order-2 group, or the reals wreath the order-2 group.  The
+idempotent of such a class is the matrix ``green.witness_Z`` builds for
+(M, N); this module decides only which classes have one.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .geometry import (
-    ConvexSet,
-    _require_2x2,
-    iso_type,
-    proj_column_space,
-    proj_row_space,
-)
-from .green import _singleton_witness
+from .geometry import ConvexSet, _require_2x2, iso_type
+from .green import _witness_Z
 from .matrix import TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import _ZERO, TropScalar, _quote
+from .semiring import TropScalar, _quote
 
 
 @dataclass(frozen=True)
@@ -116,22 +112,18 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
 
     An idempotent exists exactly when (i) m = {x} and n = {y} are singletons
     with {x, y} not the mixed pair {-inf, +inf}, or (ii) m is the pointwise
-    negation of n and n is not a singleton.
+    negation of n and n is not a singleton.  The idempotent is then the
+    matrix ``witness_Z(m, n)`` builds, checked to be idempotent.
     """
     if m.is_point and n.is_point:
         x, y = m.lo, n.lo
         if (x.is_neg_inf and y.is_pos_inf) or (x.is_pos_inf and y.is_neg_inf):
             return None
-        e = _singleton_witness(x, y)
-    elif m == n.negated() and not n.is_point:
-        if m.is_empty:
-            e = TropMatrix.zero(2)
-        else:
-            # m = [x, y] with x < y, so y > -inf and x < +inf
-            e = TropMatrix._of(((_ZERO, (-m.hi).frac), (m.lo.frac, _ZERO)))
-    else:
+    elif m != n.negated() or n.is_point:
         return None
-    if not (is_idempotent(e) and proj_column_space(e) == m and proj_row_space(e) == n):
+    # both clauses imply that m and n are isometric
+    e = _witness_Z(m, n)
+    if not is_idempotent(e):
         raise VerificationError(f"idempotent construction defect for ({m}, {n})")
     return e
 

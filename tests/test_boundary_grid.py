@@ -10,7 +10,7 @@ from the public scalar operators; the stored spaces to freshly computed ones,
 and ``solves_right`` to the residual it materializes.  The ``classify``
 diameter is held to the endpoint distance, its R-class name to the relation
 R, principal-ideal membership to the J-preorder, and the grid part of each
-maximal subgroup to its group type.
+maximal subgroup to its group type and to its family's ``subgroup_element``.
 """
 
 import json
@@ -144,6 +144,43 @@ def test_maximal_subgroups_on_the_256_matrix_grid():
             assert involutions >= 1, e
     assert members == 92
     assert types == {"trivial": 1, "reals": 27, "reals-x-s2": 3, "reals-wr-s2": 1}
+
+
+def family_of(m, n):
+    """The subgroup family that parametrizes the H-class at (m, n), with its
+    endpoint arguments, or None when no family does: W on ({-inf}, {-inf}),
+    X and Y on ([x, y], [-y, -x]), Z on ([x, +inf], [-inf, -x])."""
+    if m.is_point and m.lo.is_neg_inf and n == m:
+        return "W", ()
+    if m.is_empty or m.is_point or n != m.negated():
+        return None
+    x, y = m.lo, m.hi
+    if x.is_finite and y.is_finite:
+        return "XY", (x.frac, y.frac)
+    if x.is_finite and y.is_pos_inf:
+        return "Z", (x.frac,)
+    return None
+
+
+def test_subgroup_families_rebuild_the_256_grid_members():
+    """Each grid member h of an H-class a subgroup family parametrizes is
+    that family's element at ``a = h[0, 0]``."""
+    matrices = grid(["-inf", -1, 0, 1])
+    counts = Counter()
+    for e in filter(is_idempotent, matrices):
+        family = family_of(*spaces(e))
+        for h in [h for h in matrices if spaces(h) == spaces(e)]:
+            if family is None:
+                counts["none"] += 1
+                continue
+            name, args = family
+            a = h[0, 0]
+            if name == "XY":
+                assert h in (subgroup_element("X", a, *args), subgroup_element("Y", a, *args)), h
+            else:
+                assert h == subgroup_element(name, a, *args), h
+            counts[name] += 1
+    assert counts == {"W": 3, "XY": 12, "Z": 7, "none": 70}
 
 
 def test_classify_diameter_on_the_256_matrix_grid(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -187,3 +188,33 @@ def test_a_scalar_never_equals_a_point():
     for s, p in product(SCALAR_GRID, POINT_GRID):
         assert TropScalar(s) != ProjPoint(p) and ProjPoint(p) != TropScalar(s), (s, p)
         assert not TropScalar(s) == ProjPoint(p)
+
+
+# the binary operators each class defines, beside the four order comparisons
+OPERATORS = {
+    TropScalar: (operator.add, operator.mul),
+    ProjPoint: (),
+    ExtDistance: (operator.add,),
+}
+
+
+@pytest.mark.parametrize("cls", [TropScalar, ProjPoint, ExtDistance])
+def test_string_operands_are_refused(cls):
+    one = cls(1)
+    assert one != "1" and not one == "1" and "1" != one
+    ops = (operator.lt, operator.le, operator.gt, operator.ge) + OPERATORS[cls]
+    for op in ops:
+        for args in ((one, "2"), ("2", one)):
+            with pytest.raises(TypeError, match=f"{cls.__name__} with the string '2'"):
+                op(*args)
+    with pytest.raises(TypeError, match="with the string 'xxxx.*… \\(5000 characters\\)"):
+        one < "x" * 5000
+    # floats keep the message that names the exact alternatives
+    with pytest.raises(TypeError, match="refusing float 1.5"):
+        one < 1.5
+
+
+def test_a_plain_operand_a_class_refuses_equals_none_of_its_values():
+    for d in (ExtDistance(3), ExtDistance(0), INF_DIST):
+        assert d != -1 and not d == -1 and -1 != d
+        assert d != Fraction(-1, 2) and not Fraction(-1, 2) == d

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from tropmat.geometry import (
     proj_column_space,
     proj_row_space,
 )
+from tropmat.green import witness_Z
 from tropmat.matrix import TropMatrix, TropVector, monomial_inverse
 from tropmat.sampling import sample_matrix
 from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
@@ -135,6 +136,23 @@ def test_idempotent_in_H_exhaustive_endpoint_grid():
                 assert e @ v == v
             found_kinds.add(idempotent_form(e).kind)
     assert found_kinds == {"zero", "diagonal", "upper", "lower"}
+
+
+def test_the_H_class_idempotent_is_the_witness_Z_matrix():
+    """On the 46 sets with endpoints in a nine-point grid, each idempotent
+    ``idempotent_in_H`` returns is the matrix ``witness_Z`` builds for the
+    same pair, token for token."""
+    points = [ProjPoint(p) for p in ("-inf", -2, -1, "-1/2", 0, "1/3", 1, 2, "+inf")]
+    sets = [ConvexSet.empty()] + [ConvexSet.point(p) for p in points]
+    sets += [ConvexSet.interval(p, q) for p, q in combinations(points, 2)]
+    assert len(sets) == 46
+    found = 0
+    for m, n in product(sets, repeat=2):
+        e = idempotent_in_H(m, n)
+        if e is not None:
+            assert e.to_tokens() == witness_Z(m, n).to_tokens(), (m, n)
+            found += 1
+    assert found == 101
 
 
 def test_non_isometric_H_class_has_no_idempotent():

@@ -205,6 +205,8 @@ def _cmd_subgroup(ns) -> tuple[dict, int]:
         if ns.a is None:
             raise ValueError("--family needs --a")
         element = subgroup_element(ns.family, ns.a, ns.x, ns.y)
+        if proj_column_space(element) != m or proj_row_space(element) != n:
+            raise ValueError(f"the family {ns.family} element is outside the H-class at ({m}, {n})")
         out["family"] = ns.family
         out["element"] = element.to_tokens()
     return out, 0

@@ -7,7 +7,8 @@ Isometry between two such sets is decided combinatorially through a
 five-way isometry type (empty, point, finite interval of a given diameter,
 half-infinite interval, full line), and isometric *embedding* totally
 orders the types.  Orientation-reversing isometries are allowed, so the two
-half-infinite orientations form a single type.
+half-infinite orientations form a single type.  A set stores int keys for
+its endpoints and isometry type, so the set decisions compare ints.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, _frac, _same_size, solves_right
+from .matrix import TropMatrix, TropVector, _frac, _lowest, _same_size, _stored, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
+    _NEG_KEY,
+    _POS_KEY,
     _ZERO,
     ProjPoint,
     _as_fraction,
@@ -36,46 +39,52 @@ class ConvexSet:
     endpoints in order, or None for both; ``empty()``, ``point()`` and
     ``interval()`` also build sets, the latter sorting its endpoints and
     collapsing equal ones to a point.
+
+    Stored as order keys ``(kind, numerator)`` over one positive int
+    denominator in lowest terms; ``lo`` and ``hi`` build fresh ``ProjPoint``s.
     """
 
-    # _iso holds the isometry type once iso_type has computed it.
-    __slots__ = ("_lo", "_hi", "_iso")
+    # _ikey and _iso hold the isometry key and type once computed.
+    __slots__ = ("_lo", "_hi", "_den", "_ikey", "_iso")
 
     def __init__(self, lo, hi):
+        self._lo = self._hi = self._ikey = self._iso = None
+        self._den = 1
         if lo is not None or hi is not None:
             if lo is None or hi is None:
                 raise ValueError("a convex set has both endpoints or neither")
             lo, hi = ProjPoint(lo), ProjPoint(hi)
             if hi < lo:
                 raise ValueError(f"convex set endpoints out of order: {lo} > {hi}")
-        self._lo, self._hi, self._iso = lo, hi, None
+            ((x, y),), self._den = _stored(((lo.frac, hi.frac),))
+            self._lo, self._hi = (lo._k[0], x), (hi._k[0], y)
 
     @classmethod
-    def _of(cls, lo: ProjPoint | None, hi: ProjPoint | None) -> "ConvexSet":
-        """The set of points lo <= hi (or None for both), unchecked."""
+    def _of(cls, lo: tuple | None, hi: tuple | None, den: int) -> "ConvexSet":
+        """The set of the keys lo <= hi over den in lowest terms, unchecked."""
         s = object.__new__(cls)
-        s._lo, s._hi, s._iso = lo, hi, None
+        s._lo, s._hi, s._den = lo, hi, den
+        s._ikey = s._iso = None
         return s
 
     @classmethod
     def empty(cls) -> "ConvexSet":
-        return cls._of(None, None)
+        return cls._of(None, None, 1)
 
     @classmethod
     def point(cls, p) -> "ConvexSet":
-        p = ProjPoint(p)
-        return cls._of(p, p)
+        return cls.interval(p, p)
 
     @classmethod
     def interval(cls, a, b) -> "ConvexSet":
         a, b = ProjPoint(a), ProjPoint(b)
         if b < a:
             a, b = b, a
-        return cls._of(a, b)
+        return cls(a, b)
 
     @classmethod
     def full_line(cls) -> "ConvexSet":
-        return cls._of(NEG_INF, POS_INF)
+        return cls._of(_NEG_KEY, _POS_KEY, 1)
 
     @property
     def is_empty(self) -> bool:
@@ -93,40 +102,40 @@ class ConvexSet:
     def lo(self) -> ProjPoint:
         if self._lo is None:
             raise ValueError("the empty set has no endpoints")
-        return self._lo
+        return _proj(self._lo, self._den)
 
     @property
     def hi(self) -> ProjPoint:
         if self._hi is None:
             raise ValueError("the empty set has no endpoints")
-        return self._hi
+        return _proj(self._hi, self._den)
 
     def contains(self, p) -> bool:
         if self._lo is None:
             return False
-        p = ProjPoint(p)
-        return self._lo <= p <= self._hi
+        return self.lo <= ProjPoint(p) <= self.hi
 
     def negated(self) -> "ConvexSet":
         """The pointwise negation; swaps and negates the endpoints."""
         if self._lo is None:
             return self
-        return ConvexSet._of(-self._hi, -self._lo)
+        lo, hi = [(-kind, None if x is None else -x) for kind, x in (self._hi, self._lo)]
+        return ConvexSet._of(lo, hi, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexSet):
             return NotImplemented
-        return self._lo == other._lo and self._hi == other._hi
+        return self._lo == other._lo and self._hi == other._hi and self._den == other._den
 
     def __hash__(self):
-        return hash((self._lo, self._hi))
+        return hash((self._lo, self._hi, self._den))
 
     def __str__(self):
         if self.is_empty:
             return "empty"
         if self.is_point:
-            return "{" + str(self._lo) + "}"
-        return f"[{self._lo},{self._hi}]"
+            return "{" + str(self.lo) + "}"
+        return f"[{self.lo},{self.hi}]"
 
     def __repr__(self):
         return f"ConvexSet.parse({str(self)!r})"
@@ -154,6 +163,7 @@ class ConvexSet:
 
 
 _ISO_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 3, "fullline": 4}
+_ISO_KINDS = tuple(_ISO_RANK)  # the kinds by rank
 
 
 @dataclass(frozen=True)
@@ -202,9 +212,14 @@ def _require_2x2(a: TropMatrix):
 
 
 def _proj(key: tuple, den: int) -> ProjPoint:
-    """The point of an image's order key, its value a numerator over den."""
+    """The point of an order key, its value a numerator over den."""
     kind, x = key
     return _point((kind, _frac(x, den)))
+
+
+def _key_le(x: tuple, dx: int, y: tuple, dy: int) -> bool:
+    """Whether the key x over dx is at most the key y over dy."""
+    return x <= y if x[0] or y[0] else x[1] * dy <= y[1] * dx
 
 
 def proj_point_of(v: TropVector) -> ProjPoint:
@@ -220,8 +235,8 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     a numerator over den or None for ``-inf``.
 
     Empty when both vectors are zero; a point when one is (the image of the
-    other); otherwise the closed interval spanned by the two images, which
-    are ordered on numerators before their points are built.
+    other); otherwise the closed interval spanned by the two images, whose
+    keys are stored in lowest terms.
     """
     if x1 is None and x2 is None:
         x1, x2, y1, y2 = y1, y2, x1, x2
@@ -231,8 +246,10 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     q = p if y1 is None and y2 is None else _image(y1, y2)
     if q < p:
         p, q = q, p
-    lo = _proj(p, den)
-    return ConvexSet._of(lo, lo if q == p else _proj(q, den))
+    if den != 1:
+        ((x, y),), den = _lowest(((p[1], q[1]),), den)
+        p, q = (p[0], x), (q[0], y)
+    return ConvexSet._of(p, q, den)
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
@@ -258,28 +275,36 @@ def proj_row_space(a: TropMatrix) -> ConvexSet:
     return pr
 
 
+def _iso_key(s: ConvexSet) -> tuple[int, int, int]:
+    """The isometry key of s, computed once per set: its kind's rank, then its
+    diameter's numerator and denominator in lowest terms (0 and 1 if none)."""
+    k = s._ikey
+    if k is None:
+        lo, hi = s._lo, s._hi
+        if lo is None or lo == hi:
+            k = (0 if lo is None else 1, 0, 1)
+        elif lo[0] or hi[0]:
+            k = (4 if lo[0] < 0 < hi[0] else 3, 0, 1)
+        else:
+            ((d,),), den = _lowest(((hi[1] - lo[1],),), s._den)
+            k = (2, d, den)
+        s._ikey = k
+    return k
+
+
 def iso_type(s: ConvexSet) -> IsoType:
     """The isometry type of s, computed once per set."""
     t = s._iso
     if t is None:
-        if s.is_empty:
-            t = IsoType("empty")
-        elif s.is_point:
-            t = IsoType("point")
-        elif s.lo.is_neg_inf and s.hi.is_pos_inf:
-            t = IsoType("fullline")
-        elif s.lo.is_neg_inf or s.hi.is_pos_inf:
-            t = IsoType("halfinf")
-        else:
-            t = IsoType("interval", s.hi.frac - s.lo.frac)
-        s._iso = t
+        rank, d, den = _iso_key(s)
+        t = s._iso = IsoType(_ISO_KINDS[rank], Fraction(d, den) if rank == 2 else None)
     return t
 
 
 def isometric(s: ConvexSet, t: ConvexSet) -> bool:
     """Whether a distance-preserving bijection exists (orientation may flip):
     equivalent to having equal isometry types."""
-    return iso_type(s) == iso_type(t)
+    return _iso_key(s) == _iso_key(t)
 
 
 def embeds_isometrically(s: ConvexSet, t: ConvexSet) -> bool:
@@ -289,16 +314,19 @@ def embeds_isometrically(s: ConvexSet, t: ConvexSet) -> bool:
     finite intervals by diameter, then half-infinite intervals, then the full
     line.
     """
-    return iso_type(s).key() <= iso_type(t).key()
+    (r, d, e), (rt, dt, et) = _iso_key(s), _iso_key(t)
+    return r < rt or (r == rt and d * et <= dt * e)
 
 
 def subset(s: ConvexSet, t: ConvexSet) -> bool:
     """Literal containment of closed convex sets."""
-    if s.is_empty:
+    if s._lo is None:
         return True
-    if t.is_empty:
+    if t._lo is None:
         return False
-    return t.lo <= s.lo and s.hi <= t.hi
+    if s._den == t._den:
+        return t._lo <= s._lo and s._hi <= t._hi
+    return _key_le(t._lo, t._den, s._lo, s._den) and _key_le(s._hi, s._den, t._hi, t._den)
 
 
 def in_column_space(v: TropVector, a: TropMatrix) -> bool:
@@ -316,31 +344,25 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
     """A concrete isometric copy of s inside t.
 
-    Exists exactly when s embeds isometrically in t; raises otherwise.
+    Exists exactly when s embeds isometrically in t; raises otherwise.  An
+    isometric t is its own copy; a bounded s is anchored at a finite
+    endpoint of t, or at 0 when t is the full line.
     """
     if not embeds_isometrically(s, t):
         raise ValueError(f"{s} does not embed isometrically in {t}")
+    if isometric(s, t):
+        return t
     if s.is_empty:
-        return ConvexSet.empty()
-    if s.is_point:
-        if t.is_point or t.lo.is_finite:
-            return ConvexSet.point(t.lo)
-        if t.hi.is_finite:
-            return ConvexSet.point(t.hi)
-        return ConvexSet.point(ProjPoint(0))
+        return s
     st = iso_type(s)
-    if st.kind == "interval":
-        d = st.diameter
-        if t.lo.is_finite:
-            return ConvexSet.interval(t.lo, ProjPoint(t.lo.frac + d))
-        if t.hi.is_finite:
-            return ConvexSet.interval(ProjPoint(t.hi.frac - d), t.hi)
-        return ConvexSet.interval(ProjPoint(0), ProjPoint(d))
-    if st.kind == "halfinf":
-        if iso_type(t).kind == "halfinf":
-            return t
+    if st.kind == "halfinf":  # t is the full line
         return ConvexSet.interval(ProjPoint(0), POS_INF)
-    return t  # full line only embeds in the full line
+    d = st.diameter or _ZERO  # 0 for a point
+    if t.lo.is_finite:
+        return ConvexSet.interval(t.lo, ProjPoint(t.lo.frac + d))
+    if t.hi.is_finite:
+        return ConvexSet.interval(ProjPoint(t.hi.frac - d), t.hi)
+    return ConvexSet.interval(ProjPoint(0), ProjPoint(d))
 
 
 def canonical_set(t: IsoType) -> ConvexSet:

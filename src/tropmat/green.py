@@ -49,6 +49,10 @@ class GreenRelation(enum.Enum):
         raise ValueError(f"unknown relation {_quote(token)}: expected one of {valid}")
 
 
+# ``related`` compares with these: a lookup on the enum class is slow on 3.11
+_R, _L, _H, _D, _J, _LEQ_R, _LEQ_L, _LEQ_J = GreenRelation
+
+
 def leq_R(a: TropMatrix, b: TropMatrix) -> bool:
     """Right divisibility a = b x, decided as containment of projective
     column spaces."""
@@ -69,19 +73,19 @@ def leq_J(a: TropMatrix, b: TropMatrix) -> bool:
 
 def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
     """Decide any of the Green's relations or preorders for a 2x2 pair."""
-    if rel is GreenRelation.R:
+    if rel is _R:
         return proj_column_space(a) == proj_column_space(b)
-    if rel is GreenRelation.L:
+    if rel is _L:
         return proj_row_space(a) == proj_row_space(b)
-    if rel is GreenRelation.H:
+    if rel is _H:
         return proj_column_space(a) == proj_column_space(b) and proj_row_space(
             a
         ) == proj_row_space(b)
-    if rel in (GreenRelation.D, GreenRelation.J):
+    if rel is _D or rel is _J:
         return isometric(proj_column_space(a), proj_column_space(b))
-    if rel is GreenRelation.LEQ_R:
+    if rel is _LEQ_R:
         return leq_R(a, b)
-    if rel is GreenRelation.LEQ_L:
+    if rel is _LEQ_L:
         return leq_L(a, b)
     return leq_J(a, b)
 

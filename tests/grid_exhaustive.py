@@ -6,6 +6,15 @@ the one-sided preorders to ``solves_right``, the J-preorder to a verified
 ``j_factorization``, and D = J to a connecting matrix whose R- and
 L-relations are themselves decided by residuation.
 
+They are also held to invariances of semigroup theory that do not depend on
+the geometry, which back the no-answers of J, D and the J-preorder as well.
+The units of the monoid are the monomial matrices; for a unit u with
+inverse v, R and the R-preorder are invariant under (a, b) -> (ua, ub), L
+and the L-preorder under (au, bu), H under conjugation (uav, ubv), and J, D
+and the J-preorder under (uav, bu).  Transposition swaps R and L, and the R-
+and L-preorders.  Units preserve isometry type, so a defect that is itself
+unit-invariant passes these checks.
+
 It takes about 8 s (Python 3.11, a shared 2-CPU host), so tier-1 does not
 collect it: the file name is outside pytest's ``test_*.py`` pattern.  Run it
 with ``PYTHONPATH=src python -m pytest -q tests/grid_exhaustive.py``.
@@ -24,11 +33,28 @@ from tropmat.green import (
     leq_R,
     related,
 )
-from tropmat.matrix import TropMatrix, solves_right
+from tropmat.matrix import TropMatrix, monomial_inverse, solves_right
 
 MATRICES = [
     TropMatrix([[a, b], [c, d]]) for a, b, c, d in product(["-inf", -1, 0, 1], repeat=4)
 ]
+UNITS = [
+    TropMatrix([[0, "-inf"], ["-inf", 1]]),
+    TropMatrix([["-inf", 0], [2, "-inf"]]),
+]
+G = GreenRelation
+# For each relation, the copies of a and of b it must agree on, as indices
+# into a matrix's moved copies (ua, au, uav).
+MOVED = {
+    G.R: (0, 0),
+    G.LEQ_R: (0, 0),
+    G.L: (1, 1),
+    G.LEQ_L: (1, 1),
+    G.H: (2, 2),
+    G.D: (2, 1),
+    G.J: (2, 1),
+    G.LEQ_J: (2, 1),
+}
 
 
 def solves_left(b, a):
@@ -72,3 +98,31 @@ def test_d_equals_j_on_every_pair():
             with pytest.raises(ValueError):
                 d_class_witness(a, b)
     assert related_pairs > 0
+
+
+def unit_mismatches(u):
+    """How many pairs of the grid each relation tells apart from their copies
+    moved by the unit u as ``MOVED`` says, and the first such pair of each."""
+    v = monomial_inverse(u)
+    moved = [(u @ a, a @ u, u @ a @ v) for a in MATRICES]
+    mismatches, first = dict.fromkeys(MOVED, 0), {}
+    for (a, ma), (b, mb) in product(zip(MATRICES, moved), repeat=2):
+        for rel, (i, j) in MOVED.items():
+            if related(rel, ma[i], mb[j]) != related(rel, a, b):
+                mismatches[rel] += 1
+                first.setdefault(rel, (a, b))
+    return mismatches, first
+
+
+@pytest.mark.parametrize("u", UNITS, ids=str)
+def test_green_relations_are_invariant_under_a_unit_on_every_pair(u):
+    mismatches, first = unit_mismatches(u)
+    assert not any(mismatches.values()), (mismatches, first)
+
+
+def test_transposition_swaps_the_one_sided_relations_on_every_pair():
+    swapped = [(G.R, G.L), (G.L, G.R), (G.LEQ_R, G.LEQ_L), (G.LEQ_L, G.LEQ_R)]
+    transposes = [a.transpose() for a in MATRICES]
+    for (a, at), (b, bt) in product(zip(MATRICES, transposes), repeat=2):
+        for rel, dual in swapped:
+            assert related(rel, at, bt) == related(dual, a, b), (rel, a, b)

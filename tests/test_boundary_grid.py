@@ -11,6 +11,9 @@ and ``solves_right`` to the residual it materializes.  The ``classify``
 diameter is held to the endpoint distance, its R-class name to the relation
 R, principal-ideal membership to the J-preorder, and the grid part of each
 maximal subgroup to its group type and to its family's ``subgroup_element``.
+The set decisions are held to a reference on ``Fraction`` endpoints, and the
+Green relations on the 65,536-pair grid to their invariance under one unit
+(``tests/grid_exhaustive.py`` holds that check and runs it for two).
 """
 
 import json
@@ -18,16 +21,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
 from tropmat import cli
 from tropmat.geometry import (
     ConvexSet,
+    embeds_isometrically,
     iso_type,
+    isometric,
     proj_column_space,
     proj_point_of,
     proj_row_space,
+    subset,
 )
 from tropmat.green import (
     GreenRelation,
@@ -60,6 +67,9 @@ from tropmat.structure import (
     regular_witness,
     subgroup_element,
 )
+
+# tests/ is on sys.path under pytest's default import mode
+from grid_exhaustive import UNITS, unit_mismatches
 
 
 def grid(values):
@@ -233,6 +243,11 @@ def test_principal_ideal_membership_is_the_J_preorder_on_the_256_matrix_grid():
             assert ideal_contains(d, a) == leq_J(a, b), (a, b)
 
 
+def test_green_relations_are_invariant_under_one_unit_on_the_65536_pair_grid():
+    mismatches, first = unit_mismatches(UNITS[0])
+    assert not any(mismatches.values()), (mismatches, first)
+
+
 # Reference versions of the product, the residual and the space maps, built
 # from the public scalar operators one entry at a time.
 
@@ -384,6 +399,57 @@ def test_spaces_and_iso_types_are_computed_once_per_object():
         for _ in range(2):
             with pytest.raises(ValueError, match="specific to 2x2"):
                 space_map(a3)
+
+
+# A reference for the set decisions, built from the public endpoint points
+# and the Fraction values of their diameters.
+
+
+def ref_endpoints(s):
+    return None if s.is_empty else (s.lo, s.hi)
+
+
+def ref_subset(s, t):
+    return s.is_empty or (not t.is_empty and t.lo <= s.lo and s.hi <= t.hi)
+
+
+def ref_iso(s):
+    """The rank of s's isometry type in the embedding order, and its diameter."""
+    if s.is_empty or s.is_point:
+        return (0 if s.is_empty else 1), 0
+    lo, hi = s.lo, s.hi
+    if lo.is_finite and hi.is_finite:
+        return 2, hi.frac - lo.frac
+    return (4 if lo.is_neg_inf and hi.is_pos_inf else 3), 0
+
+
+def ref_den(s):
+    return lcm(*[p.frac.denominator for p in ref_endpoints(s) or () if p.is_finite])
+
+
+def test_set_decisions_across_denominators_match_a_fraction_reference():
+    found = []
+    for values in (["-inf", -1, 0, 1], ["-inf", "-1/2", 0, "1/3"]):
+        for space in (proj_column_space, proj_row_space):
+            found.append({str(space(a)): space(a) for a in grid(values)})
+    # a set found twice is two equal objects, from different matrices
+    sets = [s for distinct in found for s in distinct.values()]
+    cross_den = equal_objects = 0
+    for s, t in product(sets, repeat=2):
+        equal = ref_endpoints(s) == ref_endpoints(t)
+        assert (s == t) == equal, (s, t)
+        if equal:
+            assert hash(s) == hash(t), (s, t)
+            equal_objects += s is not t
+        assert subset(s, t) == ref_subset(s, t), (s, t)
+        assert isometric(s, t) == (ref_iso(s) == ref_iso(t)), (s, t)
+        assert embeds_isometrically(s, t) == (ref_iso(s) <= ref_iso(t)), (s, t)
+        cross_den += ref_den(s) != ref_den(t)
+    for s in sets:
+        assert ConvexSet.parse(str(s)) == s, s
+        if not s.is_empty:
+            assert ConvexSet(s.lo, s.hi) == s, s
+    assert (len(sets), cross_den, equal_objects) == (150, 14_904, 206)
 
 
 def oracle(b, a):

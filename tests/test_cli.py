@@ -127,6 +127,20 @@ def test_subgroup(capsys):
     assert code == 1 and "error" in out
 
 
+@pytest.mark.parametrize(
+    "m, n, params",
+    [
+        ("[0,1]", "[-1,0]", ("--family", "W", "--a", "1")),
+        ("[0,1]", "[-1,0]", ("--family", "X", "--a", "1", "--x", "0", "--y", "5")),
+    ],
+    ids=["W-on-an-interval-class", "X-with-another-interval"],
+)
+def test_subgroup_family_element_outside_the_class_is_an_error(capsys, m, n, params):
+    code, out = run(capsys, "subgroup", "--M", m, "--N", n, *params)
+    assert code == 1 and list(out) == ["error"]
+    assert f"family {params[1]}" in out["error"] and f"({m}, {n})" in out["error"]
+
+
 def test_ideal_subcommands(capsys):
     code, out = run(capsys, "ideal", "principal", '[["0","0"],["1","2"]]')
     assert code == 0 and out == {"descriptor": "closed:interval:1"}

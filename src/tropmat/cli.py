@@ -34,7 +34,7 @@ from .ideals import (
     principal_ideal_of,
 )
 from .matrix import left_residual, parse_matrix, right_residual
-from .semiring import _as_fraction, _quote
+from .semiring import _as_fraction, _cut, _quote
 from .structure import (
     group_type_of_H,
     idempotent_form,
@@ -77,9 +77,7 @@ class _Parser(argparse.ArgumentParser):
     problem funnels into one JSON error path."""
 
     def error(self, message):
-        if len(message) > _MESSAGE_CHARS:
-            message = f"{message[:_MESSAGE_CHARS]}… ({len(message)} characters)"
-        raise ValueError(message)
+        raise ValueError(_cut(message, _MESSAGE_CHARS))
 
 
 def _diameter(t: IsoType) -> str:
@@ -206,7 +204,9 @@ def _cmd_subgroup(ns) -> tuple[dict, int]:
             raise ValueError("--family needs --a")
         element = subgroup_element(ns.family, ns.a, ns.x, ns.y)
         if proj_column_space(element) != m or proj_row_space(element) != n:
-            raise ValueError(f"the family {ns.family} element is outside the H-class at ({m}, {n})")
+            raise ValueError(
+                f"the family {ns.family} element is outside the H-class at ({_cut(m)}, {_cut(n)})"
+            )
         out["family"] = ns.family
         out["element"] = element.to_tokens()
     return out, 0

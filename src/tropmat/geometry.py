@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, _frac, _lowest, _same_size, _stored, solves_right
+from .matrix import TropMatrix, TropVector, _frac, _lowest, _stored, solves_right
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -25,6 +25,7 @@ from .semiring import (
     _ZERO,
     ProjPoint,
     _as_fraction,
+    _cut,
     _image,
     _point,
     _quote,
@@ -56,7 +57,7 @@ class ConvexSet:
             lo, hi = ProjPoint(lo), ProjPoint(hi)
             if hi < lo:
                 raise ValueError(f"convex set endpoints out of order: {lo} > {hi}")
-            ((x, y),), self._den = _stored(((lo.frac, hi.frac),))
+            (x, y), self._den = _stored((lo.frac, hi.frac))
             self._lo, self._hi = (lo._k[0], x), (hi._k[0], y)
 
     @classmethod
@@ -206,11 +207,6 @@ class IsoType:
         return IsoType(token)
 
 
-def _require_2x2(a: TropMatrix):
-    if a.n != 2:
-        raise ValueError(f"the classification theory is specific to 2x2 matrices, got {a.n}x{a.n}")
-
-
 def _proj(key: tuple, den: int) -> ProjPoint:
     """The point of an order key, its value a numerator over den."""
     kind, x = key
@@ -225,9 +221,7 @@ def _key_le(x: tuple, dx: int, y: tuple, dy: int) -> bool:
 def proj_point_of(v: TropVector) -> ProjPoint:
     """The projective image of a nonzero 2-vector (x1, x2), namely x2 - x1
     under extended subtraction."""
-    if v.n != 2:
-        raise ValueError("projectivisation here is for 2-vectors")
-    return _proj(_image(*v._rows), v._den)
+    return _proj(_image(*v._e), v._den)
 
 
 def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
@@ -247,7 +241,7 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     if q < p:
         p, q = q, p
     if den != 1:
-        ((x, y),), den = _lowest(((p[1], q[1]),), den)
+        (x, y), den = _lowest((p[1], q[1]), den)
         p, q = (p[0], x), (q[0], y)
     return ConvexSet._of(p, q, den)
 
@@ -258,8 +252,7 @@ def proj_column_space(a: TropMatrix) -> ConvexSet:
     returns the same immutable set."""
     pc = a._pc
     if pc is None:
-        _require_2x2(a)
-        (p, q), (r, s) = a._rows
+        p, q, r, s = a._e
         pc = a._pc = _span(p, r, q, s, a._den)
     return pc
 
@@ -269,8 +262,7 @@ def proj_row_space(a: TropMatrix) -> ConvexSet:
     i.e. the column space of the transpose.  Computed once per matrix."""
     pr = a._pr
     if pr is None:
-        _require_2x2(a)
-        (p, q), (r, s) = a._rows
+        p, q, r, s = a._e
         pr = a._pr = _span(p, q, r, s, a._den)
     return pr
 
@@ -286,7 +278,7 @@ def _iso_key(s: ConvexSet) -> tuple[int, int, int]:
         elif lo[0] or hi[0]:
             k = (4 if lo[0] < 0 < hi[0] else 3, 0, 1)
         else:
-            ((d,),), den = _lowest(((hi[1] - lo[1],),), s._den)
+            (d,), den = _lowest((hi[1] - lo[1],), s._den)
             k = (2, d, den)
         s._ikey = k
     return k
@@ -336,9 +328,8 @@ def in_column_space(v: TropVector, a: TropMatrix) -> bool:
     columns are both v.  The zero vector is always a member (scale every
     column by ``-inf``).
     """
-    _require_2x2(a)
-    _same_size(a, v)
-    return solves_right(a, TropMatrix._over(tuple((x, x) for x in v._rows), v._den))
+    x, y = v._e
+    return solves_right(a, TropMatrix._over((x, x, y, y), v._den))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
@@ -349,7 +340,7 @@ def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
     endpoint of t, or at 0 when t is the full line.
     """
     if not embeds_isometrically(s, t):
-        raise ValueError(f"{s} does not embed isometrically in {t}")
+        raise ValueError(f"{_cut(s)} does not embed isometrically in {_cut(t)}")
     if isometric(s, t):
         return t
     if s.is_empty:

@@ -25,7 +25,7 @@ from .geometry import (
     subset,
 )
 from .matrix import TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import _ZERO, ProjPoint, _mul, _quote
+from .semiring import _ZERO, ProjPoint, _cut, _mul, _quote
 
 
 class GreenRelation(enum.Enum):
@@ -116,7 +116,9 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
     and is deterministic; its output is re-verified before returning.
     """
     if not isometric(m, n):
-        raise ValueError(f"no matrix has column space {m} and row space {n}: not isometric")
+        raise ValueError(
+            f"no matrix has column space {_cut(m)} and row space {_cut(n)}: not isometric"
+        )
     return _witness_Z(m, n)
 
 
@@ -151,7 +153,7 @@ def _witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
                 zv = n.hi.frac
                 z = TropMatrix._of(((_ZERO, None), (y, y + zv)))
     if proj_column_space(z) != m or proj_row_space(z) != n:
-        raise VerificationError(f"witness construction defect for ({m}, {n})")
+        raise VerificationError(f"witness construction defect for ({_cut(m)}, {_cut(n)})")
     return z
 
 

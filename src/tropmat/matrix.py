@@ -1,8 +1,9 @@
-"""Tropical matrix and vector arithmetic, plus the residuation solver.
+"""Tropical 2x2 matrix and 2-vector arithmetic, plus the residuation solver.
 
-Matrices are square grids of exact max-plus scalars for arbitrary n; the
-product is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  Residuation computes
-the greatest X with ``B @ X <= A`` entrywise.  Residual entries live in the
+Matrices are 2x2 grids of exact max-plus scalars, the only shape the
+classification theory has; every constructor refuses another.  The product
+is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  Residuation computes the
+greatest X with ``B @ X <= A`` entrywise.  Residual entries live in the
 completed carrier that also contains ``+inf`` (a residual coordinate is
 ``+inf`` exactly when nothing constrains it, i.e. the matching column of the
 divisor is the zero vector); such entries are quarantined in
@@ -12,12 +13,13 @@ solvable iff the materialized greatest subsolution attains A.
 
 Each matrix, vector and residual matrix stores one positive ``int``
 denominator ``den``, the lcm of the reduced denominators of its finite
-entries, and ``int`` numerators over it (None for ``-inf``), in the store
-the three share, ``_Store``.  That form is canonical, so ``_Store``'s one
-equality and hash compare it structurally.  Max and + commute with scaling
-by a positive integer, so the kernels rescale two operands to the lcm of
-their denominators, compute on ints and bring the result to lowest terms;
-only the public accessors build ``Fraction`` values.
+entries, and its entries flat, a matrix's ``(p, q, r, s)`` row by row and a
+vector's ``(x, y)``, as ``int`` numerators over it (None for ``-inf``), in
+the store the three share, ``_Store``.  That form is canonical, so
+``_Store``'s one equality and hash compare it structurally.  Max and +
+commute with scaling by a positive integer, so the kernels rescale two
+operands to the lcm of their denominators, compute on ints and bring the
+result to lowest terms; only the public accessors build ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ class VerificationError(AssertionError):
     """
 
 
-def _same_size(x, y):
-    """Reject a pair of matrices or vectors of different dimensions."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-
-
 def _frac(x, den) -> Fraction | None:
     """The value of the numerator x over den; None (``-inf``) stays None."""
     return None if x is None else Fraction(x, den)
@@ -52,79 +48,102 @@ def _token(x, den) -> str:
     return "-inf" if x is None else str(Fraction(x, den))
 
 
-def _square(rows, what: str = "matrix"):
-    """Rows that form a square, nonempty grid; a ValueError otherwise."""
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+def _check_shape(n: int, square: bool, what: str) -> None:
+    """Refuse an n-row grid unless it is square (``square``) and 2x2."""
+    if n <= 0 or not square:
         raise ValueError(f"{what} must be square and nonempty")
-    return rows
+    if n != 2:
+        raise ValueError(f"the classification theory is specific to 2x2 matrices, got {n}x{n}")
 
 
-def _stored(rows) -> tuple[tuple[tuple, ...], int]:
-    """The stored form of rows of Fractions (or ints; None for ``-inf``):
-    numerator rows over den, the lcm of the entries' reduced denominators.
-    It is already in lowest terms: a prime dividing den divides some entry's
+def _flat(rows, what: str = "matrix") -> tuple:
+    """The entries (p, q, r, s) of rows that form a 2x2 grid, row by row; a
+    ValueError for any other shape."""
+    _check_shape(len(rows), all(len(row) == len(rows) for row in rows), what)
+    (p, q), (r, s) = rows
+    return p, q, r, s
+
+
+def _at(e: tuple, ij):
+    """The entry (i, j) of flat 2x2 entries e, indexed as a nested grid."""
+    i, j = ij
+    return e[(0, 2)[i] + (0, 1)[j]]
+
+
+def _stored(vals) -> tuple[tuple, int]:
+    """The stored form of Fractions (or ints; None for ``-inf``): their
+    numerators over den, the lcm of their reduced denominators.  It is
+    already in lowest terms: a prime dividing den divides some entry's
     reduced denominator to the full power, so not that entry's numerator."""
-    den = lcm(*[f.denominator for row in rows for f in row if f is not None])
-    return (
-        tuple([
-            tuple([None if f is None else f.numerator * (den // f.denominator) for f in row])
-            for row in rows
-        ]),
-        den,
-    )
+    den = lcm(*[f.denominator for f in vals if f is not None])
+    return tuple([None if f is None else f.numerator * (den // f.denominator) for f in vals]), den
 
 
-def _lowest(rows, den) -> tuple[tuple[tuple, ...], int]:
-    """Numerator rows over den in lowest terms, which is the stored form:
-    both divided by the gcd of den and every finite numerator."""
+def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
+    """Numerators over den in lowest terms, which is the stored form: both
+    divided by the gcd of den and every finite numerator."""
     if den != 1:
-        g = gcd(den, *(x for row in rows for x in row if x is not None))
+        g = gcd(den, *(x for x in nums if x is not None))
         if g != 1:
-            rows = tuple(tuple(None if x is None else x // g for x in row) for row in rows)
-            return rows, den // g
-    return rows, den
+            return tuple([None if x is None else x // g for x in nums]), den // g
+    return nums, den
 
 
-def _rescaled(rows, k: int) -> tuple:
-    """Numerator rows multiplied by the positive int k."""
+def _rescaled(nums: tuple, k: int) -> tuple:
+    """Numerators multiplied by the positive int k."""
     if k == 1:
-        return rows
-    return tuple(tuple(None if x is None else x * k for x in row) for row in rows)
+        return nums
+    return tuple([None if x is None else x * k for x in nums])
 
 
-def _common(xs, dx: int, ys, dy: int) -> tuple[tuple, tuple, int]:
-    """Two sets of numerator rows over the lcm of their denominators dx and
-    dy, and that lcm."""
+def _common(x: "_Store", y: "_Store") -> tuple[tuple, tuple, int]:
+    """The entries of two stores over the lcm of their denominators, and
+    that lcm."""
+    dx, dy = x._den, y._den
     if dx == dy:
-        return xs, ys, dx
+        return x._e, y._e, dx
     den = lcm(dx, dy)
-    return _rescaled(xs, den // dx), _rescaled(ys, den // dy), den
+    return _rescaled(x._e, den // dx), _rescaled(y._e, den // dy), den
+
+
+def _dot(x1, y1, x2, y2):
+    """The max-plus inner product max(x1 + y1, x2 + y2) of numerators over
+    one denominator; None is ``-inf``."""
+    if x1 is None or y1 is None:
+        return None if x2 is None or y2 is None else x2 + y2
+    if x2 is None or y2 is None:
+        return x1 + y1
+    a, b = x1 + y1, x2 + y2
+    return a if a > b else b
+
+
+def _max(x, y):
+    """The tropical sum max(x, y) of two numerators over one denominator;
+    None is ``-inf``."""
+    return y if x is None or (y is not None and y > x) else x
 
 
 class _Store:
-    """The store of a vector, matrix or residual matrix: its numerators
-    ``_rows`` (a vector's one row, a matrix's tuple of rows) over the
-    positive int ``_den``, in canonical form, so two values of one type are
-    equal exactly when their stores are."""
+    """The store of a vector, matrix or residual matrix: its flat entries
+    ``_e`` (see the module docstring) over the positive int ``_den``, in
+    canonical form, so two values of one type are equal exactly when their
+    stores are."""
 
-    __slots__ = ("_rows", "_den")
+    __slots__ = ("_e", "_den")
 
-    @property
-    def n(self) -> int:
-        return len(self._rows)
+    n = 2  # the dimension of every vector and matrix
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._den == other._den and self._rows == other._rows
+        return self._den == other._den and self._e == other._e
 
     def __hash__(self):
-        return hash((self._rows, self._den))
+        return hash((self._e, self._den))
 
 
 class TropVector(_Store):
-    """An n-tuple of tropical scalars.  Entries are stored as int numerators
+    """A pair of tropical scalars.  Entries are stored as int numerators
     (None for ``-inf``) over one denominator, in the canonical form the
     module docstring describes; indexing and iteration build fresh, equal
     scalars."""
@@ -133,15 +152,15 @@ class TropVector(_Store):
 
     def __init__(self, entries):
         entries = tuple(_scalar_key(e)[1] for e in entries)
-        if not entries:
-            raise ValueError("vectors must have positive dimension")
-        (self._rows,), self._den = _stored((entries,))
+        if len(entries) != 2:
+            raise ValueError(f"vectors must have 2 entries, got {len(entries)}")
+        self._e, self._den = _stored(entries)
 
     @classmethod
     def _over(cls, entries: tuple, den: int) -> "TropVector":
         """The vector of numerators over den, brought to lowest terms."""
         v = object.__new__(cls)
-        (v._rows,), v._den = _lowest((entries,), den)
+        v._e, v._den = _lowest(entries, den)
         return v
 
     @classmethod
@@ -154,21 +173,21 @@ class TropVector(_Store):
 
     @property
     def is_zero(self) -> bool:
-        return all(f is None for f in self._rows)
+        return self._e == (None, None)
 
     def scaled(self, lam) -> "TropVector":
         lam = TropScalar(lam)
         return TropVector([lam * e for e in self])
 
     def __getitem__(self, i: int) -> TropScalar:
-        return _scalar(_frac(self._rows[i], self._den))
+        return _scalar(_frac(self._e[i], self._den))
 
     def __iter__(self):
         den = self._den
-        return (_scalar(_frac(x, den)) for x in self._rows)
+        return (_scalar(_frac(x, den)) for x in self._e)
 
     def _tokens(self) -> list[str]:
-        return [_token(x, self._den) for x in self._rows]
+        return [_token(x, self._den) for x in self._e]
 
     def __str__(self):
         return "(" + ", ".join(self._tokens()) + ")"
@@ -178,7 +197,7 @@ class TropVector(_Store):
 
 
 class TropMatrix(_Store):
-    """An n-by-n matrix of tropical scalars.
+    """A 2x2 matrix of tropical scalars.
 
     ``A @ B`` is the max-plus product, ``A + B`` the entrywise max, and
     ``A @ v`` the action on column vectors.  Instances are immutable.
@@ -192,115 +211,95 @@ class TropMatrix(_Store):
     __slots__ = ("_pc", "_pr")
 
     def __init__(self, rows):
-        self._rows, self._den = _stored(_square([[_scalar_key(e)[1] for e in row] for row in rows]))
+        self._e, self._den = _stored(_flat([[_scalar_key(e)[1] for e in row] for row in rows]))
         self._pc = self._pr = None
 
     @classmethod
     def _of(cls, rows) -> "TropMatrix":
-        """The matrix of square rows of Fractions (None for ``-inf``),
-        without coercion or checks."""
+        """The matrix of 2x2 rows of Fractions (None for ``-inf``), without
+        coercion."""
         m = object.__new__(cls)
-        m._rows, m._den = _stored(rows)
+        m._e, m._den = _stored(_flat(rows))
         m._pc = m._pr = None
         return m
 
     @classmethod
-    def _over(cls, rows: tuple[tuple, ...], den: int) -> "TropMatrix":
-        """The matrix of square numerator rows over den, brought to lowest terms."""
+    def _over(cls, nums: tuple, den: int) -> "TropMatrix":
+        """The matrix of the numerators (p, q, r, s) over den, brought to
+        lowest terms."""
         m = object.__new__(cls)
-        m._rows, m._den = _lowest(rows, den)
+        m._e, m._den = _lowest(nums, den)
         m._pc = m._pr = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "TropMatrix":
-        rows = tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n))
-        return cls._over(_square(rows), 1)
+        _check_shape(n, True, "matrix")
+        return cls._over((0, None, None, 0), 1)
 
     @classmethod
     def zero(cls, n: int) -> "TropMatrix":
-        return cls._over(_square(tuple((None,) * n for _ in range(n))), 1)
+        _check_shape(n, True, "matrix")
+        return cls._over((None, None, None, None), 1)
 
     @property
     def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
-        den = self._den
-        return tuple(tuple(_scalar(_frac(x, den)) for x in row) for row in self._rows)
+        p, q, r, s = [_scalar(_frac(x, self._den)) for x in self._e]
+        return (p, q), (r, s)
 
     def row(self, i: int) -> TropVector:
-        return TropVector._over(self._rows[i], self._den)
+        p, q, r, s = self._e
+        return TropVector._over(((p, q), (r, s))[i], self._den)
 
     def column(self, j: int) -> TropVector:
-        return TropVector._over(tuple(row[j] for row in self._rows), self._den)
+        p, q, r, s = self._e
+        return TropVector._over(((p, r), (q, s))[j], self._den)
 
     @property
     def is_zero(self) -> bool:
-        return all(f is None for row in self._rows for f in row)
+        return self._e == (None, None, None, None)
 
     def __getitem__(self, ij) -> TropScalar:
-        i, j = ij
-        return _scalar(_frac(self._rows[i][j], self._den))
+        return _scalar(_frac(_at(self._e, ij), self._den))
 
     def __matmul__(self, other):
-        if isinstance(other, TropVector):
-            _same_size(self, other)
-            rows, (v,), den = _common(self._rows, self._den, (other._rows,), other._den)
-            return TropVector._over(tuple(_dot(row, v) for row in rows), den)
         if isinstance(other, TropMatrix):
-            _same_size(self, other)
-            rows, cols, den = _common(self._rows, self._den, other._rows, other._den)
-            cols = list(zip(*cols))
+            (p, q, r, s), (e, f, g, h), den = _common(self, other)
             return TropMatrix._over(
-                tuple([tuple([_dot(row, col) for col in cols]) for row in rows]), den
+                (_dot(p, e, q, g), _dot(p, f, q, h), _dot(r, e, s, g), _dot(r, f, s, h)), den
             )
+        if isinstance(other, TropVector):
+            (p, q, r, s), (x, y), den = _common(self, other)
+            return TropVector._over((_dot(p, x, q, y), _dot(r, x, s, y)), den)
         return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        _same_size(self, other)
-        xs, ys, den = _common(self._rows, self._den, other._rows, other._den)
-        return TropMatrix._over(tuple(map(_max_row, xs, ys)), den)
+        xs, ys, den = _common(self, other)
+        return TropMatrix._over(tuple(map(_max, xs, ys)), den)
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix._over(tuple(zip(*self._rows)), self._den)
+        p, q, r, s = self._e
+        return TropMatrix._over((p, r, q, s), self._den)
 
     def is_monomial(self) -> bool:
         """True iff exactly one entry per row and per column is not ``-inf``.
 
         These are precisely the invertible elements of the matrix monoid.
         """
-        return all(
-            sum(f is not None for f in line) == 1
-            for line in self._rows + tuple(zip(*self._rows))
-        )
+        finite = tuple(x is not None for x in self._e)
+        return finite in ((True, False, False, True), (False, True, True, False))
 
     def to_tokens(self) -> list[list[str]]:
-        den = self._den
-        return [[_token(x, den) for x in row] for row in self._rows]
+        p, q, r, s = [_token(x, self._den) for x in self._e]
+        return [[p, q], [r, s]]
 
     def __str__(self):
         return json.dumps(self.to_tokens())
 
     def __repr__(self):
         return f"TropMatrix({self.to_tokens()!r})"
-
-
-def _max_row(xs, ys) -> tuple:
-    """The tropical sum of two numerator rows over one denominator: the
-    entrywise max; None is ``-inf``."""
-    return tuple(y if x is None or (y is not None and y > x) else x for x, y in zip(xs, ys))
-
-
-def _dot(xs, ys):
-    """The max-plus inner product max_k (xs[k] + ys[k]) of two numerator
-    rows over one denominator; None is ``-inf``."""
-    best = None
-    for x, y in zip(xs, ys):
-        if x is not None and y is not None:
-            s = x + y
-            if best is None or s > best:
-                best = s
-    return best
 
 
 def parse_matrix(text: str) -> TropMatrix:
@@ -326,7 +325,7 @@ def parse_matrix(text: str) -> TropMatrix:
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"matrix entry ({i},{j}): {exc}") from exc
         rows.append(out)
-    return TropMatrix._of(_square(rows))
+    return TropMatrix._of(rows)
 
 
 def monomial_inverse(a: TropMatrix) -> TropMatrix:
@@ -334,9 +333,8 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     and transpose its position."""
     if not a.is_monomial():
         raise ValueError("matrix is not monomial, hence not invertible")
-    return TropMatrix._over(
-        tuple(tuple(None if x is None else -x for x in col) for col in zip(*a._rows)), a._den
-    )
+    p, q, r, s = a._e
+    return TropMatrix._over(tuple([None if x is None else -x for x in (p, r, q, s)]), a._den)
 
 
 def _residual(t: tuple, d) -> tuple:
@@ -368,7 +366,7 @@ def residual_scalar(target, divisor) -> ProjPoint:
 
 
 class ResidualMatrix(_Store):
-    """Greatest-subsolution matrix over the completed carrier.
+    """Greatest-subsolution 2x2 matrix over the completed carrier.
 
     Entries are projective-line values; ``+inf`` marks coordinates the
     divisor leaves unconstrained.  ``witness()`` returns a concrete plain
@@ -383,49 +381,42 @@ class ResidualMatrix(_Store):
     __slots__ = ()
 
     def __init__(self, rows):
-        keys = _square([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
-        nums, self._den = _stored([[f for _, f in row] for row in keys])
-        self._rows = tuple(
-            tuple((k[0], x) for k, x in zip(krow, xrow)) for krow, xrow in zip(keys, nums)
-        )
+        keys = _flat([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
+        nums, self._den = _stored([f for _, f in keys])
+        self._e = tuple([(k[0], x) for k, x in zip(keys, nums)])
 
     @classmethod
-    def _over(cls, rows: tuple[tuple[tuple, ...], ...], den: int) -> "ResidualMatrix":
-        """The residual matrix of square rows of (kind, num) keys over den,
+    def _over(cls, keys: tuple, den: int) -> "ResidualMatrix":
+        """The residual matrix of the (kind, num) keys (p, q, r, s) over den,
         brought to lowest terms."""
         if den != 1:
-            g = gcd(den, *(x for row in rows for _, x in row if x is not None))
+            g = gcd(den, *(x for _, x in keys if x is not None))
             if g != 1:
                 den //= g
-                rows = tuple(
-                    tuple((kind, None if x is None else x // g) for kind, x in row) for row in rows
-                )
+                keys = tuple([(kind, None if x is None else x // g) for kind, x in keys])
         m = object.__new__(cls)
-        m._rows = rows
+        m._e = keys
         m._den = den
         return m
 
     @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        den = self._den
-        return tuple(tuple(_point((k, _frac(x, den))) for k, x in row) for row in self._rows)
+        p, q, r, s = [_point((k, _frac(x, self._den))) for k, x in self._e]
+        return (p, q), (r, s)
 
     def __getitem__(self, ij) -> ProjPoint:
-        i, j = ij
-        kind, x = self._rows[i][j]
+        kind, x = _at(self._e, ij)
         return _point((kind, _frac(x, self._den)))
 
     def transpose(self) -> "ResidualMatrix":
-        return ResidualMatrix._over(tuple(zip(*self._rows)), self._den)
+        p, q, r, s = self._e
+        return ResidualMatrix._over((p, r, q, s), self._den)
 
     def witness(self) -> TropMatrix:
-        return TropMatrix._over(
-            tuple(tuple(map(_plain, row)) for row in self._rows), self._den
-        )
+        return TropMatrix._over(tuple(map(_plain, self._e)), self._den)
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""
-        _same_size(self, x)
         return all(
             ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
         )
@@ -434,32 +425,28 @@ class ResidualMatrix(_Store):
         return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
 
 
-def _left_residual_raw(divisor, target) -> tuple:
-    """The loop of ``left_residual`` on numerators over one denominator: the
-    divisor's rows and the target's rows of keys in, the residual's rows of
-    keys out, not yet in lowest terms."""
-    n = len(divisor)
-    return tuple(
-        tuple(min(_residual(target[i][j], divisor[i][k]) for i in range(n)) for j in range(n))
-        for k in range(n)
-    )
-
-
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
     """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
     under the residuated subtraction of ``residual_scalar``.
 
     The target a may itself be a residual, whose ``+inf`` entries leave their
     coordinates unconstrained."""
-    _same_size(b, a)
     den = lcm(b._den, a._den)
     k = den // a._den
     if isinstance(a, ResidualMatrix):
-        target = [[(kind, None if x is None else x * k) for kind, x in row] for row in a._rows]
+        t = [(kind, None if x is None else x * k) for kind, x in a._e]
     else:
-        target = [[_NEG_KEY if x is None else (0, x) for x in row] for row in _rescaled(a._rows, k)]
-    divisor = _rescaled(b._rows, den // b._den)
-    return ResidualMatrix._over(_left_residual_raw(divisor, target), den)
+        t = [_NEG_KEY if x is None else (0, x) for x in _rescaled(a._e, k)]
+    p, q, r, s = _rescaled(b._e, den // b._den)
+    return ResidualMatrix._over(
+        (
+            min(_residual(t[0], p), _residual(t[2], r)),
+            min(_residual(t[1], p), _residual(t[3], r)),
+            min(_residual(t[0], q), _residual(t[2], s)),
+            min(_residual(t[1], q), _residual(t[3], s)),
+        ),
+        den,
+    )
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
@@ -468,7 +455,7 @@ def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
 
 
 def _least(t1, d1, t2, d2):
-    """The witness entry min(t1 - d1, t2 - d2) of a 2x2 greatest subsolution,
+    """The witness entry min(t1 - d1, t2 - d2) of a greatest subsolution,
     on numerators over one denominator: a ``-inf`` divisor entry drops its
     term (both dropped leave ``+inf``, whose witness entry is 0), and a
     ``-inf`` target entry over a finite divisor entry gives ``-inf``."""
@@ -489,16 +476,12 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     Decided by residuation: the equation is solvable iff the materialized
     greatest subsolution attains a.
     """
-    _same_size(b, a)
-    if b.n != 2:
-        return b @ left_residual(b, a).witness() == a
-    # unrolled, it runs in about a third of the time of the general path
-    ((p, q), (r, s)), ((e, f), (g, h)), _ = _common(b._rows, b._den, a._rows, a._den)
-    x0 = (_least(e, p, g, r), _least(e, q, g, s))
-    x1 = (_least(f, p, h, r), _least(f, q, h, s))
+    (p, q, r, s), (e, f, g, h), _ = _common(b, a)
+    x00, x10 = _least(e, p, g, r), _least(e, q, g, s)
+    x01, x11 = _least(f, p, h, r), _least(f, q, h, s)
     return (
-        _dot((p, q), x0) == e
-        and _dot((p, q), x1) == f
-        and _dot((r, s), x0) == g
-        and _dot((r, s), x1) == h
+        _dot(p, x00, q, x10) == e
+        and _dot(p, x01, q, x11) == f
+        and _dot(r, x00, s, x10) == g
+        and _dot(r, x01, s, x11) == h
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
-from .matrix import TropMatrix, TropVector, _square
+from .matrix import TropMatrix, TropVector
 from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _scalar
 
 RNG_ALGORITHM = "mt19937"
@@ -54,12 +54,13 @@ def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
     return _scalar(_draw(rng, profile))
 
 
-def sample_matrix(rng: random.Random, profile: str, n: int = 2) -> TropMatrix:
-    return TropMatrix._of(_square([[_draw(rng, profile) for _ in range(n)] for _ in range(n)]))
+def sample_matrix(rng: random.Random, profile: str) -> TropMatrix:
+    # four draws, row by row: the order every seeded stream depends on
+    return TropMatrix._of([[_draw(rng, profile) for _ in range(2)] for _ in range(2)])
 
 
-def sample_vector(rng: random.Random, profile: str, n: int = 2) -> TropVector:
-    return TropVector([sample_scalar(rng, profile) for _ in range(n)])
+def sample_vector(rng: random.Random, profile: str) -> TropVector:
+    return TropVector([sample_scalar(rng, profile) for _ in range(2)])
 
 
 def sample_proj_point(rng: random.Random) -> ProjPoint:

@@ -49,6 +49,15 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} characters)"
 
 
+def _cut(value, limit: int = _QUOTE_CHARS) -> str:
+    """``str`` of a value for an error message, unquoted; longer than limit
+    characters, it is cut and marked as ``_quote`` marks a cut."""
+    text = str(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}… ({len(text)} characters)"
+
+
 def _as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or ``p/q`` token to an exact Fraction."""
     if isinstance(value, Fraction):

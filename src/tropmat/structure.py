@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .geometry import ConvexSet, _require_2x2, iso_type
+from .geometry import ConvexSet, iso_type
 from .green import _witness_Z
 from .matrix import TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import TropScalar, _quote
+from .semiring import TropScalar, _cut, _quote
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ def in_idempotent_family(a: TropMatrix) -> bool:
     Used as the classification side of the exhaustive idempotent check; it
     never multiplies matrices.
     """
-    _require_2x2(a)
     if a.is_zero:
         return True
     prod = a[0, 1] * a[1, 0]
@@ -93,7 +92,6 @@ def in_idempotent_family(a: TropMatrix) -> bool:
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
     """Classify an idempotent into its family, with fixed priority zero,
     diagonal, upper, lower when parameters land on an overlap."""
-    _require_2x2(e)
     if not is_idempotent(e):
         raise ValueError("matrix is not idempotent")
     if e.is_zero:
@@ -124,14 +122,14 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     # both clauses imply that m and n are isometric
     e = _witness_Z(m, n)
     if not is_idempotent(e):
-        raise VerificationError(f"idempotent construction defect for ({m}, {n})")
+        raise VerificationError(f"idempotent construction defect for ({_cut(m)}, {_cut(n)})")
     return e
 
 
 def group_type_of_H(m: ConvexSet, n: ConvexSet) -> GroupType:
     """The abstract group carried by the maximal subgroup at (m, n)."""
     if idempotent_in_H(m, n) is None:
-        raise ValueError(f"the H-class at ({m}, {n}) contains no idempotent")
+        raise ValueError(f"the H-class at ({_cut(m)}, {_cut(n)}) contains no idempotent")
     t = iso_type(m)
     if t.kind == "empty":
         return GroupType.TRIVIAL
@@ -151,7 +149,6 @@ def regular_witness(a: TropMatrix) -> TropMatrix:
     such a witness; a verification failure would be a defect, never a
     normal return.
     """
-    _require_2x2(a)
     y = left_residual(a, right_residual(a, a)).witness()
     if a @ y @ a != a:
         raise VerificationError("regularity witness defect")

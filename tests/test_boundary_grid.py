@@ -13,7 +13,8 @@ R, principal-ideal membership to the J-preorder, and the grid part of each
 maximal subgroup to its group type and to its family's ``subgroup_element``.
 The set decisions are held to a reference on ``Fraction`` endpoints, and the
 Green relations on the 65,536-pair grid to their invariance under one unit
-(``tests/grid_exhaustive.py`` holds that check and runs it for two).
+(``tests/grid_exhaustive.py`` holds that check and runs it for two, and
+holds the maximal-subgroup checks and runs them on the 1,296-matrix grid).
 """
 
 import json
@@ -58,9 +59,7 @@ from tropmat.matrix import (
 )
 from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, delta
 from tropmat.structure import (
-    GroupType,
     IdempotentForm,
-    group_type_of_H,
     idempotent_form,
     idempotent_in_H,
     is_idempotent,
@@ -68,16 +67,17 @@ from tropmat.structure import (
     subgroup_element,
 )
 
-# tests/ is on sys.path under pytest's default import mode
-from grid_exhaustive import UNITS, unit_mismatches
-
-
-def grid(values):
-    return [TropMatrix([[a, b], [c, d]]) for a, b, c, d in product(values, repeat=4)]
-
-
-def spaces(a):
-    return proj_column_space(a), proj_row_space(a)
+# tests/ is on sys.path under pytest's default import mode; the check bodies
+# imported from there assert, so pytest must rewrite them to run under -O
+pytest.register_assert_rewrite("grid_exhaustive")
+from grid_exhaustive import (  # noqa: E402
+    UNITS,
+    grid,
+    maximal_subgroup_counts,
+    spaces,
+    subgroup_family_counts,
+    unit_mismatches,
+)
 
 
 def test_green_decisions_on_every_pair_of_the_81_matrix_grid():
@@ -126,70 +126,14 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
 
 
 def test_maximal_subgroups_on_the_256_matrix_grid():
-    """Each idempotent's H-class, cut down to the grid, behaves like the
-    group ``group_type_of_H`` names: e is the identity, products stay in the
-    class, only the wreath product fails to commute, and the elements of
-    order two are as many as its S2 factor allows."""
-    matrices = grid(["-inf", -1, 0, 1])
-    idempotents = [e for e in matrices if is_idempotent(e)]
-    assert len(idempotents) == 32
-    types = Counter()
-    members = 0
-    for e in idempotents:
-        kind = group_type_of_H(*spaces(e))
-        types[kind.value] += 1
-        h_class = [a for a in matrices if spaces(a) == spaces(e)]
-        members += len(h_class)
-        pairs = list(product(h_class, repeat=2))
-        assert all(e @ h == h == h @ e for h in h_class), e
-        assert all(spaces(g @ h) == spaces(e) for g, h in pairs), e
-        commutes = all(g @ h == h @ g for g, h in pairs)
-        assert commutes == (kind is not GroupType.REALS_WREATH_S2), e
-        involutions = sum(h != e and h @ h == e for h in h_class)
-        if kind in (GroupType.TRIVIAL, GroupType.REALS):
-            assert involutions == 0, e
-        elif kind is GroupType.REALS_TIMES_S2:
-            assert involutions <= 1, e
-        else:
-            assert involutions >= 1, e
+    idempotents, members, types = maximal_subgroup_counts(grid(["-inf", -1, 0, 1]))
+    assert idempotents == 32
     assert members == 92
     assert types == {"trivial": 1, "reals": 27, "reals-x-s2": 3, "reals-wr-s2": 1}
 
 
-def family_of(m, n):
-    """The subgroup family that parametrizes the H-class at (m, n), with its
-    endpoint arguments, or None when no family does: W on ({-inf}, {-inf}),
-    X and Y on ([x, y], [-y, -x]), Z on ([x, +inf], [-inf, -x])."""
-    if m.is_point and m.lo.is_neg_inf and n == m:
-        return "W", ()
-    if m.is_empty or m.is_point or n != m.negated():
-        return None
-    x, y = m.lo, m.hi
-    if x.is_finite and y.is_finite:
-        return "XY", (x.frac, y.frac)
-    if x.is_finite and y.is_pos_inf:
-        return "Z", (x.frac,)
-    return None
-
-
 def test_subgroup_families_rebuild_the_256_grid_members():
-    """Each grid member h of an H-class a subgroup family parametrizes is
-    that family's element at ``a = h[0, 0]``."""
-    matrices = grid(["-inf", -1, 0, 1])
-    counts = Counter()
-    for e in filter(is_idempotent, matrices):
-        family = family_of(*spaces(e))
-        for h in [h for h in matrices if spaces(h) == spaces(e)]:
-            if family is None:
-                counts["none"] += 1
-                continue
-            name, args = family
-            a = h[0, 0]
-            if name == "XY":
-                assert h in (subgroup_element("X", a, *args), subgroup_element("Y", a, *args)), h
-            else:
-                assert h == subgroup_element(name, a, *args), h
-            counts[name] += 1
+    counts = subgroup_family_counts(grid(["-inf", -1, 0, 1]))
     assert counts == {"W": 3, "XY": 12, "Z": 7, "none": 70}
 
 
@@ -394,11 +338,10 @@ def test_spaces_and_iso_types_are_computed_once_per_object():
         fresh = TropMatrix(a.to_tokens())
         assert spaces(fresh) == (pc, pr), a
         assert (iso_type(proj_column_space(fresh)), iso_type(proj_row_space(fresh))) == types, a
-    a3 = TropMatrix.identity(3)
-    for space_map in (proj_column_space, proj_row_space):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="specific to 2x2"):
-                space_map(a3)
+    # no space map meets a 3x3 matrix: it is refused at construction
+    for make in (TropMatrix.identity, TropMatrix.zero):
+        with pytest.raises(ValueError, match="specific to 2x2"):
+            make(3)
 
 
 # A reference for the set decisions, built from the public endpoint points
@@ -463,10 +406,10 @@ def test_solves_right_matches_the_materialized_residual():
         assert solves_right(b, a) == oracle(b, a), (a, b)
     rng = random.Random(20260810)
     for _ in range(200):
-        a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
+        a, b = rand_matrix(rng), rand_matrix(rng)
         assert solves_right(b, a) == oracle(b, a), (a, b)
         assert solves_right(b, b @ a), (a, b)
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="specific to 2x2"):
         solves_right(TropMatrix.identity(3), matrices[0])
 
 
@@ -476,33 +419,32 @@ def rand_entry(rng):
     return Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
 
 
-def rand_matrix(rng, n):
-    return TropMatrix([[rand_entry(rng) for _ in range(n)] for _ in range(n)])
+def rand_matrix(rng):
+    return TropMatrix([[rand_entry(rng) for _ in range(2)] for _ in range(2)])
 
 
-def test_rewritten_paths_match_the_scalar_reference_on_random_3x3_pairs():
+def test_rewritten_paths_match_the_scalar_reference_on_random_2x2_pairs():
     rng = random.Random(20260808)
     for _ in range(200):
-        a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
+        a, b = rand_matrix(rng), rand_matrix(rng)
         assert a @ b == ref_product(a, b), (a, b)
         assert left_residual(b, a) == ref_left_residual(b, a), (a, b)
 
 
 def test_uncoerced_results_equal_and_hash_like_coerced_ones():
     rng = random.Random(20260809)
-    for n in (2, 3):
-        for _ in range(50):
-            a, b = rand_matrix(rng, n), rand_matrix(rng, n)
-            products = (a @ b, a.transpose())
-            witnesses = (left_residual(b, a).witness(), right_residual(a, b).witness())
-            for m in products + witnesses:
-                assert_plain(m)
-            v = a @ b.column(0)
-            assert v == TropVector(v.entries) and hash(v) == hash(TropVector(v.entries))
-            assert_plain(v)
-            r = left_residual(b, a)
-            for res in (r, r.transpose()):
-                assert_plain(res)
+    for _ in range(50):
+        a, b = rand_matrix(rng), rand_matrix(rng)
+        products = (a @ b, a.transpose())
+        witnesses = (left_residual(b, a).witness(), right_residual(a, b).witness())
+        for m in products + witnesses:
+            assert_plain(m)
+        v = a @ b.column(0)
+        assert v == TropVector(v.entries) and hash(v) == hash(TropVector(v.entries))
+        assert_plain(v)
+        r = left_residual(b, a)
+        for res in (r, r.transpose()):
+            assert_plain(res)
 
 
 def test_constructed_matrices_equal_and_hash_like_coerced_ones():
@@ -522,6 +464,5 @@ def test_constructed_matrices_equal_and_hash_like_coerced_ones():
     upper = IdempotentForm("upper", -1, "-2").matrix()
     assert_plain(upper)
     assert upper == TropMatrix([[0, -1], [-2, -3]])
-    for n in (1, 2, 3):
-        assert_plain(TropMatrix.identity(n))
-        assert_plain(TropMatrix.zero(n))
+    assert_plain(TropMatrix.identity(2))
+    assert_plain(TropMatrix.zero(2))

@@ -292,6 +292,9 @@ LONG = "x" * 5000
         # below CPython's 4,300-digit int limit, above the token cap
         ("verify", "--suite", "duality", "--samples", "1", "--seed", "9" * 4200),
         ("K" * 5000,),
+        # a set named in a message is cut like a quoted token
+        ("subgroup", "--M", "[0," + "7" * 3990 + "]", "--N", "{0}"),
+        ("witness", "--M", "[0," + "7" * 3990 + "]", "--N", "{0}"),
     ],
     ids=[
         "open-width",
@@ -308,6 +311,8 @@ LONG = "x" * 5000
         "samples",
         "seed",
         "command",
+        "subgroup-set",
+        "witness-set",
     ],
 )
 def test_errors_quote_long_input_cut(capsys, argv):

@@ -212,8 +212,8 @@ def test_relation_token_round_trip():
 
 
 def test_only_2x2_accepted():
-    a3 = TropMatrix.identity(3)
-    with pytest.raises(ValueError):
-        leq_R(a3, a3)
-    with pytest.raises(ValueError):
-        related(GreenRelation.J, a3, a3)
+    # a 3x3 operand is refused at construction, before any decision runs
+    with pytest.raises(ValueError, match="specific to 2x2"):
+        leq_R(TropMatrix.identity(3), I2)
+    with pytest.raises(ValueError, match="specific to 2x2"):
+        related(GreenRelation.J, I2, TropMatrix([[0, 0, 0]] * 3))

@@ -1,9 +1,11 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
 from tropmat.matrix import (
+    ResidualMatrix,
     TropMatrix,
     TropVector,
     left_residual,
@@ -129,30 +131,12 @@ def test_solves_right_examples():
 def test_galois_connection():
     """B @ X <= A entrywise iff X <= left_residual(B, A), +inf maximal."""
     rng = random.Random(SEED + 2)
-    for i in range(500):
-        n = 2 if i % 3 else 3  # residuation is dimension-generic
-        a = sample_matrix(rng, "with-neginf", n)
-        b = sample_matrix(rng, "with-neginf", n)
-        x = sample_matrix(rng, "with-neginf", n)
+    for _ in range(500):
+        a = sample_matrix(rng, "with-neginf")
+        b = sample_matrix(rng, "with-neginf")
+        x = sample_matrix(rng, "with-neginf")
         r = left_residual(b, a)
         assert leq(b @ x, a) == r.dominates(x)
-
-
-def test_solves_right_matches_brute_force_in_3x3():
-    """Solvability of A = B X decided by residuation agrees with a direct
-    search over a coarse grid when the true solution lives on that grid."""
-    rng = random.Random(SEED + 6)
-    grid = [BOTTOM] + [TropScalar(v) for v in range(-2, 3)]
-    for _ in range(40):
-        b = TropMatrix(
-            [[grid[rng.randrange(len(grid))] for _ in range(3)] for _ in range(3)]
-        )
-        x = TropMatrix(
-            [[grid[rng.randrange(len(grid))] for _ in range(3)] for _ in range(3)]
-        )
-        a = b @ x
-        assert solves_right(b, a)
-        assert b @ left_residual(b, a).witness() == a
 
 
 def test_right_residual_galois():
@@ -177,25 +161,23 @@ def test_product_laws_on_random_triples():
 
 
 def test_dimension_mismatch_rejected():
-    a3 = TropMatrix.identity(3)
-    with pytest.raises(ValueError):
-        a3 @ I2
-    with pytest.raises(ValueError):
-        a3 + I2
-    with pytest.raises(ValueError):
-        left_residual(a3, I2)
-    with pytest.raises(ValueError):
-        I2 @ TropVector([0, 0, 0])
+    # no operation meets another size: every constructor refuses it
+    rows3 = [[0, "-inf", 2], [1, 0, "-inf"], ["-inf", "-inf", 0]]
     for make in (TropMatrix.identity, TropMatrix.zero):
+        with pytest.raises(ValueError, match="specific to 2x2 matrices, got 3x3"):
+            make(3)
         with pytest.raises(ValueError, match="nonempty"):
             make(0)
-
-
-def test_general_n_arithmetic():
-    a = TropMatrix([[0, "-inf", 2], [1, 0, "-inf"], ["-inf", "-inf", 0]])
-    assert TropMatrix.identity(3) @ a == a
-    assert a + TropMatrix.zero(3) == a
-    assert solves_right(a, a)
+    for make in (TropMatrix, ResidualMatrix, lambda rows: parse_matrix(json.dumps(rows))):
+        with pytest.raises(ValueError, match="specific to 2x2 matrices, got 3x3"):
+            make(rows3)
+        with pytest.raises(ValueError, match="got 1x1"):
+            make([[0]])
+        with pytest.raises(ValueError, match="must be square and nonempty"):
+            make([[0, 1], [2]])
+    for entries in ([0, 0, 0], [0]):
+        with pytest.raises(ValueError, match="2 entries"):
+            TropVector(entries)
 
 
 def test_parse_matrix_round_trip_and_errors():

@@ -13,9 +13,9 @@ sets are ``empty``, ``{p}``, or ``[lo,hi]``, and ideal descriptors are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
 
 from .geometry import ConvexSet, IsoType, iso_type, proj_column_space, proj_row_space
 from .green import (
@@ -238,7 +238,16 @@ def _cmd_ideal(ns) -> tuple[dict, int]:
 
 def _cmd_verify(ns) -> tuple[dict, int]:
     result = run_suite(ns.suite, ns.samples, ns.seed)
-    return asdict(result), 2 if result.failed else 0
+    out = {
+        "suite": result.suite,
+        "samples": result.samples,
+        "seed": result.seed,
+        "rng": result.rng,
+        "passed": result.passed,
+        "failed": result.failed,
+        "failures": list(result.failures),
+    }
+    return out, 2 if result.failed else 0
 
 
 def build_parser() -> _Parser:
@@ -303,10 +312,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built on the first call and then reused:
+    ``parse_args`` leaves a parser as it was and returns a fresh namespace,
+    so one parser serves any number of calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         result, code = ns.handler(ns)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))

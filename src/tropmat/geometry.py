@@ -13,7 +13,6 @@ its endpoints and isometry type, so the set decisions compare ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import TropMatrix, TropVector, _frac, _lowest, _stored, solves_right
@@ -167,8 +166,44 @@ _ISO_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 3, "fullline": 4}
 _ISO_KINDS = tuple(_ISO_RANK)  # the kinds by rank
 
 
-@dataclass(frozen=True)
-class IsoType:
+class _Record:
+    """Base of the value classes.  A subclass names its fields in
+    ``__slots__``, sets them once in ``__init__`` through
+    ``object.__setattr__`` and returns them, in that order, from
+    ``_fields``.  Two records are equal when they are of one type with equal
+    fields, hash as the tuple of their fields and print like
+    ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
+    raises ``AttributeError``.  ``_fields`` spells its tuple out rather than
+    looping over ``__slots__``: equality and hashing sit on hot paths, and
+    the loop made them several times slower."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which does not
+        # assign through the frozen __setattr__
+        return type(self), self._fields()
+
+
+class IsoType(_Record):
     """Isometry class of a closed convex subset of the projective line.
 
     ``interval`` carries its (positive, finite) diameter, an int, Fraction
@@ -176,20 +211,25 @@ class IsoType:
     Isometric embedding totally orders the types, realized by ``key()``.
     """
 
+    __slots__ = ("kind", "diameter")
     kind: str
-    diameter: Fraction | None = None
+    diameter: Fraction | None
 
-    def __post_init__(self):
-        if self.kind not in _ISO_RANK:
-            raise ValueError(f"unknown isometry type {_quote(self.kind)}")
-        d = self.diameter
-        if d is not None and type(d) is not Fraction:
-            object.__setattr__(self, "diameter", _as_fraction(d))
-        if self.kind == "interval":
-            if self.diameter is None or self.diameter <= 0:
+    def __init__(self, kind: str, diameter: Fraction | None = None):
+        if kind not in _ISO_RANK:
+            raise ValueError(f"unknown isometry type {_quote(kind)}")
+        if diameter is not None and type(diameter) is not Fraction:
+            diameter = _as_fraction(diameter)
+        if kind == "interval":
+            if diameter is None or diameter <= 0:
                 raise ValueError("interval types carry a positive finite diameter")
-        elif self.diameter is not None:
-            raise ValueError(f"{self.kind} types carry no diameter")
+        elif diameter is not None:
+            raise ValueError(f"{kind} types carry no diameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "diameter", diameter)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.diameter)
 
     def key(self) -> tuple[int, Fraction]:
         return (_ISO_RANK[self.kind], self.diameter or _ZERO)

@@ -13,16 +13,14 @@ ones are exactly a principal ideal minus its generating J-class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import IsoType, iso_type, proj_column_space
+from .geometry import IsoType, _Record, iso_type, proj_column_space
 from .matrix import TropMatrix
-from .semiring import _ZERO, _as_fraction, _quote
+from .semiring import _ZERO, _as_fraction, _cut, _quote
 
 
-@dataclass(frozen=True)
-class IdealDescriptor:
+class IdealDescriptor(_Record):
     """Descriptor of a two-sided ideal: a closed isometry type, an open
     interval of finite positive width, or the open full line.
 
@@ -31,25 +29,31 @@ class IdealDescriptor:
     ideal corresponds to one.
     """
 
+    __slots__ = ("kind", "iso", "width")
     kind: str  # "closed" | "open" | "openline"
-    iso: IsoType | None = None
-    width: Fraction | None = None
+    iso: IsoType | None
+    width: Fraction | None
 
-    def __post_init__(self):
-        w = self.width
-        if w is not None and type(w) is not Fraction:
-            object.__setattr__(self, "width", _as_fraction(w))
-        if self.kind == "closed":
-            if not isinstance(self.iso, IsoType) or self.width is not None:
+    def __init__(self, kind: str, iso: IsoType | None = None, width: Fraction | None = None):
+        if width is not None and type(width) is not Fraction:
+            width = _as_fraction(width)
+        if kind == "closed":
+            if not isinstance(iso, IsoType) or width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
-        elif self.kind == "open":
-            if self.iso is not None or self.width is None or self.width <= 0:
+        elif kind == "open":
+            if iso is not None or width is None or width <= 0:
                 raise ValueError("open descriptors carry exactly a positive width")
-        elif self.kind == "openline":
-            if self.iso is not None or self.width is not None:
+        elif kind == "openline":
+            if iso is not None or width is not None:
                 raise ValueError("the open-line descriptor carries no parameters")
         else:
-            raise ValueError(f"unknown descriptor kind {self.kind!r}")
+            raise ValueError(f"unknown descriptor kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "iso", iso)
+        object.__setattr__(self, "width", width)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.iso, self.width)
 
     @classmethod
     def closed(cls, t: IsoType) -> "IdealDescriptor":
@@ -95,7 +99,7 @@ class IdealDescriptor:
             except ValueError as exc:
                 raise ValueError(f"bad open-ideal width in {_quote(text)}: {exc}") from exc
             if w <= 0:
-                raise ValueError(f"open-ideal width must be positive, got {w}")
+                raise ValueError(f"open-ideal width must be positive, got {_cut(w)}")
             return IdealDescriptor.open_finite(w)
         if token.startswith("closed:"):
             return IdealDescriptor.closed(IsoType.parse(token[len("closed:"):]))

@@ -16,16 +16,14 @@ idempotent of such a class is the matrix ``green.witness_Z`` builds for
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .geometry import ConvexSet, iso_type
+from .geometry import ConvexSet, _Record, iso_type
 from .green import _witness_Z
 from .matrix import TropMatrix, VerificationError, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote
 
 
-@dataclass(frozen=True)
-class IdempotentForm:
+class IdempotentForm(_Record):
     """One of the four idempotent families, with its parameters.
 
     upper:    [[0, x], [y, x*y]]      diagonal: [[0, x], [y, 0]]
@@ -33,13 +31,20 @@ class IdempotentForm:
     (tropical product x*y = x + y, constrained <= 0).
     """
 
+    __slots__ = ("kind", "x", "y")
     kind: str
-    x: TropScalar | None = None
-    y: TropScalar | None = None
+    x: TropScalar | None
+    y: TropScalar | None
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "diagonal", "upper", "lower"):
-            raise ValueError(f"unknown idempotent family {self.kind!r}")
+    def __init__(self, kind: str, x: TropScalar | None = None, y: TropScalar | None = None):
+        if kind not in ("zero", "diagonal", "upper", "lower"):
+            raise ValueError(f"unknown idempotent family {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.x, self.y)
 
     def matrix(self) -> TropMatrix:
         if self.kind == "zero":

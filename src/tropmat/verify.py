@@ -9,12 +9,12 @@ in the library, never an expected outcome.  The suites back both the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .geometry import (
     IsoType,
+    _Record,
     canonical_set,
     isometric,
     proj_column_space,
@@ -46,15 +46,38 @@ from .structure import (
 )
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    samples: int
-    seed: int
-    rng: str = RNG_ALGORITHM
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
+class SuiteResult(_Record):
+    """The tally of one suite run: passed and failed counts and the first
+    five failure messages.  It counts while the suite runs, so unlike the
+    other records it is mutable and unhashable."""
+
+    __slots__ = ("suite", "samples", "seed", "rng", "passed", "failed", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        suite: str,
+        samples: int,
+        seed: int,
+        rng: str = RNG_ALGORITHM,
+        passed: int = 0,
+        failed: int = 0,
+        failures: list[str] | None = None,
+    ):
+        self.suite = suite
+        self.samples = samples
+        self.seed = seed
+        self.rng = rng
+        self.passed = passed
+        self.failed = failed
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return (
+            self.suite, self.samples, self.seed, self.rng, self.passed, self.failed, self.failures
+        )
 
     def ok(self):
         self.passed += 1

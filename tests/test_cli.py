@@ -176,9 +176,22 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
         return res
 
     monkeypatch.setitem(verify_mod.SUITES, "duality", broken)
-    code, out = run(capsys, "verify", "--samples", "5", "--seed", "1", "--suite", "duality")
+    code = main(["verify", "--samples", "5", "--seed", "1", "--suite", "duality"])
     assert code == 2
-    assert out["failed"] == 1 and out["failures"] == ["synthetic defect"]
+    # every byte, key order included
+    assert capsys.readouterr().out == (
+        '{"suite": "duality", "samples": 5, "seed": 1, "rng": "mt19937", '
+        '"passed": 0, "failed": 1, "failures": ["synthetic defect"]}\n'
+    )
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    code = main(["verify", "--suite", "duality", "--samples", "3", "--seed", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"suite": "duality", "samples": 3, "seed": 1, "rng": "mt19937", '
+        '"passed": 3, "failed": 0, "failures": []}\n'
+    )
 
 
 def test_verify_rejects_negative_seed(capsys):
@@ -295,6 +308,7 @@ LONG = "x" * 5000
         # a set named in a message is cut like a quoted token
         ("subgroup", "--M", "[0," + "7" * 3990 + "]", "--N", "{0}"),
         ("witness", "--M", "[0," + "7" * 3990 + "]", "--N", "{0}"),
+        ("ideal", "compare", "open:-" + "7" * 3990, "openline"),
     ],
     ids=[
         "open-width",
@@ -313,6 +327,7 @@ LONG = "x" * 5000
         "command",
         "subgroup-set",
         "witness-set",
+        "open-width-nonpositive",
     ],
 )
 def test_errors_quote_long_input_cut(capsys, argv):
@@ -321,6 +336,54 @@ def test_errors_quote_long_input_cut(capsys, argv):
     assert code == 1
     assert list(json.loads(out)) == ["error"]
     assert len(out.encode()) < 400, out
+
+
+A = '[["0","0"],["1","2"]]'
+# argvs for one process, among them every kind of error argparse reports
+# itself; a family element, then a plain call on the same H-class
+REUSE_ARGVS = [
+    ["frobnicate"],
+    ["witness", "--M", "{1}"],
+    ["subgroup", "--M", "[0,1]", "--N", "[-1,0]", "--family", "X", "--a", "1e3"],
+    ["verify", "--suite", "duality", "--samples", "x"],
+    ["ideal"],
+    ["regular", A, "extra"],
+    ["subgroup", "--M", "[0,1]", "--N", "[-1,0]", "--family", "X", "--a=1", "--x=0", "--y=1"],
+    ["subgroup", "--M", "[0,1]", "--N", "[-1,0]"],
+    ["classify", A],
+    ["relate", "leqJ", A, '[["0","0"],["0","3"]]'],
+    ["ideal", "compare", "open:3", "closed:interval:3"],
+    ["verify", "--suite", "duality", "--samples", "3", "--seed", "1"],
+    ["classify", '[["x"]]'],
+]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    import tropmat.cli as cli
+
+    build = cli.build_parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    outputs = {}
+    for argv in REUSE_ARGVS + REUSE_ARGVS[::-1]:
+        code = main(argv)
+        outputs.setdefault(tuple(argv), set()).add((code, capsys.readouterr().out))
+    assert len(builds) == 1
+    # each argv gave the same bytes forward, on a fresh parser, and reversed
+    assert all(len(seen) == 1 for seen in outputs.values()), outputs
+    results = {argv: next(iter(seen)) for argv, seen in outputs.items()}
+    for argv in REUSE_ARGVS[:6]:
+        code, out = results[tuple(argv)]
+        assert code == 1 and list(json.loads(out)) == ["error"], argv
+    family, plain = (json.loads(results[tuple(a)][1]) for a in REUSE_ARGVS[6:8])
+    assert family["family"] == "X" and family["element"] == [["1", "0"], ["1", "1"]]
+    assert plain == {"group_type": "reals-x-s2", "idempotent": [["0", "-1"], ["0", "0"]]}
 
 
 _BROKEN_RESIDUAL = """

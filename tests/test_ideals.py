@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,7 +17,8 @@ from tropmat.ideals import (
 )
 from tropmat.matrix import TropMatrix
 from tropmat.sampling import sample_descriptor, sample_matrix
-from tropmat.verify import matrix_with_iso_type
+from tropmat.structure import IdempotentForm
+from tropmat.verify import SuiteResult, matrix_with_iso_type
 
 SEED = 20260808
 
@@ -216,6 +219,54 @@ def test_open_width_uses_the_rational_grammar():
 def test_descriptor_rejects_parameters_of_the_wrong_type(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_value_classes_are_frozen_records():
+    records = [
+        (
+            IsoType("interval", "1/2"),
+            IsoType(kind="interval", diameter=Fraction(1, 2)),
+            "IsoType(kind='interval', diameter=Fraction(1, 2))",
+        ),
+        (
+            IdealDescriptor("closed", iso=IsoType("point")),
+            IdealDescriptor.closed(IsoType("point")),
+            "IdealDescriptor(kind='closed', iso=IsoType(kind='point', diameter=None), width=None)",
+        ),
+        (
+            IdempotentForm("upper", -1, "-2"),
+            IdempotentForm("upper", x=-1, y="-2"),
+            "IdempotentForm(kind='upper', x=-1, y='-2')",
+        ),
+    ]
+    for value, same, text in records:
+        assert value == same and hash(value) == hash(same) and repr(value) == text
+        assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError):
+            value.kind = "zero"
+        with pytest.raises(AttributeError):
+            del value.kind
+    assert len({IsoType("point"), IsoType("point"), IsoType("empty")}) == 2
+
+    class Point(IsoType):
+        __slots__ = ()
+
+    # equal fields are not enough: equality needs one type
+    assert Point("point") != IsoType("point")
+
+
+def test_suite_results_are_mutable_unhashable_records():
+    res = SuiteResult("duality", 3, 1)
+    res.ok()
+    res.fail("defect")
+    assert res == SuiteResult("duality", 3, 1, passed=1, failed=1, failures=["defect"])
+    assert repr(res) == (
+        "SuiteResult(suite='duality', samples=3, seed=1, rng='mt19937', "
+        "passed=1, failed=1, failures=['defect'])"
+    )
+    assert SuiteResult("duality", 3, 1).failures == []
+    with pytest.raises(TypeError):
+        hash(res)
 
 
 def test_descriptor_matches_matrix_membership():

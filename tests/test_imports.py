@@ -2,11 +2,16 @@
 imports.  ``tropmat/__init__.py`` is exempt: its imports are the public API.
 Every private helper the package defines is read somewhere in the package
 or the benchmark, and every class method and function the traced benchmark
-patches by name exists where it looks for it.
+patches by name exists where it looks for it.  Importing ``tropmat.cli``
+loads no ``dataclasses``.
 """
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -99,3 +104,28 @@ def test_the_traced_benchmark_finds_every_name_it_patches():
             if not isinstance(getattr(module, name, None), types.FunctionType)
         ]
     assert missing == []
+
+
+_COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import tropmat.cli
+print(json.dumps([sorted(before), sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_the_cli_imports_without_dataclasses():
+    # a fresh interpreter without the site hooks, so only the package's own
+    # imports load modules; the benchmark reads tropmat.sampling and
+    # tropmat.verify after importing only tropmat.cli, so both stay eager
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COLD_IMPORT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+        check=True,
+    )
+    before, loaded = json.loads(proc.stdout)
+    assert "dataclasses" not in before + loaded
+    assert {"tropmat.cli", "tropmat.sampling", "tropmat.verify"} <= set(loaded)

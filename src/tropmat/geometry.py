@@ -188,7 +188,10 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = zip(self.__slots__, self._fields())
+        # the field names are the __slots__ of the class that declares them;
+        # a subclass adding no fields declares __slots__ = ()
+        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
+        fields = zip(names, self._fields())
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __setattr__(self, name, value):
@@ -212,8 +215,6 @@ class IsoType(_Record):
     """
 
     __slots__ = ("kind", "diameter")
-    kind: str
-    diameter: Fraction | None
 
     def __init__(self, kind: str, diameter: Fraction | None = None):
         if kind not in _ISO_RANK:

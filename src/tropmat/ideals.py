@@ -29,10 +29,7 @@ class IdealDescriptor(_Record):
     ideal corresponds to one.
     """
 
-    __slots__ = ("kind", "iso", "width")
-    kind: str  # "closed" | "open" | "openline"
-    iso: IsoType | None
-    width: Fraction | None
+    __slots__ = ("kind", "iso", "width")  # kind: "closed" | "open" | "openline"
 
     def __init__(self, kind: str, iso: IsoType | None = None, width: Fraction | None = None):
         if width is not None and type(width) is not Fraction:

@@ -32,9 +32,6 @@ class IdempotentForm(_Record):
     """
 
     __slots__ = ("kind", "x", "y")
-    kind: str
-    x: TropScalar | None
-    y: TropScalar | None
 
     def __init__(self, kind: str, x: TropScalar | None = None, y: TropScalar | None = None):
         if kind not in ("zero", "diagonal", "upper", "lower"):

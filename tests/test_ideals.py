@@ -253,6 +253,10 @@ def test_value_classes_are_frozen_records():
 
     # equal fields are not enough: equality needs one type
     assert Point("point") != IsoType("point")
+    # a subclass prints its own name with the fields it inherits
+    assert repr(Point("interval", 2)) == (
+        f"{Point.__qualname__}(kind='interval', diameter=Fraction(2, 1))"
+    )
 
 
 def test_suite_results_are_mutable_unhashable_records():

@@ -44,7 +44,7 @@ class IdealDescriptor(_Record):
             if iso is not None or width is not None:
                 raise ValueError("the open-line descriptor carries no parameters")
         else:
-            raise ValueError(f"unknown descriptor kind {kind!r}")
+            raise ValueError(f"unknown descriptor kind {_quote(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "width", width)

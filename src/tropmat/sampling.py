@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
 from .matrix import TropMatrix, TropVector
-from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _scalar
+from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _quote, _scalar
 
 RNG_ALGORITHM = "mt19937"
 
@@ -47,7 +47,7 @@ def _draw(rng: random.Random, profile: str) -> Fraction | None:
         if rng.randrange(3) == 0:
             return None
         return rng.choice(_BOUNDARY_GRID)
-    raise ValueError(f"unknown profile {profile!r}: expected one of {PROFILES}")
+    raise ValueError(f"unknown profile {_quote(profile)}: expected one of {PROFILES}")
 
 
 def sample_scalar(rng: random.Random, profile: str) -> TropScalar:

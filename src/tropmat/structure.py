@@ -35,7 +35,7 @@ class IdempotentForm(_Record):
 
     def __init__(self, kind: str, x: TropScalar | None = None, y: TropScalar | None = None):
         if kind not in ("zero", "diagonal", "upper", "lower"):
-            raise ValueError(f"unknown idempotent family {kind!r}")
+            raise ValueError(f"unknown idempotent family {_quote(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

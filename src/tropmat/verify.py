@@ -24,7 +24,6 @@ from .green import GreenRelation, d_class_witness, leq_J, leq_L, leq_R, related,
 from .ideals import (
     IdealDescriptor,
     Ordering,
-    _contains_type,
     ideal_compare,
     ideal_contains,
     ideal_from_generators,
@@ -100,36 +99,43 @@ def matrix_with_iso_type(t: IsoType) -> TropMatrix:
     return witness_Z(s, s)
 
 
-def _suite_duality(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("duality", samples, seed)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = sample_matrix(rng, "with-neginf")
-        res.check(
-            isometric(proj_column_space(a), proj_row_space(a)),
-            f"column/row spaces of {a} are not isometric",
+def _suite(name: str, sample):
+    """The ``SUITES`` entry of a random suite: one stream seeded by seed
+    feeds ``sample(rng, i)`` for each index, and every ``(ok, message)`` it
+    returns is tallied."""
+
+    def run(samples: int, seed: int) -> SuiteResult:
+        res = SuiteResult(name, samples, seed)
+        rng = random.Random(seed)
+        for i in range(samples):
+            res.check(*sample(rng, i))
+        return res
+
+    return run
+
+
+def _duality(rng: random.Random, i: int) -> tuple[bool, str]:
+    a = sample_matrix(rng, "with-neginf")
+    return (
+        isometric(proj_column_space(a), proj_row_space(a)),
+        f"column/row spaces of {a} are not isometric",
+    )
+
+
+def _d_equals_j(rng: random.Random, i: int) -> tuple[bool, str]:
+    a = sample_matrix(rng, "with-neginf")
+    b = sample_matrix(rng, "with-neginf")
+    d_rel = related(GreenRelation.D, a, b)
+    j_rel = related(GreenRelation.J, a, b)
+    mutual = leq_J(a, b) and leq_J(b, a)
+    ok = d_rel == j_rel == mutual
+    if j_rel and ok:
+        z = d_class_witness(a, b)
+        ok = (
+            proj_column_space(z) == proj_column_space(b)
+            and proj_row_space(z) == proj_row_space(a)
         )
-    return res
-
-
-def _suite_d_equals_j(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("d-equals-j", samples, seed)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = sample_matrix(rng, "with-neginf")
-        b = sample_matrix(rng, "with-neginf")
-        d_rel = related(GreenRelation.D, a, b)
-        j_rel = related(GreenRelation.J, a, b)
-        mutual = leq_J(a, b) and leq_J(b, a)
-        ok = d_rel == j_rel == mutual
-        if j_rel and ok:
-            z = d_class_witness(a, b)
-            ok = (
-                proj_column_space(z) == proj_column_space(b)
-                and proj_row_space(z) == proj_row_space(a)
-            )
-        res.check(ok, f"D/J disagreement or bad witness for {a}, {b}")
-    return res
+    return ok, f"D/J disagreement or bad witness for {a}, {b}"
 
 
 def _zero_row(a: TropMatrix, i: int) -> TropMatrix:
@@ -138,25 +144,20 @@ def _zero_row(a: TropMatrix, i: int) -> TropMatrix:
     return TropMatrix(rows)
 
 
-def _suite_regularity(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("regularity", samples, seed)
-    rng = random.Random(seed)
-    for i in range(samples):
-        a = sample_matrix(rng, PROFILES[i % len(PROFILES)])
-        roll = rng.randrange(8)
-        if roll == 0:
-            a = TropMatrix.zero(2)
-        elif roll == 1:
-            a = _zero_row(a, rng.randrange(2))
-        elif roll == 2:
-            a = _zero_row(a.transpose(), rng.randrange(2)).transpose()
-        try:
-            y = regular_witness(a)
-        except AssertionError as exc:
-            res.fail(f"{exc} for {a}")
-            continue
-        res.check(a @ y @ a == a, f"witness failed to regularize {a}")
-    return res
+def _regularity(rng: random.Random, i: int) -> tuple[bool, str]:
+    a = sample_matrix(rng, PROFILES[i % len(PROFILES)])
+    roll = rng.randrange(8)
+    if roll == 0:
+        a = TropMatrix.zero(2)
+    elif roll == 1:
+        a = _zero_row(a, rng.randrange(2))
+    elif roll == 2:
+        a = _zero_row(a.transpose(), rng.randrange(2)).transpose()
+    try:
+        y = regular_witness(a)
+    except AssertionError as exc:
+        return False, f"{exc} for {a}"
+    return a @ y @ a == a, f"witness failed to regularize {a}"
 
 
 def _suite_idempotent_grid(samples: int, seed: int) -> SuiteResult:
@@ -171,125 +172,93 @@ def _suite_idempotent_grid(samples: int, seed: int) -> SuiteResult:
     return res
 
 
-def _suite_group_laws(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("group-laws", samples, seed)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
-        b = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
-        x = Fraction(rng.randrange(-12, 13), rng.randrange(1, 4))
-        y = x + Fraction(rng.randrange(1, 13), rng.randrange(1, 4))
-        w_law = subgroup_element("W", a) @ subgroup_element("W", b) == subgroup_element(
-            "W", a + b
-        )
-        xa, xb = subgroup_element("X", a, x, y), subgroup_element("X", b, x, y)
-        ya, yb = subgroup_element("Y", a, x, y), subgroup_element("Y", b, x, y)
-        x_law = xa @ xb == subgroup_element("X", a + b, x, y)
-        xy_law = (
-            xa @ yb == subgroup_element("Y", a + b, x, y)
-            and yb @ xa == subgroup_element("Y", a + b, x, y)
-        )
-        yy_law = ya @ yb == subgroup_element("X", a + b + (y - x), x, y)
-        z_law = subgroup_element("Z", a, x) @ subgroup_element("Z", b, x) == (
-            subgroup_element("Z", a + b, x)
-        )
-        flip = subgroup_element("Y", (x - y) / 2, x, y)
-        involution = flip @ flip == subgroup_element("X", 0, x, y)
-        res.check(
-            w_law and x_law and xy_law and yy_law and z_law and involution,
-            f"group law failure for a={a}, b={b}, interval [{x},{y}]",
-        )
-    return res
+def _group_laws(rng: random.Random, i: int) -> tuple[bool, str]:
+    a = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
+    b = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
+    x = Fraction(rng.randrange(-12, 13), rng.randrange(1, 4))
+    y = x + Fraction(rng.randrange(1, 13), rng.randrange(1, 4))
+    w_law = subgroup_element("W", a) @ subgroup_element("W", b) == subgroup_element("W", a + b)
+    xa, xb = subgroup_element("X", a, x, y), subgroup_element("X", b, x, y)
+    ya, yb = subgroup_element("Y", a, x, y), subgroup_element("Y", b, x, y)
+    x_law = xa @ xb == subgroup_element("X", a + b, x, y)
+    xy_law = (
+        xa @ yb == subgroup_element("Y", a + b, x, y)
+        and yb @ xa == subgroup_element("Y", a + b, x, y)
+    )
+    yy_law = ya @ yb == subgroup_element("X", a + b + (y - x), x, y)
+    z_law = subgroup_element("Z", a, x) @ subgroup_element("Z", b, x) == (
+        subgroup_element("Z", a + b, x)
+    )
+    flip = subgroup_element("Y", (x - y) / 2, x, y)
+    involution = flip @ flip == subgroup_element("X", 0, x, y)
+    return (
+        w_law and x_law and xy_law and yy_law and z_law and involution,
+        f"group law failure for a={a}, b={b}, interval [{x},{y}]",
+    )
 
 
-def _suite_oracle_agreement(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("oracle-agreement", samples, seed)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = sample_matrix(rng, "with-neginf")
-        b = sample_matrix(rng, "with-neginf")
-        right_ok = leq_R(a, b) == solves_right(b, a)
-        left_ok = leq_L(a, b) == solves_right(b.transpose(), a.transpose())
-        res.check(
-            right_ok and left_ok,
-            f"geometric and residuation answers disagree for {a}, {b}",
-        )
-    return res
+def _oracle_agreement(rng: random.Random, i: int) -> tuple[bool, str]:
+    a = sample_matrix(rng, "with-neginf")
+    b = sample_matrix(rng, "with-neginf")
+    right_ok = leq_R(a, b) == solves_right(b, a)
+    left_ok = leq_L(a, b) == solves_right(b.transpose(), a.transpose())
+    return right_ok and left_ok, f"geometric and residuation answers disagree for {a}, {b}"
 
 
 def _strict_type(lo: IdealDescriptor, hi: IdealDescriptor) -> IsoType:
-    """An isometry type witnessing that the ideal of hi strictly exceeds lo."""
-    widths = {Fraction(1)}
-    for d in (lo, hi):
-        if d.kind == "open":
-            widths.add(d.width)
-            widths.add(d.width / 2)
-        elif d.kind == "closed" and d.iso.kind == "interval":
-            widths.add(d.iso.diameter)
-            widths.add(d.iso.diameter + 1)
-            widths.add(d.iso.diameter / 2)
-    if lo.kind == "open" and hi.kind == "open":
-        widths.add((lo.width + hi.width) / 2)
-    if (
-        lo.kind == "closed"
-        and lo.iso.kind == "interval"
-        and hi.kind == "open"
-    ):
-        widths.add((lo.iso.diameter + hi.width) / 2)
-    candidates = [IsoType("empty"), IsoType("point")]
-    candidates += [IsoType("interval", w) for w in sorted(widths)]
-    candidates += [IsoType("halfinf"), IsoType("fullline")]
-    for t in candidates:
-        if _contains_type(hi, t) and not _contains_type(lo, t):
-            return t
-    raise AssertionError(f"no strictness witness between {lo} and {hi}")
+    """An isometry type in the ideal of hi and not in that of lo, given lo < hi.
+
+    A closed hi holds its own type, which no smaller ideal holds.  Otherwise
+    the witness is an interval wider than m, the width or interval diameter
+    of lo (0 for the other kinds), and narrower than hi's width, if any.
+    """
+    if hi.kind == "closed":
+        return hi.iso
+    m = lo.key()[1]  # the middle of a descriptor key is exactly that m
+    return IsoType("interval", (m + hi.width) / 2 if hi.kind == "open" else m + 1)
 
 
-def _suite_ideal_order(samples: int, seed: int) -> SuiteResult:
-    res = SuiteResult("ideal-order", samples, seed)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        d1 = sample_descriptor(rng)
-        d2 = sample_descriptor(rng)
-        cmp12 = ideal_compare(d1, d2)
-        cmp21 = ideal_compare(d2, d1)
-        flips = {
-            Ordering.LESS: Ordering.GREATER,
-            Ordering.GREATER: Ordering.LESS,
-            Ordering.EQUAL: Ordering.EQUAL,
-        }
-        ok = cmp21 == flips[cmp12]
-        if cmp12 == Ordering.EQUAL:
-            ok = ok and d1 == d2
-        else:
-            lo, hi = (d1, d2) if cmp12 == Ordering.LESS else (d2, d1)
-            strict = matrix_with_iso_type(_strict_type(lo, hi))
-            ok = ok and ideal_contains(hi, strict) and not ideal_contains(lo, strict)
-            probe = sample_matrix(rng, "with-neginf")
-            if ideal_contains(lo, probe):
-                ok = ok and ideal_contains(hi, probe)
-        gens = [
-            sample_matrix(rng, "with-neginf") for _ in range(rng.randrange(1, 4))
-        ]
-        generated = ideal_from_generators(gens)
-        best = max((principal_ideal_of(g) for g in gens), key=lambda d: d.key())
-        ok = ok and generated == best
-        ok = ok and all(ideal_contains(generated, g) for g in gens)
-        alt = sample_descriptor(rng)
-        if ideal_compare(alt, generated) == Ordering.LESS:
-            ok = ok and not all(ideal_contains(alt, g) for g in gens)
-        res.check(ok, f"ideal order inconsistency for {d1}, {d2}")
-    return res
+_FLIPS = {
+    Ordering.LESS: Ordering.GREATER,
+    Ordering.GREATER: Ordering.LESS,
+    Ordering.EQUAL: Ordering.EQUAL,
+}
+
+
+def _ideal_order(rng: random.Random, i: int) -> tuple[bool, str]:
+    d1 = sample_descriptor(rng)
+    d2 = sample_descriptor(rng)
+    cmp12 = ideal_compare(d1, d2)
+    cmp21 = ideal_compare(d2, d1)
+    ok = cmp21 == _FLIPS[cmp12]
+    if cmp12 == Ordering.EQUAL:
+        ok = ok and d1 == d2
+    else:
+        lo, hi = (d1, d2) if cmp12 == Ordering.LESS else (d2, d1)
+        strict = matrix_with_iso_type(_strict_type(lo, hi))
+        ok = ok and ideal_contains(hi, strict) and not ideal_contains(lo, strict)
+        probe = sample_matrix(rng, "with-neginf")
+        if ideal_contains(lo, probe):
+            ok = ok and ideal_contains(hi, probe)
+    gens = [sample_matrix(rng, "with-neginf") for _ in range(rng.randrange(1, 4))]
+    generated = ideal_from_generators(gens)
+    best = max((principal_ideal_of(g) for g in gens), key=lambda d: d.key())
+    ok = ok and generated == best
+    ok = ok and all(ideal_contains(generated, g) for g in gens)
+    alt = sample_descriptor(rng)
+    if ideal_compare(alt, generated) == Ordering.LESS:
+        ok = ok and not all(ideal_contains(alt, g) for g in gens)
+    return ok, f"ideal order inconsistency for {d1}, {d2}"
 
 
 SUITES = {
-    "duality": _suite_duality,
-    "d-equals-j": _suite_d_equals_j,
-    "regularity": _suite_regularity,
+    "duality": _suite("duality", _duality),
+    "d-equals-j": _suite("d-equals-j", _d_equals_j),
+    "regularity": _suite("regularity", _regularity),
     "idempotent-grid": _suite_idempotent_grid,
-    "group-laws": _suite_group_laws,
-    "oracle-agreement": _suite_oracle_agreement,
-    "ideal-order": _suite_ideal_order,
+    "group-laws": _suite("group-laws", _group_laws),
+    "oracle-agreement": _suite("oracle-agreement", _oracle_agreement),
+    "ideal-order": _suite("ideal-order", _ideal_order),
 }
 
 

@@ -1,6 +1,5 @@
-"""The exhaustive grids: every ordered pair of the 256 matrices over
-{-inf,-1,0,1}, 65,536 pairs, and every maximal subgroup of the 1,296
-matrices over {-inf,-2,-1,0,1,2}.
+"""The exhaustive pair grid: every ordered pair of the 256 matrices over
+{-inf,-1,0,1}, 65,536 pairs.
 
 The geometric decisions are held to the residuation oracle on each pair:
 the one-sided preorders to ``solves_right``, the J-preorder to a verified
@@ -16,17 +15,11 @@ and the J-preorder under (uav, bu).  Transposition swaps R and L, and the R-
 and L-preorders.  Units preserve isometry type, so a defect that is itself
 unit-invariant passes these checks.
 
-On the 1,296-matrix grid, each idempotent's H-class is held to the group
-type ``group_type_of_H`` names, and each member of a class a subgroup family
-parametrizes to that family's element; tier-1 runs the same checks on the
-256-matrix grid.
-
 It takes about 8 s (Python 3.11, a shared 2-CPU host), so tier-1 does not
 collect it: the file name is outside pytest's ``test_*.py`` pattern.  Run it
 with ``PYTHONPATH=src python -m pytest -q tests/grid_exhaustive.py``.
 """
 
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -42,7 +35,6 @@ from tropmat.green import (
     related,
 )
 from tropmat.matrix import TropMatrix, monomial_inverse, solves_right
-from tropmat.structure import GroupType, group_type_of_H, is_idempotent, subgroup_element
 
 
 def grid(values):
@@ -142,81 +134,3 @@ def test_transposition_swaps_the_one_sided_relations_on_every_pair():
     for (a, at), (b, bt) in product(zip(MATRICES, transposes), repeat=2):
         for rel, dual in swapped:
             assert related(rel, at, bt) == related(dual, a, b), (rel, a, b)
-
-
-def maximal_subgroup_counts(matrices):
-    """Each idempotent's H-class, cut down to the grid, behaves like the
-    group ``group_type_of_H`` names: e is the identity, products stay in the
-    class, only the wreath product fails to commute, and the elements of
-    order two are as many as its S2 factor allows.  Returns the number of
-    idempotents, the number of members of their classes, and the group
-    types by name."""
-    idempotents = [e for e in matrices if is_idempotent(e)]
-    types = Counter()
-    members = 0
-    for e in idempotents:
-        kind = group_type_of_H(*spaces(e))
-        types[kind.value] += 1
-        h_class = [a for a in matrices if spaces(a) == spaces(e)]
-        members += len(h_class)
-        pairs = list(product(h_class, repeat=2))
-        assert all(e @ h == h == h @ e for h in h_class), e
-        assert all(spaces(g @ h) == spaces(e) for g, h in pairs), e
-        commutes = all(g @ h == h @ g for g, h in pairs)
-        assert commutes == (kind is not GroupType.REALS_WREATH_S2), e
-        involutions = sum(h != e and h @ h == e for h in h_class)
-        if kind in (GroupType.TRIVIAL, GroupType.REALS):
-            assert involutions == 0, e
-        elif kind is GroupType.REALS_TIMES_S2:
-            assert involutions <= 1, e
-        else:
-            assert involutions >= 1, e
-    return len(idempotents), members, types
-
-
-def family_of(m, n):
-    """The subgroup family that parametrizes the H-class at (m, n), with its
-    endpoint arguments, or None when no family does: W on ({-inf}, {-inf}),
-    X and Y on ([x, y], [-y, -x]), Z on ([x, +inf], [-inf, -x])."""
-    if m.is_point and m.lo.is_neg_inf and n == m:
-        return "W", ()
-    if m.is_empty or m.is_point or n != m.negated():
-        return None
-    x, y = m.lo, m.hi
-    if x.is_finite and y.is_finite:
-        return "XY", (x.frac, y.frac)
-    if x.is_finite and y.is_pos_inf:
-        return "Z", (x.frac,)
-    return None
-
-
-def subgroup_family_counts(matrices):
-    """Each grid member h of an H-class a subgroup family parametrizes is
-    that family's element at ``a = h[0, 0]``.  Returns how many members each
-    family rebuilt, and how many no family parametrizes."""
-    counts = Counter()
-    for e in filter(is_idempotent, matrices):
-        family = family_of(*spaces(e))
-        for h in [h for h in matrices if spaces(h) == spaces(e)]:
-            if family is None:
-                counts["none"] += 1
-                continue
-            name, args = family
-            a = h[0, 0]
-            if name == "XY":
-                assert h in (subgroup_element("X", a, *args), subgroup_element("Y", a, *args)), h
-            else:
-                assert h == subgroup_element(name, a, *args), h
-            counts[name] += 1
-    return counts
-
-
-def test_maximal_subgroups_on_the_1296_matrix_grid():
-    idempotents, members, types = maximal_subgroup_counts(grid(["-inf", -2, -1, 0, 1, 2]))
-    assert (idempotents, members) == (63, 292)
-    assert types == {"trivial": 1, "reals": 51, "reals-x-s2": 10, "reals-wr-s2": 1}
-
-
-def test_subgroup_families_rebuild_the_1296_grid_members():
-    counts = subgroup_family_counts(grid(["-inf", -2, -1, 0, 1, 2]))
-    assert counts == {"W": 5, "XY": 62, "Z": 19, "none": 206}

@@ -5,10 +5,13 @@ lines inline; without -s pytest's own per-test PASS/FAIL report carries the
 same information.  Everything is exact: the only tolerances are zero.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from tropmat.geometry import (
     ConvexSet,
@@ -46,6 +49,7 @@ from tropmat.structure import (
     regular_witness,
     subgroup_element,
 )
+import tropmat.verify as verify_mod
 from tropmat.verify import SUITES, matrix_with_iso_type, run_suite
 
 SEED = 42
@@ -275,3 +279,44 @@ def test_named_verification_suites_all_green():
     for name in sorted(SUITES):
         result = run_suite(name, 500, SEED)
         assert result.failed == 0, (name, result.failures)
+
+
+def _shifted_subgroup_element(kind, a, *rest):
+    return subgroup_element(kind, a + 1, *rest)
+
+
+# One decision of each suite broken in the suite's own namespace, with the
+# exact tally of run_suite(name, 40, 3): the failure messages print the
+# sampled matrices and descriptors, so the digest of the five kept messages
+# pins each suite's stream, and every suite shows that it can fail.
+BROKEN_DECISIONS = [
+    ("duality", "isometric", lambda *args: False, 0, 40,
+     "a470fce710aec2421a95ece0256e3e324b444d77a921a2ed17cb1e01e46db19c"),
+    ("d-equals-j", "leq_J", lambda *args: False, 31, 9,
+     "23f596af388600a9ee7a59dbfb22c1179fff142f7c80adc38b306a30148f80d7"),
+    ("regularity", "regular_witness", lambda a: TropMatrix.zero(2), 9, 31,
+     "7152a7c04798b62863674dde2d4ddfc30de2e77d97b53facc085467d41bc82d7"),
+    ("idempotent-grid", "in_idempotent_family", lambda *args: False, 1233, 63,
+     "78af8204a245f8961321253df7f4a07e91476f9ca33045e45afe10ad290279b5"),
+    ("group-laws", "subgroup_element", _shifted_subgroup_element, 0, 40,
+     "5df95de9e5be994fcd8a197d0cd7f6f349a822d8cf8d739cc042504e26c006b2"),
+    ("oracle-agreement", "solves_right", lambda *args: False, 28, 12,
+     "b2a5551e85d2f26e861074ccef305ca6288145c939f91469a8327479417cd66f"),
+    ("ideal-order", "ideal_contains", lambda *args: True, 2, 38,
+     "30c94cfe0ce8446ddde5d05c720e0af84d75855f7d2d0bf2cb78b9aede7b6c70"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, name, fake, passed, failed, failures_sha256",
+    BROKEN_DECISIONS,
+    ids=[row[0] for row in BROKEN_DECISIONS],
+)
+def test_each_suite_fails_on_a_broken_decision(
+    monkeypatch, suite, name, fake, passed, failed, failures_sha256
+):
+    monkeypatch.setattr(verify_mod, name, fake)
+    result = run_suite(suite, 40, 3)
+    digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
+    assert (result.passed, result.failed, len(result.failures)) == (passed, failed, 5)
+    assert digest == failures_sha256

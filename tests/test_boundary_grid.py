@@ -13,8 +13,9 @@ R, principal-ideal membership to the J-preorder, and the grid part of each
 maximal subgroup to its group type and to its family's ``subgroup_element``.
 The set decisions are held to a reference on ``Fraction`` endpoints, and the
 Green relations on the 65,536-pair grid to their invariance under one unit
-(``tests/grid_exhaustive.py`` holds that check and runs it for two, and
-holds the maximal-subgroup checks and runs them on the 1,296-matrix grid).
+(``tests/grid_exhaustive.py`` holds that check and runs it for two).  The
+maximal-subgroup checks also run on the 1,296 matrices over
+{-inf,-2,-1,0,1,2}.
 """
 
 import json
@@ -59,7 +60,9 @@ from tropmat.matrix import (
 )
 from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, delta
 from tropmat.structure import (
+    GroupType,
     IdempotentForm,
+    group_type_of_H,
     idempotent_form,
     idempotent_in_H,
     is_idempotent,
@@ -73,9 +76,7 @@ pytest.register_assert_rewrite("grid_exhaustive")
 from grid_exhaustive import (  # noqa: E402
     UNITS,
     grid,
-    maximal_subgroup_counts,
     spaces,
-    subgroup_family_counts,
     unit_mismatches,
 )
 
@@ -125,6 +126,73 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
     assert not empty_classes & idempotent_classes
 
 
+def maximal_subgroup_counts(matrices):
+    """Each idempotent's H-class, cut down to the grid, behaves like the
+    group ``group_type_of_H`` names: e is the identity, products stay in the
+    class, only the wreath product fails to commute, and the elements of
+    order two are as many as its S2 factor allows.  Returns the number of
+    idempotents, the number of members of their classes, and the group
+    types by name."""
+    idempotents = [e for e in matrices if is_idempotent(e)]
+    types = Counter()
+    members = 0
+    for e in idempotents:
+        kind = group_type_of_H(*spaces(e))
+        types[kind.value] += 1
+        h_class = [a for a in matrices if spaces(a) == spaces(e)]
+        members += len(h_class)
+        pairs = list(product(h_class, repeat=2))
+        assert all(e @ h == h == h @ e for h in h_class), e
+        assert all(spaces(g @ h) == spaces(e) for g, h in pairs), e
+        commutes = all(g @ h == h @ g for g, h in pairs)
+        assert commutes == (kind is not GroupType.REALS_WREATH_S2), e
+        involutions = sum(h != e and h @ h == e for h in h_class)
+        if kind in (GroupType.TRIVIAL, GroupType.REALS):
+            assert involutions == 0, e
+        elif kind is GroupType.REALS_TIMES_S2:
+            assert involutions <= 1, e
+        else:
+            assert involutions >= 1, e
+    return len(idempotents), members, types
+
+
+def family_of(m, n):
+    """The subgroup family that parametrizes the H-class at (m, n), with its
+    endpoint arguments, or None when no family does: W on ({-inf}, {-inf}),
+    X and Y on ([x, y], [-y, -x]), Z on ([x, +inf], [-inf, -x])."""
+    if m.is_point and m.lo.is_neg_inf and n == m:
+        return "W", ()
+    if m.is_empty or m.is_point or n != m.negated():
+        return None
+    x, y = m.lo, m.hi
+    if x.is_finite and y.is_finite:
+        return "XY", (x.frac, y.frac)
+    if x.is_finite and y.is_pos_inf:
+        return "Z", (x.frac,)
+    return None
+
+
+def subgroup_family_counts(matrices):
+    """Each grid member h of an H-class a subgroup family parametrizes is
+    that family's element at ``a = h[0, 0]``.  Returns how many members each
+    family rebuilt, and how many no family parametrizes."""
+    counts = Counter()
+    for e in filter(is_idempotent, matrices):
+        family = family_of(*spaces(e))
+        for h in [h for h in matrices if spaces(h) == spaces(e)]:
+            if family is None:
+                counts["none"] += 1
+                continue
+            name, args = family
+            a = h[0, 0]
+            if name == "XY":
+                assert h in (subgroup_element("X", a, *args), subgroup_element("Y", a, *args)), h
+            else:
+                assert h == subgroup_element(name, a, *args), h
+            counts[name] += 1
+    return counts
+
+
 def test_maximal_subgroups_on_the_256_matrix_grid():
     idempotents, members, types = maximal_subgroup_counts(grid(["-inf", -1, 0, 1]))
     assert idempotents == 32
@@ -135,6 +203,17 @@ def test_maximal_subgroups_on_the_256_matrix_grid():
 def test_subgroup_families_rebuild_the_256_grid_members():
     counts = subgroup_family_counts(grid(["-inf", -1, 0, 1]))
     assert counts == {"W": 3, "XY": 12, "Z": 7, "none": 70}
+
+
+def test_maximal_subgroups_on_the_1296_matrix_grid():
+    idempotents, members, types = maximal_subgroup_counts(grid(["-inf", -2, -1, 0, 1, 2]))
+    assert (idempotents, members) == (63, 292)
+    assert types == {"trivial": 1, "reals": 51, "reals-x-s2": 10, "reals-wr-s2": 1}
+
+
+def test_subgroup_families_rebuild_the_1296_grid_members():
+    counts = subgroup_family_counts(grid(["-inf", -2, -1, 0, 1, 2]))
+    assert counts == {"W": 5, "XY": 62, "Z": 19, "none": 206}
 
 
 def test_classify_diameter_on_the_256_matrix_grid(capsys):

@@ -18,7 +18,7 @@ from tropmat.ideals import (
 from tropmat.matrix import TropMatrix
 from tropmat.sampling import sample_descriptor, sample_matrix
 from tropmat.structure import IdempotentForm
-from tropmat.verify import SuiteResult, matrix_with_iso_type
+from tropmat.verify import SuiteResult, _strict_type, matrix_with_iso_type
 
 SEED = 20260808
 
@@ -191,6 +191,27 @@ def test_descriptor_tokens_round_trip():
         IdealDescriptor.parse("halfopen:2")
     with pytest.raises(ValueError):
         IdealDescriptor.open_finite(0)
+
+
+def test_strict_type_separates_every_ordered_pair():
+    # open and closed-interval widths, the other closed types and the open line
+    widths = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 7]
+    grid = [IdealDescriptor.open_finite(w) for w in widths]
+    grid += [closed("interval", w) for w in widths]
+    grid += [closed(kind) for kind in ("empty", "point", "halfinf", "fullline")]
+    grid.append(IdealDescriptor.open_line())
+    pairs = [(lo, hi) for lo in grid for hi in grid if ideal_compare(lo, hi) is Ordering.LESS]
+    assert len(grid) == 19 and len(pairs) == 171
+    for lo, hi in pairs:
+        strict = matrix_with_iso_type(_strict_type(lo, hi))
+        assert ideal_contains(hi, strict) and not ideal_contains(lo, strict), (lo, hi)
+
+
+def test_unknown_kinds_are_quoted_cut():
+    for build in (IdealDescriptor, IdempotentForm):
+        with pytest.raises(ValueError, match="5000 characters") as exc:
+            build("x" * 5000)
+        assert len(str(exc.value)) < 400
 
 
 def test_open_width_uses_the_rational_grammar():

@@ -59,6 +59,10 @@ def test_unknown_profile_rejected():
         sample_scalar(random.Random(0), "gaussian")
     with pytest.raises(ValueError):
         sample_matrix(random.Random(0), "gaussian")
+    # an over-long profile name is quoted cut, not echoed whole
+    with pytest.raises(ValueError, match="5000 characters") as exc:
+        sample_matrix(random.Random(0), "x" * 5000)
+    assert len(str(exc.value)) < 400
 
 
 def test_convex_set_sampler_is_canonical():

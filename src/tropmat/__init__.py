@@ -16,7 +16,6 @@ from .semiring import (
 from .matrix import (
     ResidualMatrix,
     TropMatrix,
-    TropVector,
     left_residual,
     monomial_inverse,
     parse_matrix,
@@ -30,11 +29,9 @@ from .geometry import (
     canonical_set,
     embed_image,
     embeds_isometrically,
-    in_column_space,
     iso_type,
     isometric,
     proj_column_space,
-    proj_point_of,
     proj_row_space,
     subset,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "ResidualMatrix",
     "TropMatrix",
     "TropScalar",
-    "TropVector",
     "canonical_set",
     "d_class_witness",
     "decompose",
@@ -98,7 +94,6 @@ __all__ = [
     "ideal_compare",
     "ideal_contains",
     "ideal_from_generators",
-    "in_column_space",
     "in_idempotent_family",
     "is_idempotent",
     "iso_type",
@@ -112,7 +107,6 @@ __all__ = [
     "parse_matrix",
     "principal_ideal_of",
     "proj_column_space",
-    "proj_point_of",
     "proj_row_space",
     "regular_witness",
     "related",

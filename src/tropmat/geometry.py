@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrix import TropMatrix, TropVector, _frac, _lowest, _stored, solves_right
+from .matrix import TropMatrix, _frac, _lowest, _stored
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -259,12 +259,6 @@ def _key_le(x: tuple, dx: int, y: tuple, dy: int) -> bool:
     return x <= y if x[0] or y[0] else x[1] * dy <= y[1] * dx
 
 
-def proj_point_of(v: TropVector) -> ProjPoint:
-    """The projective image of a nonzero 2-vector (x1, x2), namely x2 - x1
-    under extended subtraction."""
-    return _proj(_image(*v._e), v._den)
-
-
 def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     """The projective span of the 2-vectors (x1, x2) and (y1, y2), each entry
     a numerator over den or None for ``-inf``.
@@ -360,17 +354,6 @@ def subset(s: ConvexSet, t: ConvexSet) -> bool:
     if s._den == t._den:
         return t._lo <= s._lo and s._hi <= t._hi
     return _key_le(t._lo, t._den, s._lo, s._den) and _key_le(s._hi, s._den, t._hi, t._den)
-
-
-def in_column_space(v: TropVector, a: TropMatrix) -> bool:
-    """Whether v is a tropical linear combination of a's columns.
-
-    Decided by residuation, as right divisibility of the matrix whose two
-    columns are both v.  The zero vector is always a member (scale every
-    column by ``-inf``).
-    """
-    x, y = v._e
-    return solves_right(a, TropMatrix._over((x, x, y, y), v._den))
 
 
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:

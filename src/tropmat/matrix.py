@@ -1,24 +1,24 @@
-"""Tropical 2x2 matrix and 2-vector arithmetic, plus the residuation solver.
+"""Tropical 2x2 matrix arithmetic, plus the residuation solver.
 
 Matrices are 2x2 grids of exact max-plus scalars, the only shape the
 classification theory has; every constructor refuses another.  The product
-is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  Residuation computes the
-greatest X with ``B @ X <= A`` entrywise.  Residual entries live in the
-completed carrier that also contains ``+inf`` (a residual coordinate is
-``+inf`` exactly when nothing constrains it, i.e. the matching column of the
-divisor is the zero vector); such entries are quarantined in
+is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  A column vector v is asked
+about as the matrix ``[v v]`` whose two columns are both v.  Residuation
+computes the greatest X with ``B @ X <= A`` entrywise.  Residual entries live
+in the completed carrier that also contains ``+inf`` (a residual coordinate
+is ``+inf`` exactly when nothing constrains it, i.e. the matching column of
+the divisor is the zero vector); such entries are quarantined in
 ``ResidualMatrix`` and replaced by 0 when a concrete solution over the plain
 semiring is materialized.  This makes ``A = B @ X`` decidable:  it is
 solvable iff the materialized greatest subsolution attains A.
 
-Each matrix, vector and residual matrix stores one positive ``int``
-denominator ``den``, the lcm of the reduced denominators of its finite
-entries, and its entries flat, a matrix's ``(p, q, r, s)`` row by row and a
-vector's ``(x, y)``, as ``int`` numerators over it (None for ``-inf``), in
-the store the three share, ``_Store``.  That form is canonical, so
-``_Store``'s one equality and hash compare it structurally.  Max and +
-commute with scaling by a positive integer, so the kernels rescale two
-operands to the lcm of their denominators, compute on ints and bring the
+Each matrix and residual matrix stores one positive ``int`` denominator
+``den``, the lcm of the reduced denominators of its finite entries, and its
+entries ``(p, q, r, s)`` flat, row by row, as ``int`` numerators over it
+(None for ``-inf``), in the store the two share, ``_Store``.  That form is
+canonical, so ``_Store``'s one equality and hash compare it structurally.
+Max and + commute with scaling by a positive integer, so the kernels rescale
+two operands to the lcm of their denominators, compute on ints and bring the
 result to lowest terms; only the public accessors build ``Fraction`` values.
 """
 
@@ -124,14 +124,14 @@ def _max(x, y):
 
 
 class _Store:
-    """The store of a vector, matrix or residual matrix: its flat entries
-    ``_e`` (see the module docstring) over the positive int ``_den``, in
-    canonical form, so two values of one type are equal exactly when their
-    stores are."""
+    """The store of a matrix or residual matrix: its flat entries ``_e``
+    (see the module docstring) over the positive int ``_den``, in canonical
+    form, so two values of one type are equal exactly when their stores
+    are."""
 
     __slots__ = ("_e", "_den")
 
-    n = 2  # the dimension of every vector and matrix
+    n = 2  # the dimension of every matrix
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -142,68 +142,14 @@ class _Store:
         return hash((self._e, self._den))
 
 
-class TropVector(_Store):
-    """A pair of tropical scalars.  Entries are stored as int numerators
-    (None for ``-inf``) over one denominator, in the canonical form the
-    module docstring describes; indexing and iteration build fresh, equal
-    scalars."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        entries = tuple(_scalar_key(e)[1] for e in entries)
-        if len(entries) != 2:
-            raise ValueError(f"vectors must have 2 entries, got {len(entries)}")
-        self._e, self._den = _stored(entries)
-
-    @classmethod
-    def _over(cls, entries: tuple, den: int) -> "TropVector":
-        """The vector of numerators over den, brought to lowest terms."""
-        v = object.__new__(cls)
-        v._e, v._den = _lowest(entries, den)
-        return v
-
-    @classmethod
-    def zero(cls, n: int) -> "TropVector":
-        return cls(["-inf"] * n)
-
-    @property
-    def entries(self) -> tuple[TropScalar, ...]:
-        return tuple(self)
-
-    @property
-    def is_zero(self) -> bool:
-        return self._e == (None, None)
-
-    def scaled(self, lam) -> "TropVector":
-        lam = TropScalar(lam)
-        return TropVector([lam * e for e in self])
-
-    def __getitem__(self, i: int) -> TropScalar:
-        return _scalar(_frac(self._e[i], self._den))
-
-    def __iter__(self):
-        den = self._den
-        return (_scalar(_frac(x, den)) for x in self._e)
-
-    def _tokens(self) -> list[str]:
-        return [_token(x, self._den) for x in self._e]
-
-    def __str__(self):
-        return "(" + ", ".join(self._tokens()) + ")"
-
-    def __repr__(self):
-        return f"TropVector({self._tokens()!r})"
-
-
 class TropMatrix(_Store):
     """A 2x2 matrix of tropical scalars.
 
-    ``A @ B`` is the max-plus product, ``A + B`` the entrywise max, and
-    ``A @ v`` the action on column vectors.  Instances are immutable.
-    Entries are stored as int numerators over one denominator, as in
-    ``TropVector``; ``rows``, ``[i, j]``, ``row`` and ``column`` build
-    fresh, equal scalars.
+    ``A @ B`` is the max-plus product and ``A + B`` the entrywise max; the
+    action on a column vector v is ``A @ [v v]``.  Instances are immutable.
+    Entries are stored as int numerators over one denominator, as the
+    module docstring describes; ``rows`` and ``[i, j]`` build fresh, equal
+    scalars.
     """
 
     # _pc and _pr hold the projective column and row spaces once geometry
@@ -247,14 +193,6 @@ class TropMatrix(_Store):
         p, q, r, s = [_scalar(_frac(x, self._den)) for x in self._e]
         return (p, q), (r, s)
 
-    def row(self, i: int) -> TropVector:
-        p, q, r, s = self._e
-        return TropVector._over(((p, q), (r, s))[i], self._den)
-
-    def column(self, j: int) -> TropVector:
-        p, q, r, s = self._e
-        return TropVector._over(((p, r), (q, s))[j], self._den)
-
     @property
     def is_zero(self) -> bool:
         return self._e == (None, None, None, None)
@@ -263,15 +201,12 @@ class TropMatrix(_Store):
         return _scalar(_frac(_at(self._e, ij), self._den))
 
     def __matmul__(self, other):
-        if isinstance(other, TropMatrix):
-            (p, q, r, s), (e, f, g, h), den = _common(self, other)
-            return TropMatrix._over(
-                (_dot(p, e, q, g), _dot(p, f, q, h), _dot(r, e, s, g), _dot(r, f, s, h)), den
-            )
-        if isinstance(other, TropVector):
-            (p, q, r, s), (x, y), den = _common(self, other)
-            return TropVector._over((_dot(p, x, q, y), _dot(r, x, s, y)), den)
-        return NotImplemented
+        if not isinstance(other, TropMatrix):
+            return NotImplemented
+        (p, q, r, s), (e, f, g, h), den = _common(self, other)
+        return TropMatrix._over(
+            (_dot(p, e, q, g), _dot(p, f, q, h), _dot(r, e, s, g), _dot(r, f, s, h)), den
+        )
 
     def __add__(self, other):
         if not isinstance(other, TropMatrix):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
-from .matrix import TropMatrix, TropVector
+from .matrix import TropMatrix
 from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _quote, _scalar
 
 RNG_ALGORITHM = "mt19937"
@@ -36,7 +36,7 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 def _draw(rng: random.Random, profile: str) -> Fraction | None:
     """One entry's value under a profile, None for ``-inf``: the draw rule
-    behind every scalar, vector and matrix sampler."""
+    behind every scalar and matrix sampler."""
     if profile == "dense-rational":
         return _random_rational(rng)
     if profile == "with-neginf":
@@ -57,10 +57,6 @@ def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
 def sample_matrix(rng: random.Random, profile: str) -> TropMatrix:
     # four draws, row by row: the order every seeded stream depends on
     return TropMatrix._of([[_draw(rng, profile) for _ in range(2)] for _ in range(2)])
-
-
-def sample_vector(rng: random.Random, profile: str) -> TropVector:
-    return TropVector([sample_scalar(rng, profile) for _ in range(2)])
 
 
 def sample_proj_point(rng: random.Random) -> ProjPoint:

@@ -278,7 +278,7 @@ def _point(k: tuple) -> ProjPoint:
 def _image(x1, x2) -> tuple:
     """The projective image ``x2 - x1`` of the nonzero pair (x1, x2) of
     numerators over one denominator, None standing for ``-inf``: the rule
-    behind ``proj_point_of`` and the space maps.
+    behind the space maps.
 
     Returned as an order key with a numerator for its value, so that images
     order like the points they stand for."""

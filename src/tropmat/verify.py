@@ -101,28 +101,27 @@ def matrix_with_iso_type(t: IsoType) -> TropMatrix:
 
 def _suite(name: str, sample):
     """The ``SUITES`` entry of a random suite: one stream seeded by seed
-    feeds ``sample(rng, i)`` for each index, and every ``(ok, message)`` it
-    returns is tallied."""
+    feeds ``sample(rng, i)`` for each index, which returns None for a pass
+    and its failure message for a failure, and each result is tallied."""
 
     def run(samples: int, seed: int) -> SuiteResult:
         res = SuiteResult(name, samples, seed)
         rng = random.Random(seed)
         for i in range(samples):
-            res.check(*sample(rng, i))
+            message = sample(rng, i)
+            res.check(message is None, message)
         return res
 
     return run
 
 
-def _duality(rng: random.Random, i: int) -> tuple[bool, str]:
+def _duality(rng: random.Random, i: int) -> str | None:
     a = sample_matrix(rng, "with-neginf")
-    return (
-        isometric(proj_column_space(a), proj_row_space(a)),
-        f"column/row spaces of {a} are not isometric",
-    )
+    if not isometric(proj_column_space(a), proj_row_space(a)):
+        return f"column/row spaces of {a} are not isometric"
 
 
-def _d_equals_j(rng: random.Random, i: int) -> tuple[bool, str]:
+def _d_equals_j(rng: random.Random, i: int) -> str | None:
     a = sample_matrix(rng, "with-neginf")
     b = sample_matrix(rng, "with-neginf")
     d_rel = related(GreenRelation.D, a, b)
@@ -135,7 +134,8 @@ def _d_equals_j(rng: random.Random, i: int) -> tuple[bool, str]:
             proj_column_space(z) == proj_column_space(b)
             and proj_row_space(z) == proj_row_space(a)
         )
-    return ok, f"D/J disagreement or bad witness for {a}, {b}"
+    if not ok:
+        return f"D/J disagreement or bad witness for {a}, {b}"
 
 
 def _zero_row(a: TropMatrix, i: int) -> TropMatrix:
@@ -144,7 +144,7 @@ def _zero_row(a: TropMatrix, i: int) -> TropMatrix:
     return TropMatrix(rows)
 
 
-def _regularity(rng: random.Random, i: int) -> tuple[bool, str]:
+def _regularity(rng: random.Random, i: int) -> str | None:
     a = sample_matrix(rng, PROFILES[i % len(PROFILES)])
     roll = rng.randrange(8)
     if roll == 0:
@@ -156,8 +156,9 @@ def _regularity(rng: random.Random, i: int) -> tuple[bool, str]:
     try:
         y = regular_witness(a)
     except AssertionError as exc:
-        return False, f"{exc} for {a}"
-    return a @ y @ a == a, f"witness failed to regularize {a}"
+        return f"{exc} for {a}"
+    if a @ y @ a != a:
+        return f"witness failed to regularize {a}"
 
 
 def _suite_idempotent_grid(samples: int, seed: int) -> SuiteResult:
@@ -165,14 +166,14 @@ def _suite_idempotent_grid(samples: int, seed: int) -> SuiteResult:
     res = SuiteResult("idempotent-grid", len(grid) ** 4, seed)
     for a, b, c, d in product(grid, repeat=4):
         m = TropMatrix([[a, b], [c, d]])
-        res.check(
-            is_idempotent(m) == in_idempotent_family(m),
-            f"brute-force and family classification disagree on {m}",
-        )
+        if is_idempotent(m) == in_idempotent_family(m):
+            res.ok()
+        else:
+            res.fail(f"brute-force and family classification disagree on {m}")
     return res
 
 
-def _group_laws(rng: random.Random, i: int) -> tuple[bool, str]:
+def _group_laws(rng: random.Random, i: int) -> str | None:
     a = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
     b = Fraction(rng.randrange(-20, 21), rng.randrange(1, 4))
     x = Fraction(rng.randrange(-12, 13), rng.randrange(1, 4))
@@ -191,18 +192,17 @@ def _group_laws(rng: random.Random, i: int) -> tuple[bool, str]:
     )
     flip = subgroup_element("Y", (x - y) / 2, x, y)
     involution = flip @ flip == subgroup_element("X", 0, x, y)
-    return (
-        w_law and x_law and xy_law and yy_law and z_law and involution,
-        f"group law failure for a={a}, b={b}, interval [{x},{y}]",
-    )
+    if not (w_law and x_law and xy_law and yy_law and z_law and involution):
+        return f"group law failure for a={a}, b={b}, interval [{x},{y}]"
 
 
-def _oracle_agreement(rng: random.Random, i: int) -> tuple[bool, str]:
+def _oracle_agreement(rng: random.Random, i: int) -> str | None:
     a = sample_matrix(rng, "with-neginf")
     b = sample_matrix(rng, "with-neginf")
     right_ok = leq_R(a, b) == solves_right(b, a)
     left_ok = leq_L(a, b) == solves_right(b.transpose(), a.transpose())
-    return right_ok and left_ok, f"geometric and residuation answers disagree for {a}, {b}"
+    if not (right_ok and left_ok):
+        return f"geometric and residuation answers disagree for {a}, {b}"
 
 
 def _strict_type(lo: IdealDescriptor, hi: IdealDescriptor) -> IsoType:
@@ -225,7 +225,7 @@ _FLIPS = {
 }
 
 
-def _ideal_order(rng: random.Random, i: int) -> tuple[bool, str]:
+def _ideal_order(rng: random.Random, i: int) -> str | None:
     d1 = sample_descriptor(rng)
     d2 = sample_descriptor(rng)
     cmp12 = ideal_compare(d1, d2)
@@ -248,7 +248,8 @@ def _ideal_order(rng: random.Random, i: int) -> tuple[bool, str]:
     alt = sample_descriptor(rng)
     if ideal_compare(alt, generated) == Ordering.LESS:
         ok = ok and not all(ideal_contains(alt, g) for g in gens)
-    return ok, f"ideal order inconsistency for {d1}, {d2}"
+    if not ok:
+        return f"ideal order inconsistency for {d1}, {d2}"
 
 
 SUITES = {

@@ -281,6 +281,17 @@ def test_named_verification_suites_all_green():
         assert result.failed == 0, (name, result.failures)
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_passing_suite_prints_no_matrix(monkeypatch, suite):
+    # a failure message prints the sampled matrices; a sample that passes
+    # builds no message, so a clean run never prints one
+    printed = []
+    to_text = TropMatrix.__str__
+    monkeypatch.setattr(TropMatrix, "__str__", lambda m: printed.append(m) or to_text(m))
+    result = run_suite(suite, 50, SEED)
+    assert result.failed == 0 and printed == []
+
+
 def _shifted_subgroup_element(kind, a, *rest):
     return subgroup_element(kind, a + 1, *rest)
 

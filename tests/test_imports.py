@@ -3,7 +3,8 @@ imports.  ``tropmat/__init__.py`` is exempt: its imports are the public API.
 Every private helper the package defines is read somewhere in the package
 or the benchmark, and every class method and function the traced benchmark
 patches by name exists where it looks for it.  Importing ``tropmat.cli``
-loads no ``dataclasses``.
+loads no ``dataclasses``, and the geometric route imports nothing of the
+residuation oracle.
 """
 
 import ast
@@ -24,18 +25,24 @@ MODULES = sorted(
 )
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names a module imports but never reads.  An attribute chain such
-    as ``tropmat.cli.main`` reads its first name, ``tropmat``."""
-    tree = ast.parse(source)
+def imported_names(source: str) -> set[str]:
+    """The names a module imports, as it binds them; ``__future__`` features
+    are not names."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports but never reads.  An attribute chain such
+    as ``tropmat.cli.main`` reads its first name, ``tropmat``."""
+    tree = ast.parse(source)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return sorted(imported - read)
+    return sorted(imported_names(source) - read)
 
 
 def test_the_scan_finds_unused_imports():
@@ -47,6 +54,14 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(MODULES) > 15
     unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_the_geometric_route_does_not_import_the_oracle():
+    # the two routes to each answer stay independent: geometry decides from
+    # the projective spaces and never asks residuation
+    oracle = {"solves_right", "left_residual", "right_residual", "ResidualMatrix"}
+    source = (ROOT / "src" / "tropmat" / "geometry.py").read_text()
+    assert imported_names(source) & oracle == set()
 
 
 def private_definitions(source: str) -> set[str]:

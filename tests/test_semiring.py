@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from tropmat.geometry import proj_point_of
-from tropmat.matrix import TropVector
+from tropmat.geometry import proj_column_space
+from tropmat.matrix import TropMatrix
 from tropmat.semiring import (
     BOTTOM,
     INF_DIST,
@@ -50,8 +50,10 @@ def test_t_mul_examples():
 
 
 def ext_sub(a, b):
-    """Extended subtraction a - b: the projective image of the vector (b, a)."""
-    return proj_point_of(TropVector([b, a]))
+    """Extended subtraction a - b: the projective image of the vector (b, a),
+    the one point of the column space of the matrix whose two columns are
+    both (b, a).  The double bottom spans the empty set, which has no point."""
+    return proj_column_space(TropMatrix([[b, b], [a, a]])).lo
 
 
 def test_ext_sub_examples():

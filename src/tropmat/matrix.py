@@ -5,21 +5,24 @@ classification theory has; every constructor refuses another.  The product
 is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  A column vector v is asked
 about as the matrix ``[v v]`` whose two columns are both v.  Residuation
 computes the greatest X with ``B @ X <= A`` entrywise.  Residual entries live
-in the completed carrier that also contains ``+inf`` (a residual coordinate
-is ``+inf`` exactly when nothing constrains it, i.e. the matching column of
-the divisor is the zero vector); such entries are quarantined in
-``ResidualMatrix`` and replaced by 0 when a concrete solution over the plain
-semiring is materialized.  This makes ``A = B @ X`` decidable:  it is
-solvable iff the materialized greatest subsolution attains A.
+in the completed carrier that also contains ``+inf``: a residual coordinate
+is ``+inf`` exactly when nothing constrains it, i.e. every term of its min
+has a ``-inf`` divisor entry or a ``+inf`` target entry.  One rule,
+``_least``, computes each entry of a residual as the entry of its witness,
+the concrete solution over the plain semiring that puts 0 at each ``+inf``.
+This makes ``A = B @ X`` decidable:  it is solvable iff that witness attains
+A.
 
 Each matrix and residual matrix stores one positive ``int`` denominator
 ``den``, the lcm of the reduced denominators of its finite entries, and its
 entries ``(p, q, r, s)`` flat, row by row, as ``int`` numerators over it
-(None for ``-inf``), in the store the two share, ``_Store``.  That form is
-canonical, so ``_Store``'s one equality and hash compare it structurally.
-Max and + commute with scaling by a positive integer, so the kernels rescale
-two operands to the lcm of their denominators, compute on ints and bring the
-result to lowest terms; only the public accessors build ``Fraction`` values.
+(None for ``-inf``), in the store the two share, ``_Store``; a residual
+matrix stores its witness there and flags its ``+inf`` entries in
+``_free``.  That form is canonical, so ``_Store``'s one equality and hash
+compare it structurally.  Max and + commute with scaling by a positive
+integer, so the kernels rescale two operands to the lcm of their
+denominators, compute on ints and bring the result to lowest terms; only
+the public accessors build ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -126,20 +129,21 @@ def _max(x, y):
 class _Store:
     """The store of a matrix or residual matrix: its flat entries ``_e``
     (see the module docstring) over the positive int ``_den``, in canonical
-    form, so two values of one type are equal exactly when their stores
-    are."""
+    form, and the flags ``_free`` of its ``+inf`` entries, so two values of
+    one type are equal exactly when their stores are."""
 
     __slots__ = ("_e", "_den")
 
     n = 2  # the dimension of every matrix
+    _free = (False, False, False, False)  # only a residual matrix has +inf
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._den == other._den and self._e == other._e
+        return self._den == other._den and self._e == other._e and self._free == other._free
 
     def __hash__(self):
-        return hash((self._e, self._den))
+        return hash((self._e, self._den, self._free))
 
 
 class TropMatrix(_Store):
@@ -272,24 +276,6 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     return TropMatrix._over(tuple([None if x is None else -x for x in (p, r, q, s)]), a._den)
 
 
-def _residual(t: tuple, d) -> tuple:
-    """The rule of ``residual_scalar``: the target's order key t and the
-    divisor d (None for ``-inf``) in, the result's order key out.  Values
-    are Fractions, or numerators over one denominator."""
-    kind = t[0]
-    if d is None or kind == 1:
-        return _POS_KEY
-    if kind == -1:
-        return _NEG_KEY
-    return 0, t[1] - d
-
-
-def _plain(k: tuple):
-    """The witness numerator of a residual entry's key: 0 for ``+inf``,
-    which no divisor entry constrains, else its own value."""
-    return 0 if k[0] == 1 else k[1]
-
-
 def residual_scalar(target, divisor) -> ProjPoint:
     """The greatest t with divisor + t <= target, in the completed order.
 
@@ -297,7 +283,15 @@ def residual_scalar(target, divisor) -> ProjPoint:
     ``-inf`` when a ``-inf`` target meets a finite divisor.  The target may
     itself be ``+inf`` (residuals of residuals), which is also unconstraining.
     """
-    return _point(_residual(ProjPoint(target)._k, _scalar_key(divisor)[1]))
+    (kind, t), d = ProjPoint(target)._k, _scalar_key(divisor)[1]
+    if d is None or kind == 1:
+        return _point(_POS_KEY)
+    return _point(_NEG_KEY if kind == -1 else (0, t - d))
+
+
+def _projective(x, free: bool, den: int) -> ProjPoint:
+    """The point of a residual entry: ``+inf`` if free, else x over den."""
+    return _point(_POS_KEY if free else _NEG_KEY if x is None else (0, Fraction(x, den)))
 
 
 class ResidualMatrix(_Store):
@@ -307,48 +301,42 @@ class ResidualMatrix(_Store):
     divisor leaves unconstrained.  ``witness()`` returns a concrete plain
     solution by putting 0 in those coordinates (any finite value there
     multiplies only ``-inf`` entries of the divisor, so the choice is free).
-    Entries are stored as the order keys of their points (see ``semiring``)
-    with an int numerator over the matrix's one denominator for the value,
-    canonical as in ``TropMatrix``; ``rows`` and ``[i, j]`` build fresh,
-    equal points.
+    The store is that witness, canonical as in ``TropMatrix``, and the flags
+    ``_free`` of the ``+inf`` entries, whose numerators are 0; ``rows`` and
+    ``[i, j]`` build fresh, equal points.
     """
 
-    __slots__ = ()
+    __slots__ = ("_free",)
 
     def __init__(self, rows):
         keys = _flat([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
-        nums, self._den = _stored([f for _, f in keys])
-        self._e = tuple([(k[0], x) for k, x in zip(keys, nums)])
+        self._e, self._den = _stored([0 if kind == 1 else f for kind, f in keys])
+        self._free = tuple([kind == 1 for kind, _ in keys])
 
     @classmethod
-    def _over(cls, keys: tuple, den: int) -> "ResidualMatrix":
-        """The residual matrix of the (kind, num) keys (p, q, r, s) over den,
-        brought to lowest terms."""
-        if den != 1:
-            g = gcd(den, *(x for _, x in keys if x is not None))
-            if g != 1:
-                den //= g
-                keys = tuple([(kind, None if x is None else x // g) for kind, x in keys])
+    def _over(cls, nums: tuple, free: tuple, den: int) -> "ResidualMatrix":
+        """The residual matrix of the witness numerators (p, q, r, s) over
+        den, brought to lowest terms, with ``+inf`` where free."""
         m = object.__new__(cls)
-        m._e = keys
-        m._den = den
+        m._e, m._den = _lowest(nums, den)
+        m._free = free
         return m
 
     @property
     def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        p, q, r, s = [_point((k, _frac(x, self._den))) for k, x in self._e]
+        den = self._den
+        p, q, r, s = [_projective(x, f, den) for x, f in zip(self._e, self._free)]
         return (p, q), (r, s)
 
     def __getitem__(self, ij) -> ProjPoint:
-        kind, x = _at(self._e, ij)
-        return _point((kind, _frac(x, self._den)))
+        return _projective(_at(self._e, ij), _at(self._free, ij), self._den)
 
     def transpose(self) -> "ResidualMatrix":
-        p, q, r, s = self._e
-        return ResidualMatrix._over((p, r, q, s), self._den)
+        (p, q, r, s), (fp, fq, fr, fs) = self._e, self._free
+        return ResidualMatrix._over((p, r, q, s), (fp, fr, fq, fs), self._den)
 
     def witness(self) -> TropMatrix:
-        return TropMatrix._over(tuple(map(_plain, self._e)), self._den)
+        return TropMatrix._over(self._e, self._den)
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""
@@ -358,35 +346,6 @@ class ResidualMatrix(_Store):
 
     def __repr__(self):
         return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
-
-
-def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
-    """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
-    under the residuated subtraction of ``residual_scalar``.
-
-    The target a may itself be a residual, whose ``+inf`` entries leave their
-    coordinates unconstrained."""
-    den = lcm(b._den, a._den)
-    k = den // a._den
-    if isinstance(a, ResidualMatrix):
-        t = [(kind, None if x is None else x * k) for kind, x in a._e]
-    else:
-        t = [_NEG_KEY if x is None else (0, x) for x in _rescaled(a._e, k)]
-    p, q, r, s = _rescaled(b._e, den // b._den)
-    return ResidualMatrix._over(
-        (
-            min(_residual(t[0], p), _residual(t[2], r)),
-            min(_residual(t[1], p), _residual(t[3], r)),
-            min(_residual(t[0], q), _residual(t[2], s)),
-            min(_residual(t[1], q), _residual(t[3], s)),
-        ),
-        den,
-    )
-
-
-def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
-    """The greatest X with ``X @ b <= a``; the transpose dual of left_residual."""
-    return left_residual(b.transpose(), a.transpose()).transpose()
 
 
 def _least(t1, d1, t2, d2):
@@ -403,6 +362,36 @@ def _least(t1, d1, t2, d2):
     if d2 is None:
         return t1 - d1
     return None if t2 is None else min(t1 - d1, t2 - d2)
+
+
+def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
+    """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
+    under the residuated subtraction of ``residual_scalar``.
+
+    The target a may itself be a residual, whose ``+inf`` entries leave their
+    coordinates unconstrained: such a term drops out of the min, as a term
+    over a ``-inf`` divisor entry does."""
+    (p, q, r, s), (e, f, g, h), den = _common(b, a)
+    fe, ff, fg, fh = a._free
+    p0, q0 = (None, None) if fe else (p, q)
+    r0, s0 = (None, None) if fg else (r, s)
+    p1, q1 = (None, None) if ff else (p, q)
+    r1, s1 = (None, None) if fh else (r, s)
+    return ResidualMatrix._over(
+        (_least(e, p0, g, r0), _least(f, p1, h, r1), _least(e, q0, g, s0), _least(f, q1, h, s1)),
+        (
+            p0 is None and r0 is None,
+            p1 is None and r1 is None,
+            q0 is None and s0 is None,
+            q1 is None and s1 is None,
+        ),
+        den,
+    )
+
+
+def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
+    """The greatest X with ``X @ b <= a``; the transpose dual of left_residual."""
+    return left_residual(b.transpose(), a.transpose()).transpose()
 
 
 def solves_right(b: TropMatrix, a: TropMatrix) -> bool:

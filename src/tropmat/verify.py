@@ -2,15 +2,16 @@
 
 Each suite replays one of the theorem-backed invariants on a deterministic
 sample stream and counts successes; a nonzero failure count means a defect
-in the library, never an expected outcome.  The suites back both the
-``verify`` CLI subcommand and the acceptance tests.
+in the library, never an expected outcome.  A suite is only its per-sample
+check in ``SUITES``; ``run_suite`` is the one driver that seeds the stream
+and tallies the checks.  The suites back both the ``verify`` CLI subcommand
+and the acceptance tests.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 
 from .geometry import (
     IsoType,
@@ -36,7 +37,7 @@ from .sampling import (
     sample_descriptor,
     sample_matrix,
 )
-from .semiring import BOTTOM, TropScalar, _quote
+from .semiring import BOTTOM, _quote
 from .structure import (
     in_idempotent_family,
     is_idempotent,
@@ -46,73 +47,30 @@ from .structure import (
 
 
 class SuiteResult(_Record):
-    """The tally of one suite run: passed and failed counts and the first
-    five failure messages.  It counts while the suite runs, so unlike the
-    other records it is mutable and unhashable."""
+    """The tally of one suite run: its sample count, the passed and failed
+    counts, which sum to it, and the first five failure messages."""
 
     __slots__ = ("suite", "samples", "seed", "rng", "passed", "failed", "failures")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(
-        self,
-        suite: str,
-        samples: int,
-        seed: int,
-        rng: str = RNG_ALGORITHM,
-        passed: int = 0,
-        failed: int = 0,
-        failures: list[str] | None = None,
-    ):
-        self.suite = suite
-        self.samples = samples
-        self.seed = seed
-        self.rng = rng
-        self.passed = passed
-        self.failed = failed
-        self.failures = [] if failures is None else failures
+    def __init__(self, suite, samples, seed, rng, passed, failed, failures):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "rng", rng)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "failures", failures)
 
     def _fields(self) -> tuple:
         return (
             self.suite, self.samples, self.seed, self.rng, self.passed, self.failed, self.failures
         )
 
-    def ok(self):
-        self.passed += 1
-
-    def fail(self, message: str):
-        self.failed += 1
-        if len(self.failures) < 5:
-            self.failures.append(message)
-
-    def check(self, condition: bool, message: str):
-        if condition:
-            self.ok()
-        else:
-            self.fail(message)
-
 
 def matrix_with_iso_type(t: IsoType) -> TropMatrix:
     """A concrete matrix whose projective column space has the given type."""
     s = canonical_set(t)
     return witness_Z(s, s)
-
-
-def _suite(name: str, sample):
-    """The ``SUITES`` entry of a random suite: one stream seeded by seed
-    feeds ``sample(rng, i)`` for each index, which returns None for a pass
-    and its failure message for a failure, and each result is tallied."""
-
-    def run(samples: int, seed: int) -> SuiteResult:
-        res = SuiteResult(name, samples, seed)
-        rng = random.Random(seed)
-        for i in range(samples):
-            message = sample(rng, i)
-            res.check(message is None, message)
-        return res
-
-    return run
 
 
 def _duality(rng: random.Random, i: int) -> str | None:
@@ -161,16 +119,16 @@ def _regularity(rng: random.Random, i: int) -> str | None:
         return f"witness failed to regularize {a}"
 
 
-def _suite_idempotent_grid(samples: int, seed: int) -> SuiteResult:
-    grid = [BOTTOM] + [TropScalar(v) for v in (-2, -1, 0, 1, 2)]
-    res = SuiteResult("idempotent-grid", len(grid) ** 4, seed)
-    for a, b, c, d in product(grid, repeat=4):
-        m = TropMatrix([[a, b], [c, d]])
-        if is_idempotent(m) == in_idempotent_family(m):
-            res.ok()
-        else:
-            res.fail(f"brute-force and family classification disagree on {m}")
-    return res
+_GRID = (None, -2, -1, 0, 1, 2)  # -inf and the integers -2..2
+_GRID_SAMPLES = len(_GRID) ** 4  # idempotent-grid runs all 1,296 matrices
+
+
+def _idempotent_grid(rng: random.Random, i: int) -> str | None:
+    # the i-th matrix in itertools.product(_GRID, repeat=4) order
+    p, q, r, s = [_GRID[i // 6**k % 6] for k in (3, 2, 1, 0)]
+    m = TropMatrix._of([[p, q], [r, s]])
+    if is_idempotent(m) != in_idempotent_family(m):
+        return f"brute-force and family classification disagree on {m}"
 
 
 def _group_laws(rng: random.Random, i: int) -> str | None:
@@ -253,17 +211,20 @@ def _ideal_order(rng: random.Random, i: int) -> str | None:
 
 
 SUITES = {
-    "duality": _suite("duality", _duality),
-    "d-equals-j": _suite("d-equals-j", _d_equals_j),
-    "regularity": _suite("regularity", _regularity),
-    "idempotent-grid": _suite_idempotent_grid,
-    "group-laws": _suite("group-laws", _group_laws),
-    "oracle-agreement": _suite("oracle-agreement", _oracle_agreement),
-    "ideal-order": _suite("ideal-order", _ideal_order),
+    "duality": _duality,
+    "d-equals-j": _d_equals_j,
+    "regularity": _regularity,
+    "idempotent-grid": _idempotent_grid,
+    "group-laws": _group_laws,
+    "oracle-agreement": _oracle_agreement,
+    "ideal-order": _ideal_order,
 }
 
 
 def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
+    """Run ``SUITES[name]`` on indices 0..samples-1 of one stream seeded by
+    seed: each check returns None for a pass and its failure message for a
+    failure.  ``idempotent-grid`` is exhaustive and ignores samples."""
     if name not in SUITES:
         valid = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {_quote(name)}: expected one of {valid}")
@@ -271,4 +232,16 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
         raise ValueError("samples must be positive")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    return SUITES[name](samples, seed)
+    if name == "idempotent-grid":
+        samples = _GRID_SAMPLES
+    sample, rng = SUITES[name], random.Random(seed)
+    failed, failures = 0, []
+    for i in range(samples):
+        message = sample(rng, i)
+        if message is not None:
+            failed += 1
+            if len(failures) < 5:
+                failures.append(message)
+    return SuiteResult(
+        name, samples, seed, RNG_ALGORITHM, samples - failed, failed, tuple(failures)
+    )

@@ -7,9 +7,11 @@ same information.  Everything is exact: the only tolerances are zero.
 
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +333,11 @@ def test_each_suite_fails_on_a_broken_decision(
     digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
     assert (result.passed, result.failed, len(result.failures)) == (passed, failed, 5)
     assert digest == failures_sha256
+
+
+def test_suites_pinned_failures_and_readme_agree():
+    # a new suite arrives with its pinned broken decision and its README entry
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Suites:(.*?)\.", readme, flags=re.S).group(1)
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(SUITES)
+    assert sorted(row[0] for row in BROKEN_DECISIONS) == sorted(SUITES)

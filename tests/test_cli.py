@@ -170,19 +170,20 @@ def test_verify(capsys):
 def test_verify_failure_exits_2(capsys, monkeypatch):
     import tropmat.verify as verify_mod
 
-    def broken(samples, seed):
-        res = verify_mod.SuiteResult("duality", samples, seed)
-        res.fail("synthetic defect")
-        return res
-
-    monkeypatch.setitem(verify_mod.SUITES, "duality", broken)
-    code = main(["verify", "--samples", "5", "--seed", "1", "--suite", "duality"])
+    monkeypatch.setitem(verify_mod.SUITES, "duality", lambda rng, i: "synthetic defect")
+    code = main(["verify", "--samples", "1", "--seed", "1", "--suite", "duality"])
     assert code == 2
     # every byte, key order included
     assert capsys.readouterr().out == (
-        '{"suite": "duality", "samples": 5, "seed": 1, "rng": "mt19937", '
+        '{"suite": "duality", "samples": 1, "seed": 1, "rng": "mt19937", '
         '"passed": 0, "failed": 1, "failures": ["synthetic defect"]}\n'
     )
+
+
+def test_verify_exhaustive_suite_ignores_samples(capsys):
+    code, out = run(capsys, "verify", "--suite", "idempotent-grid", "--samples", "1", "--seed", "0")
+    assert code == 0
+    assert (out["samples"], out["passed"], out["failed"]) == (1296, 1296, 0)
 
 
 def test_verify_output_bytes_are_pinned(capsys):

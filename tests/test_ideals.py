@@ -280,18 +280,19 @@ def test_value_classes_are_frozen_records():
     )
 
 
-def test_suite_results_are_mutable_unhashable_records():
-    res = SuiteResult("duality", 3, 1)
-    res.ok()
-    res.fail("defect")
-    assert res == SuiteResult("duality", 3, 1, passed=1, failed=1, failures=["defect"])
+def test_suite_results_are_records():
+    res = SuiteResult("duality", 3, 1, "mt19937", 2, 1, ("defect",))
+    assert res == SuiteResult("duality", 3, 1, "mt19937", 2, 1, ("defect",))
+    assert res != SuiteResult("duality", 3, 1, "mt19937", 3, 0, ())
+    assert hash(res) == hash(SuiteResult("duality", 3, 1, "mt19937", 2, 1, ("defect",)))
     assert repr(res) == (
         "SuiteResult(suite='duality', samples=3, seed=1, rng='mt19937', "
-        "passed=1, failed=1, failures=['defect'])"
+        "passed=2, failed=1, failures=('defect',))"
     )
-    assert SuiteResult("duality", 3, 1).failures == []
-    with pytest.raises(TypeError):
-        hash(res)
+    with pytest.raises(AttributeError):
+        res.passed = 3
+    with pytest.raises(AttributeError):
+        del res.failures
 
 
 def test_descriptor_matches_matrix_membership():

@@ -111,6 +111,18 @@ def test_witness_puts_zero_in_unconstrained_coordinates():
     assert r.witness() == TropMatrix([[2, 3], [0, 0]])
 
 
+def test_a_free_entry_is_part_of_a_residual_value():
+    # a residual stores its witness and flags its +inf entries: +inf and 0
+    # share a witness, and the flag alone tells the two values apart
+    free = ResidualMatrix([["+inf", "1/2"], ["-inf", 2]])
+    zero = ResidualMatrix([[0, "1/2"], ["-inf", 2]])
+    assert free != zero and free.rows != zero.rows
+    assert free.witness() == zero.witness() == TropMatrix([[0, "1/2"], ["-inf", 2]])
+    assert len({free, zero}) == 2
+    assert hash(free) == hash(ResidualMatrix([["+inf", "1/2"], ["-inf", 2]]))
+    assert free.transpose() == ResidualMatrix([["+inf", "-inf"], ["1/2", 2]])
+
+
 def test_residual_is_greatest_solution_brute_force():
     """B\\B is the maximum of B @ X <= B over an exhaustive grid of X."""
     b = TropMatrix([[0, 1], [2, 3]])

@@ -55,7 +55,7 @@ class ConvexSet:
                 raise ValueError("a convex set has both endpoints or neither")
             lo, hi = ProjPoint(lo), ProjPoint(hi)
             if hi < lo:
-                raise ValueError(f"convex set endpoints out of order: {lo} > {hi}")
+                raise ValueError(f"convex set endpoints out of order: {_cut(lo)} > {_cut(hi)}")
             (x, y), self._den = _stored((lo.frac, hi.frac))
             self._lo, self._hi = (lo._k[0], x), (hi._k[0], y)
 

@@ -67,12 +67,6 @@ def _flat(rows, what: str = "matrix") -> tuple:
     return p, q, r, s
 
 
-def _at(e: tuple, ij):
-    """The entry (i, j) of flat 2x2 entries e, indexed as a nested grid."""
-    i, j = ij
-    return e[(0, 2)[i] + (0, 1)[j]]
-
-
 def _stored(vals) -> tuple[tuple, int]:
     """The stored form of Fractions (or ints; None for ``-inf``): their
     numerators over den, the lcm of their reduced denominators.  It is
@@ -130,7 +124,9 @@ class _Store:
     """The store of a matrix or residual matrix: its flat entries ``_e``
     (see the module docstring) over the positive int ``_den``, in canonical
     form, and the flags ``_free`` of its ``+inf`` entries, so two values of
-    one type are equal exactly when their stores are."""
+    one type are equal exactly when their stores are.  ``rows``, ``[i, j]``
+    and the repr read the entries here, each through the subclass's
+    ``_entry(x, free)``, which builds the value of the numerator x."""
 
     __slots__ = ("_e", "_den")
 
@@ -144,6 +140,19 @@ class _Store:
 
     def __hash__(self):
         return hash((self._e, self._den, self._free))
+
+    @property
+    def rows(self) -> tuple[tuple, tuple]:
+        p, q, r, s = map(self._entry, self._e, self._free)
+        return (p, q), (r, s)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        k = (0, 2)[i] + (0, 1)[j]
+        return self._entry(self._e[k], self._free[k])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[[str(e) for e in row] for row in self.rows]!r})"
 
 
 class TropMatrix(_Store):
@@ -192,17 +201,12 @@ class TropMatrix(_Store):
         _check_shape(n, True, "matrix")
         return cls._over((None, None, None, None), 1)
 
-    @property
-    def rows(self) -> tuple[tuple[TropScalar, ...], ...]:
-        p, q, r, s = [_scalar(_frac(x, self._den)) for x in self._e]
-        return (p, q), (r, s)
+    def _entry(self, x, free) -> TropScalar:
+        return _scalar(_frac(x, self._den))
 
     @property
     def is_zero(self) -> bool:
         return self._e == (None, None, None, None)
-
-    def __getitem__(self, ij) -> TropScalar:
-        return _scalar(_frac(_at(self._e, ij), self._den))
 
     def __matmul__(self, other):
         if not isinstance(other, TropMatrix):
@@ -236,9 +240,6 @@ class TropMatrix(_Store):
 
     def __str__(self):
         return json.dumps(self.to_tokens())
-
-    def __repr__(self):
-        return f"TropMatrix({self.to_tokens()!r})"
 
 
 def parse_matrix(text: str) -> TropMatrix:
@@ -289,11 +290,6 @@ def residual_scalar(target, divisor) -> ProjPoint:
     return _point(_NEG_KEY if kind == -1 else (0, t - d))
 
 
-def _projective(x, free: bool, den: int) -> ProjPoint:
-    """The point of a residual entry: ``+inf`` if free, else x over den."""
-    return _point(_POS_KEY if free else _NEG_KEY if x is None else (0, Fraction(x, den)))
-
-
 class ResidualMatrix(_Store):
     """Greatest-subsolution 2x2 matrix over the completed carrier.
 
@@ -322,14 +318,8 @@ class ResidualMatrix(_Store):
         m._free = free
         return m
 
-    @property
-    def rows(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        den = self._den
-        p, q, r, s = [_projective(x, f, den) for x, f in zip(self._e, self._free)]
-        return (p, q), (r, s)
-
-    def __getitem__(self, ij) -> ProjPoint:
-        return _projective(_at(self._e, ij), _at(self._free, ij), self._den)
+    def _entry(self, x, free) -> ProjPoint:
+        return _point(_POS_KEY if free else _NEG_KEY if x is None else (0, Fraction(x, self._den)))
 
     def transpose(self) -> "ResidualMatrix":
         (p, q, r, s), (fp, fq, fr, fs) = self._e, self._free
@@ -343,9 +333,6 @@ class ResidualMatrix(_Store):
         return all(
             ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
         )
-
-    def __repr__(self):
-        return f"ResidualMatrix({[[str(e) for e in row] for row in self.rows]!r})"
 
 
 def _least(t1, d1, t2, d2):

@@ -10,7 +10,9 @@ negated singletons-or-intervals in the precise sense of
 abstract type depends only on the shape of M: trivial, the reals, the reals
 times the order-2 group, or the reals wreath the order-2 group.  The
 idempotent of such a class is the matrix ``green.witness_Z`` builds for
-(M, N); this module decides only which classes have one.
+(M, N); this module decides only which classes have one.  ``IdempotentForm``
+states the families once: it refuses a form outside its family, and a matrix
+is in a family exactly when the form read off its entries rebuilds it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class IdempotentForm(_Record):
 
     upper:    [[0, x], [y, x*y]]      diagonal: [[0, x], [y, 0]]
     lower:    [[x*y, x], [y, 0]]      zero:     all -inf
-    (tropical product x*y = x + y, constrained <= 0).
+    (tropical product x*y = x + y, constrained <= 0).  The parameters are
+    stored as ``TropScalar``s, and a form outside its family is refused.
     """
 
     __slots__ = ("kind", "x", "y")
@@ -36,6 +39,15 @@ class IdempotentForm(_Record):
     def __init__(self, kind: str, x: TropScalar | None = None, y: TropScalar | None = None):
         if kind not in ("zero", "diagonal", "upper", "lower"):
             raise ValueError(f"unknown idempotent family {_quote(kind)}")
+        if kind == "zero":
+            if x is not None or y is not None:
+                raise ValueError(f"the zero family has no parameters, got x={_cut(x)}, y={_cut(y)}")
+        elif x is None or y is None:
+            raise ValueError(f"the {kind} family needs both parameters x and y")
+        else:
+            x, y = TropScalar(x), TropScalar(y)
+            if x * y > 0:
+                raise ValueError(f"the {kind} family needs x*y <= 0, got x={_cut(x)}, y={_cut(y)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -44,10 +56,9 @@ class IdempotentForm(_Record):
         return (self.kind, self.x, self.y)
 
     def matrix(self) -> TropMatrix:
+        x, y = self.x, self.y
         if self.kind == "zero":
             return TropMatrix.zero(2)
-        # the fields are not validated, so the parameters are coerced once
-        x, y = TropScalar(self.x), TropScalar(self.y)
         if self.kind == "diagonal":
             return TropMatrix([[0, x], [y, 0]])
         if self.kind == "upper":
@@ -73,22 +84,26 @@ def is_idempotent(a: TropMatrix) -> bool:
     return a @ a == a
 
 
+def _family_form(a: TropMatrix) -> IdempotentForm | None:
+    """The form of the idempotent family a belongs to, read off its entries
+    with the priority of ``idempotent_form``; None if it is in no family."""
+    if a.is_zero:
+        return IdempotentForm("zero")
+    x, y = a[0, 1], a[1, 0]
+    if x * y > 0:
+        return None
+    kind = ("diagonal" if a[1, 1] == 0 else "upper") if a[0, 0] == 0 else "lower"
+    form = IdempotentForm(kind, x, y)
+    return form if form.matrix() == a else None
+
+
 def in_idempotent_family(a: TropMatrix) -> bool:
     """Shape-based membership test for the four idempotent families.
 
     Used as the classification side of the exhaustive idempotent check; it
     never multiplies matrices.
     """
-    if a.is_zero:
-        return True
-    prod = a[0, 1] * a[1, 0]
-    if a[0, 0] == 0 and a[1, 1] == 0:
-        return prod <= 0
-    if a[0, 0] == 0 and a[1, 1] == prod:
-        return prod <= 0
-    if a[1, 1] == 0 and a[0, 0] == prod:
-        return prod <= 0
-    return False
+    return _family_form(a) is not None
 
 
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
@@ -96,14 +111,10 @@ def idempotent_form(e: TropMatrix) -> IdempotentForm:
     diagonal, upper, lower when parameters land on an overlap."""
     if not is_idempotent(e):
         raise ValueError("matrix is not idempotent")
-    if e.is_zero:
-        return IdempotentForm("zero")
-    x, y = e[0, 1], e[1, 0]
-    if e[0, 0] == 0 and e[1, 1] == 0:
-        return IdempotentForm("diagonal", x, y)
-    if e[0, 0] == 0:
-        return IdempotentForm("upper", x, y)
-    return IdempotentForm("lower", x, y)
+    form = _family_form(e)
+    if form is None:
+        raise VerificationError(f"the idempotent {_cut(e)} is in no family")
+    return form
 
 
 def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:

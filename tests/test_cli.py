@@ -125,6 +125,8 @@ def test_subgroup(capsys):
     assert out["element"] == [["2", "-1"], ["3", "2"]]
     code, out = run(capsys, "subgroup", "--M", "{-inf}", "--N", "{+inf}")
     assert code == 1 and "error" in out
+    code, out = run(capsys, "subgroup", "--M", "[1,3]", "--N", "[-3,-1]", "--family", "X")
+    assert (code, out) == (1, {"error": "--family needs --a"})
 
 
 @pytest.mark.parametrize(
@@ -146,6 +148,8 @@ def test_ideal_subcommands(capsys):
     assert code == 0 and out == {"descriptor": "closed:interval:1"}
     code, out = run(capsys, "ideal", "contains", "open:3", '[["0","0"],["0","2"]]')
     assert out == {"descriptor": "open:3", "contains": True}
+    code, out = run(capsys, "ideal", "contains", "closed:interval:0", '[["0","0"],["0","2"]]')
+    assert code == 1 and "positive finite diameter" in out["error"]
     code, out = run(capsys, "ideal", "compare", "open:3", "closed:interval:3")
     assert out == {"order": "less"}
     code, out = run(
@@ -217,6 +221,8 @@ def test_error_paths(capsys):
     assert code == 1
     code, out = run(capsys, "verify", "--samples", "-3", "--seed", "1", "--suite", "duality")
     assert code == 1
+    code, out = run(capsys, "verify", "--samples", "1/2", "--seed", "1", "--suite", "duality")
+    assert code == 1 and "expected an integer" in out["error"]
     code, out = run(capsys, "witness", "--M", "(0,1)", "--N", "{0}")
     assert code == 1 and "expected" in out["error"]
 

@@ -206,6 +206,9 @@ def test_iso_type_diameter_takes_the_rational_grammar():
     assert str(t) == "interval:1/2"
     assert canonical_set(t) == ConvexSet.interval(0, Fraction(1, 2))
     assert type(IsoType("interval", 3).diameter) is Fraction
+    for kind, diameter in [("interval", 0), ("point", 1)]:
+        with pytest.raises(ValueError, match="diameter"):
+            IsoType(kind, diameter)
 
 
 def test_set_parsing_round_trip():
@@ -232,6 +235,10 @@ def test_convex_set_constructor_checks_its_endpoints():
     assert ConvexSet(None, None) == ConvexSet.empty()
     assert ConvexSet("-inf", "+inf") == FULL
     assert ConvexSet(ProjPoint(2), 2).is_point
+    # endpoints out of order are cut in the message, as any quoted input is
+    with pytest.raises(ValueError, match="3000 characters") as exc:
+        ConvexSet("1" * 3000, 0)
+    assert len(str(exc.value)) < 400
 
 
 def test_non_square_matrices_rejected():

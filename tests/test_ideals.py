@@ -234,8 +234,9 @@ def test_open_width_uses_the_rational_grammar():
         (lambda: IdealDescriptor("open", width=0.5), TypeError),
         (lambda: IdealDescriptor("open", width=True), TypeError),
         (lambda: IdealDescriptor.closed("point"), ValueError),
+        (lambda: IdealDescriptor("openline", width=1), ValueError),
     ],
-    ids=["float-width", "bool-width", "str-iso"],
+    ids=["float-width", "bool-width", "str-iso", "openline-width"],
 )
 def test_descriptor_rejects_parameters_of_the_wrong_type(build, error):
     with pytest.raises(error):
@@ -257,7 +258,7 @@ def test_value_classes_are_frozen_records():
         (
             IdempotentForm("upper", -1, "-2"),
             IdempotentForm("upper", x=-1, y="-2"),
-            "IdempotentForm(kind='upper', x=-1, y='-2')",
+            "IdempotentForm(kind='upper', x=TropScalar('-1'), y=TropScalar('-2'))",
         ),
     ]
     for value, same, text in records:

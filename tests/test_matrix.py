@@ -205,3 +205,6 @@ def test_parse_matrix_round_trip_and_errors():
         parse_matrix('[["0","1"],["nope","2"]]')
     with pytest.raises(ValueError, match="square"):
         parse_matrix('[["0","1"]]')
+    for text in ["5", "[1, 2]"]:
+        with pytest.raises(ValueError, match="JSON array of arrays"):
+            parse_matrix(text)

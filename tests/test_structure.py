@@ -66,6 +66,22 @@ def test_idempotent_form_priority_on_overlaps():
     assert idempotent_form(I2) == IdempotentForm("diagonal", BOTTOM, BOTTOM)
 
 
+def test_idempotent_form_refuses_a_form_outside_its_family():
+    # x*y > 0, a nonzero family missing a parameter, and zero with parameters
+    for args in [("upper", 1, 1), ("diagonal",), ("zero", 3, 4), ("lower", 1, None)]:
+        with pytest.raises(ValueError):
+            IdempotentForm(*args)
+    with pytest.raises(ValueError, match="3000 characters") as exc:
+        IdempotentForm("upper", "1" * 3000, 0)
+    assert len(str(exc.value)) < 400
+
+
+def test_idempotent_form_stores_its_parameters_as_scalars():
+    f, g = IdempotentForm("upper", -1, "-2"), IdempotentForm("upper", -1, -2)
+    assert f == g and hash(f) == hash(g)
+    assert type(f.x) is TropScalar and type(f.y) is TropScalar
+
+
 def test_idempotent_form_rejects_non_idempotents():
     with pytest.raises(ValueError):
         idempotent_form(TropMatrix([[1, "-inf"], ["-inf", 0]]))
@@ -90,6 +106,8 @@ def test_exhaustive_grid_idempotent_classification():
     for a, b, c, d in product(grid, repeat=4):
         m = TropMatrix([[a, b], [c, d]])
         assert is_idempotent(m) == in_idempotent_family(m)
+        if is_idempotent(m):
+            assert idempotent_form(m).matrix() == m
         count += 1
     assert count == 1296
 

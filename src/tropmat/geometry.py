@@ -14,11 +14,11 @@ its endpoints and isometry type, so the set decisions compare ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .matrix import TropMatrix, _frac, _lowest, _stored
 from .semiring import (
     NEG_INF,
-    POS_INF,
     _NEG_KEY,
     _POS_KEY,
     _ZERO,
@@ -356,12 +356,20 @@ def subset(s: ConvexSet, t: ConvexSet) -> bool:
     return _key_le(t._lo, t._den, s._lo, s._den) and _key_le(s._hi, s._den, t._hi, t._den)
 
 
+def _ends(s: ConvexSet, den: int) -> list[tuple]:
+    """The endpoint keys of the nonempty set s with their numerators over
+    den, a multiple of its denominator."""
+    k = den // s._den
+    return [(kind, None if x is None else x * k) for kind, x in (s._lo, s._hi)]
+
+
 def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
     """A concrete isometric copy of s inside t.
 
     Exists exactly when s embeds isometrically in t; raises otherwise.  An
     isometric t is its own copy; a bounded s is anchored at a finite
-    endpoint of t, or at 0 when t is the full line.
+    endpoint of t, or at 0 when t is the full line.  Built on the int keys:
+    the diameter of s and the endpoints of t over one denominator.
     """
     if not embeds_isometrically(s, t):
         raise ValueError(f"{_cut(s)} does not embed isometrically in {_cut(t)}")
@@ -369,15 +377,15 @@ def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
         return t
     if s.is_empty:
         return s
-    st = iso_type(s)
-    if st.kind == "halfinf":  # t is the full line
-        return ConvexSet.interval(ProjPoint(0), POS_INF)
-    d = st.diameter or _ZERO  # 0 for a point
-    if t.lo.is_finite:
-        return ConvexSet.interval(t.lo, ProjPoint(t.lo.frac + d))
-    if t.hi.is_finite:
-        return ConvexSet.interval(ProjPoint(t.hi.frac - d), t.hi)
-    return ConvexSet.interval(ProjPoint(0), ProjPoint(d))
+    rank, d, dd = _iso_key(s)  # a point has diameter 0 over 1
+    if rank == 3:  # t is the full line
+        return ConvexSet._of((0, 0), _POS_KEY, 1)
+    den = lcm(t._den, dd)
+    d *= den // dd
+    (kl, lo), (kh, hi) = _ends(t, den)
+    lo, hi = (lo, lo + d) if not kl else (hi - d, hi) if not kh else (0, d)
+    (lo, hi), den = _lowest((lo, hi), den)
+    return ConvexSet._of((0, lo), (0, hi), den)
 
 
 def canonical_set(t: IsoType) -> ConvexSet:

@@ -7,25 +7,28 @@ relations D and J coincide and hold exactly when the column spaces are
 isometric; the constructive content of that collapse is ``witness_Z``, which
 builds a matrix with a prescribed (isometric) column-space / row-space pair,
 and ``j_factorization``, which materializes X, Y with ``X @ B @ Y = A``
-whenever A is J-below B.
+whenever A is J-below B.  ``witness_Z`` computes on the sets' int endpoint
+keys, rescaled to one denominator, and builds no Fraction.
 """
 
 from __future__ import annotations
 
 import enum
+from math import lcm
 
 from .geometry import (
     ConvexSet,
+    _ends,
+    _iso_key,
     embed_image,
     embeds_isometrically,
     isometric,
-    iso_type,
     proj_column_space,
     proj_row_space,
     subset,
 )
 from .matrix import TropMatrix, VerificationError, left_residual, right_residual
-from .semiring import _ZERO, ProjPoint, _cut, _mul, _quote
+from .semiring import _cut, _quote
 
 
 class GreenRelation(enum.Enum):
@@ -90,22 +93,22 @@ def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
     return leq_J(a, b)
 
 
-def _singleton_witness(x: ProjPoint, y: ProjPoint) -> TropMatrix:
-    """A matrix with column space {x} and row space {y}: the nilpotent one
-    for the mixed pair {-inf, +inf}, otherwise the idempotent of the upper
-    family when x + y <= 0 and of the lower family when it is positive."""
-    if x.is_pos_inf and y.is_neg_inf:
-        return TropMatrix._of(((None, None), (_ZERO, None)))
-    if x.is_neg_inf and y.is_pos_inf:
-        return TropMatrix._of(((None, _ZERO), (None, None)))
-    if not x.is_pos_inf and not y.is_pos_inf:
-        xy = _mul(x.frac, y.frac)
+def _singleton_witness(x: tuple, y: tuple, den: int) -> TropMatrix:
+    """A matrix with column space {x} and row space {y}, given as keys over
+    den: the nilpotent one for the mixed pair {-inf, +inf}, otherwise the
+    idempotent of the upper family when x + y <= 0 and of the lower family
+    when it is positive."""
+    (kx, x), (ky, y) = x, y
+    if kx and kx == -ky:
+        return TropMatrix._over((None, None, 0, None) if kx == 1 else (None, 0, None, None), 1)
+    if kx != 1 and ky != 1:
+        xy = None if x is None or y is None else x + y
         if xy is None or xy <= 0:
-            return TropMatrix._of(((_ZERO, y.frac), (x.frac, xy)))
+            return TropMatrix._over((0, y, x, xy), den)
     # both exceed -inf and the sum is positive (or infinite): negating lands
-    # both back in the plain carrier
-    nx, ny = (-x).frac, (-y).frac
-    return TropMatrix._of(((_mul(nx, ny), nx), (ny, _ZERO)))
+    # both back in the plain carrier, a +inf (numerator None) on -inf
+    nx, ny = (None if v is None else -v for v in (x, y))
+    return TropMatrix._over((None if nx is None or ny is None else nx + ny, nx, ny, 0), den)
 
 
 def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
@@ -125,33 +128,24 @@ def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
 def _witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:
     """The construction of ``witness_Z`` for an isometric pair (m, n), by
     cases on the isometry type, checked before returning."""
-    t = iso_type(m)
-    if t.kind == "empty":
+    rank = _iso_key(m)[0]
+    if rank == 0:
         z = TropMatrix.zero(2)
-    elif t.kind == "fullline":
+    elif rank == 4:
         z = TropMatrix.identity(2)
-    elif t.kind == "point":
-        z = _singleton_witness(m.lo, n.lo)
-    elif t.kind == "interval":
-        x, y = m.lo.frac, m.hi.frac
-        w = n.lo.frac
-        z = TropMatrix._of(((_ZERO, w), (x, w + y)))
-    else:  # one infinite endpoint on each side
-        if m.lo.is_neg_inf:
-            y = m.hi.frac
-            if n.lo.is_neg_inf:
-                z = TropMatrix._of(((_ZERO, n.hi.frac), (y, None)))
-            else:
-                x = n.lo.frac
-                z = TropMatrix._of(((_ZERO, x), (None, x + y)))
-        else:
-            y = m.lo.frac
-            if n.hi.is_pos_inf:
-                zv = n.lo.frac
-                z = TropMatrix._of(((None, zv - y), (_ZERO, zv)))
-            else:
-                zv = n.hi.frac
-                z = TropMatrix._of(((_ZERO, None), (y, y + zv)))
+    else:
+        # the cases' formulas on the endpoint numerators over one denominator
+        den = lcm(m._den, n._den)
+        (ka, a), (_, b) = _ends(m, den)
+        (kc, c), (kd, d) = _ends(n, den)
+        if rank == 1:
+            z = _singleton_witness((ka, a), (kc, c), den)
+        elif rank == 2:
+            z = TropMatrix._over((0, c, a, c + b), den)
+        elif ka:  # m = [-inf, b]; one infinite endpoint on each side
+            z = TropMatrix._over((0, d, b, None) if kc else (0, c, None, c + b), den)
+        else:  # m = [a, +inf]
+            z = TropMatrix._over((None, c - a, 0, c) if kd else (0, None, a, a + d), den)
     if proj_column_space(z) != m or proj_row_space(z) != n:
         raise VerificationError(f"witness construction defect for ({_cut(m)}, {_cut(n)})")
     return z

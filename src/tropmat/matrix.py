@@ -48,7 +48,11 @@ def _frac(x, den) -> Fraction | None:
 
 
 def _token(x, den) -> str:
-    return "-inf" if x is None else str(Fraction(x, den))
+    """``str(Fraction(x, den))``, or ``-inf`` for None, without the Fraction."""
+    if x is None:
+        return "-inf"
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _check_shape(n: int, square: bool, what: str) -> None:
@@ -80,7 +84,7 @@ def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
     """Numerators over den in lowest terms, which is the stored form: both
     divided by the gcd of den and every finite numerator."""
     if den != 1:
-        g = gcd(den, *(x for x in nums if x is not None))
+        g = gcd(den, *[x for x in nums if x is not None])
         if g != 1:
             return tuple([None if x is None else x // g for x in nums]), den // g
     return nums, den

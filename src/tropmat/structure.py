@@ -21,7 +21,7 @@ import enum
 
 from .geometry import ConvexSet, _Record, iso_type
 from .green import _witness_Z
-from .matrix import TropMatrix, VerificationError, left_residual, right_residual
+from .matrix import TropMatrix, VerificationError, _stored, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote
 
 
@@ -127,8 +127,8 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     matrix ``witness_Z(m, n)`` builds, checked to be idempotent.
     """
     if m.is_point and n.is_point:
-        x, y = m.lo, n.lo
-        if (x.is_neg_inf and y.is_pos_inf) or (x.is_pos_inf and y.is_neg_inf):
+        kx = m._lo[0]  # the kinds of x and y: -1, 0 or 1 for -inf, finite, +inf
+        if kx and kx == -n._lo[0]:
             return None
     elif m != n.negated() or n.is_point:
         return None
@@ -187,20 +187,24 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     af = TropScalar(a).frac
     if af is None:
         raise ValueError("the group parameter must be a rational, not -inf")
-    if family == "W":
-        return TropMatrix._of(((af, None), (None, None)))
+    xf = yf = None
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
         xf = TropScalar(x).frac
         if xf is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
-        return TropMatrix._of(((af, None), (af + xf, af)))
-    if x is None or y is None:
-        raise ValueError(f"family {family} needs interval endpoints x < y")
-    xf, yf = TropScalar(x).frac, TropScalar(y).frac
-    if xf is None or yf is None or xf >= yf:
-        raise ValueError("interval endpoints must be rationals with x < y")
+    elif family != "W":
+        if x is None or y is None:
+            raise ValueError(f"family {family} needs interval endpoints x < y")
+        xf, yf = TropScalar(x).frac, TropScalar(y).frac
+        if xf is None or yf is None or xf >= yf:
+            raise ValueError("interval endpoints must be rationals with x < y")
+    (a, x, y), den = _stored((af, xf, yf))
+    if family == "W":
+        return TropMatrix._over((a, None, None, None), den)
+    if family == "Z":
+        return TropMatrix._over((a, None, a + x, a), den)
     if family == "X":
-        return TropMatrix._of(((af, af - yf), (af + xf, af)))
-    return TropMatrix._of(((af, af - xf), (af + yf, af)))
+        return TropMatrix._over((a, a - y, a + x, a), den)
+    return TropMatrix._over((a, a - x, a + y, a), den)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -180,6 +183,28 @@ def test_embed_image_is_a_real_embedding():
         image = embed_image(s, t)
         assert subset(image, t)
         assert isometric(image, s)
+
+
+# endpoints over denominators 1, 2 and 3, so that a pair of sets mixes them
+_GRID = ["-inf", "-3/2", "-1/3", "0", "1/2", "2/3", "5", "+inf"]
+_GRID_SETS = [ConvexSet.empty()] + [
+    ConvexSet.parse(f"[{lo},{hi}]") for lo, hi in itertools.combinations_with_replacement(_GRID, 2)
+]
+# SHA-256 of the images below, pinned: a change to one byte of them fails here
+EMBED_GRID_PAIRS = 797
+EMBED_GRID_SHA256 = "a5a1b1092a592fbb366c679b6a656f205385dc716a007c5d0abd5ccfac21e562"
+
+
+def test_embed_image_on_the_mixed_denominator_grid_is_pinned():
+    lines = [
+        json.dumps([str(s), str(t), str(embed_image(s, t))])
+        for s in _GRID_SETS
+        for t in _GRID_SETS
+        if embeds_isometrically(s, t)
+    ]
+    assert len(_GRID_SETS) == 37 and len(lines) == EMBED_GRID_PAIRS
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EMBED_GRID_SHA256
 
 
 def test_canonical_set_round_trips_types():

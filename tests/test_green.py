@@ -1,10 +1,15 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
+from tropmat import green
 from tropmat.cli import _rclass
 from tropmat.geometry import (
     ConvexSet,
+    isometric,
     proj_column_space,
     proj_row_space,
 )
@@ -18,7 +23,7 @@ from tropmat.green import (
     related,
     witness_Z,
 )
-from tropmat.matrix import TropMatrix, solves_right
+from tropmat.matrix import TropMatrix, VerificationError, solves_right
 from tropmat.sampling import sample_isometric_pair, sample_matrix
 from tropmat.semiring import NEG_INF, POS_INF
 
@@ -142,6 +147,52 @@ def test_all_singleton_witnesses():
             m, n = ConvexSet.point(x), ConvexSet.point(y)
             z = witness_Z(m, n)
             assert proj_column_space(z) == m and proj_row_space(z) == n
+
+
+# endpoints over denominators 1, 2 and 3, so that a pair of sets mixes them
+_GRID = ["-inf", "-3/2", "-1/3", "0", "1/2", "2/3", "5", "+inf"]
+_GRID_SETS = [ConvexSet.empty()] + [
+    ConvexSet.parse(f"[{lo},{hi}]") for lo, hi in itertools.combinations_with_replacement(_GRID, 2)
+]
+# SHA-256 of the witnesses below, pinned: a change to one byte of them fails here
+WITNESS_GRID_PAIRS = 225
+WITNESS_GRID_SHA256 = "04712d389eb1b0d39a69534c99b3926c1ac56f5d328089f5401edd2d22a39223"
+
+
+def test_witness_Z_on_the_mixed_denominator_grid_is_pinned():
+    lines = [
+        json.dumps([str(m), str(n), witness_Z(m, n).to_tokens()])
+        for m in _GRID_SETS
+        for n in _GRID_SETS
+        if isometric(m, n)
+    ]
+    assert len(_GRID_SETS) == 37 and len(lines) == WITNESS_GRID_PAIRS
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == WITNESS_GRID_SHA256
+
+
+@pytest.mark.parametrize(
+    "wrong, m",
+    [(I2, ConvexSet.point(0)), (Z2, ConvexSet.point(POS_INF))],
+    ids=["full-line", "empty"],
+)
+def test_witness_Z_check_fires_on_a_wrong_singleton_witness(monkeypatch, wrong, m):
+    monkeypatch.setattr(green, "_singleton_witness", lambda *args: wrong)
+    with pytest.raises(VerificationError, match="witness construction defect"):
+        witness_Z(m, m)
+
+
+def test_j_factorization_check_fires_on_an_image_outside_the_target(monkeypatch):
+    # {5} is J-below b, whose column space [0, 1] does not contain it; an
+    # "image" that is an isometric copy outside t leaves z outside b's right
+    # ideal.  (Returning t itself fails earlier: witness_Z refuses the
+    # non-isometric pair with a ValueError.)
+    a, b = TropMatrix([[0, 0], [5, 5]]), TropMatrix([[0, 0], [0, 1]])
+    x, y = j_factorization(a, b)
+    assert x @ b @ y == a
+    monkeypatch.setattr(green, "embed_image", lambda s, t: s)
+    with pytest.raises(VerificationError, match="z must be right-divisible by b"):
+        j_factorization(a, b)
 
 
 def test_d_class_witness():

@@ -194,6 +194,20 @@ def test_dimension_mismatch_rejected():
             make([[0, 1], [2]])
 
 
+@pytest.mark.parametrize(
+    "scalars",
+    [
+        ["-inf", "-1", "0", "1/2", "2"],
+        ["-inf", "-7/4", "-2/3", "0", "5/6", "3", "-12/8", "100/3"],
+    ],
+    ids=["classify-grid", "mixed-denominators"],
+)
+def test_to_tokens_matches_the_scalar_strings(scalars):
+    for entries in product(scalars, repeat=4):
+        m = TropMatrix([entries[:2], entries[2:]])
+        assert m.to_tokens() == [[str(e) for e in row] for row in m.rows]
+
+
 def test_parse_matrix_round_trip_and_errors():
     text = '[["0","-inf"],["1/2","3"]]'
     m = parse_matrix(text)

@@ -4,13 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
+from tropmat import green
 from tropmat.geometry import (
     ConvexSet,
     proj_column_space,
     proj_row_space,
 )
 from tropmat.green import witness_Z
-from tropmat.matrix import TropMatrix, monomial_inverse, solves_right
+from tropmat.matrix import TropMatrix, VerificationError, monomial_inverse, solves_right
 from tropmat.sampling import sample_matrix
 from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
 from tropmat.structure import (
@@ -229,6 +230,32 @@ def test_subgroup_element_examples():
     ya = subgroup_element("Y", 2, 1, 2)
     yb = subgroup_element("Y", -3, 1, 2)
     assert ya @ yb == subgroup_element("X", 2 - 3 + 1, 1, 2)
+
+
+def test_subgroup_element_equals_the_public_construction():
+    # parameters over denominators 1 to 4, passed as Fractions, ints and tokens
+    values = sorted({Fraction(p, q) for p in (-5, -2, 0, 1, 3) for q in (1, 2, 3, 4)})
+    for i, a in enumerate(values):
+        arg = (a, str(a), a.numerator if a.denominator == 1 else a)[i % 3]
+        assert subgroup_element("W", arg) == TropMatrix([[a, "-inf"], ["-inf", "-inf"]])
+        for x in values:
+            assert subgroup_element("Z", arg, x) == TropMatrix([[a, "-inf"], [a + x, a]])
+        for x, y in combinations(values, 2):
+            assert subgroup_element("X", arg, x, y) == TropMatrix([[a, a - y], [a + x, a]])
+            assert subgroup_element("Y", arg, x, y) == TropMatrix([[a, a - x], [a + y, a]])
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [(I2, "witness construction defect"), (TropMatrix([[1, 1], [1, 1]]), "idempotent construction")],
+    ids=["wrong-spaces", "not-idempotent"],
+)
+def test_idempotent_in_H_checks_fire_on_a_wrong_witness(monkeypatch, wrong, message):
+    # [[1, 1], [1, 1]] has the spaces {0} and {0} but is not idempotent, so
+    # only the idempotency check can catch it
+    monkeypatch.setattr(green, "_singleton_witness", lambda *args: wrong)
+    with pytest.raises(VerificationError, match=message):
+        idempotent_in_H(ConvexSet.point(0), ConvexSet.point(0))
 
 
 def test_group_laws_randomized():

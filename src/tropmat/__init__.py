@@ -52,7 +52,6 @@ from .structure import (
     idempotent_form,
     idempotent_in_H,
     in_idempotent_family,
-    is_idempotent,
     regular_witness,
     subgroup_element,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "ideal_contains",
     "ideal_from_generators",
     "in_idempotent_family",
-    "is_idempotent",
     "iso_type",
     "isometric",
     "j_factorization",

@@ -39,7 +39,6 @@ from .structure import (
     group_type_of_H,
     idempotent_form,
     idempotent_in_H,
-    is_idempotent,
     regular_witness,
     subgroup_element,
 )
@@ -112,7 +111,7 @@ def _cmd_classify(ns) -> tuple[dict, int]:
     t = iso_type(pc)
     pr = proj_row_space(a)
     rclass, rclass_params = _rclass(pc)
-    idp = is_idempotent(a)
+    idp = a @ a == a
     form = None
     if idp:
         f = idempotent_form(a)

@@ -7,8 +7,9 @@ relations D and J coincide and hold exactly when the column spaces are
 isometric; the constructive content of that collapse is ``witness_Z``, which
 builds a matrix with a prescribed (isometric) column-space / row-space pair,
 and ``j_factorization``, which materializes X, Y with ``X @ B @ Y = A``
-whenever A is J-below B.  ``witness_Z`` computes on the sets' int endpoint
-keys, rescaled to one denominator, and builds no Fraction.
+whenever A is J-below B.  ``witness_Z`` and ``_family``, the one builder of
+the upper, diagonal and lower idempotents, compute on int numerators over
+one denominator and build no Fraction.
 """
 
 from __future__ import annotations
@@ -93,22 +94,29 @@ def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
     return leq_J(a, b)
 
 
+def _family(kind: str, x, y, den: int) -> TropMatrix:
+    """The idempotent of the upper, diagonal or lower family with parameters
+    x and y, numerators over den (None for ``-inf``): ``[[0, x], [y, x+y]]``,
+    ``[[0, x], [y, 0]]`` or ``[[x+y, x], [y, 0]]``."""
+    if kind == "diagonal":
+        return TropMatrix._over((0, x, y, 0), den)
+    xy = None if x is None or y is None else x + y
+    return TropMatrix._over((0, x, y, xy) if kind == "upper" else (xy, x, y, 0), den)
+
+
 def _singleton_witness(x: tuple, y: tuple, den: int) -> TropMatrix:
     """A matrix with column space {x} and row space {y}, given as keys over
     den: the nilpotent one for the mixed pair {-inf, +inf}, otherwise the
-    idempotent of the upper family when x + y <= 0 and of the lower family
-    when it is positive."""
+    idempotent of the upper family with parameters (y, x) when x + y <= 0,
+    and of the lower family with parameters (-x, -y) when it is positive."""
     (kx, x), (ky, y) = x, y
     if kx and kx == -ky:
         return TropMatrix._over((None, None, 0, None) if kx == 1 else (None, 0, None, None), 1)
-    if kx != 1 and ky != 1:
-        xy = None if x is None or y is None else x + y
-        if xy is None or xy <= 0:
-            return TropMatrix._over((0, y, x, xy), den)
+    if kx != 1 and ky != 1 and (x is None or y is None or x + y <= 0):
+        return _family("upper", y, x, den)
     # both exceed -inf and the sum is positive (or infinite): negating lands
     # both back in the plain carrier, a +inf (numerator None) on -inf
-    nx, ny = (None if v is None else -v for v in (x, y))
-    return TropMatrix._over((None if nx is None or ny is None else nx + ny, nx, ny, 0), den)
+    return _family("lower", None if x is None else -x, None if y is None else -y, den)
 
 
 def witness_Z(m: ConvexSet, n: ConvexSet) -> TropMatrix:

@@ -169,8 +169,8 @@ class TropScalar(_Key):
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return _scalar(_mul(self._k[1], other._k[1]))
+        x, y = self._k[1], self._coerce(other)._k[1]
+        return _scalar(None if x is None or y is None else x + y)
 
     __rmul__ = __mul__
 
@@ -200,11 +200,6 @@ def _scalar_key(value) -> tuple:
 
 
 BOTTOM = TropScalar("-inf")
-
-
-def _mul(x: Fraction | None, y: Fraction | None) -> Fraction | None:
-    """The raw tropical product x + y, None standing for ``-inf``."""
-    return None if x is None or y is None else x + y
 
 
 def _scalar(f: Fraction | None) -> TropScalar:
@@ -310,10 +305,6 @@ class ExtDistance(_Key):
             if f < 0:
                 raise ValueError(f"distances are nonnegative, got {f}")
             self._k = (0, f)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._k[0] == 1
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -5,14 +5,14 @@ Every 2x2 idempotent falls into one of four parametrized families (upper,
 diagonal, lower, zero), each constrained by a nonpositive tropical product
 of its off-diagonal parameters.  An H-class indexed by a column-space /
 row-space pair (M, N) contains an idempotent iff M and N are mutually
-negated singletons-or-intervals in the precise sense of
-``idempotent_in_H``; those H-classes are the maximal subgroups, and their
-abstract type depends only on the shape of M: trivial, the reals, the reals
-times the order-2 group, or the reals wreath the order-2 group.  The
-idempotent of such a class is the matrix ``green.witness_Z`` builds for
-(M, N); this module decides only which classes have one.  ``IdempotentForm``
-states the families once: it refuses a form outside its family, and a matrix
-is in a family exactly when the form read off its entries rebuilds it.
+negated singletons-or-intervals in the precise sense of ``_has_idempotent``;
+those H-classes are the maximal subgroups, and their abstract type depends
+only on the shape of M: trivial, the reals, the reals times the order-2
+group, or the reals wreath the order-2 group.  The idempotent of such a
+class is the matrix ``green.witness_Z`` builds for (M, N).
+``IdempotentForm`` names a family and its parameters, refusing a form
+outside its family; ``green._family`` builds its matrix, and a matrix is in
+a family exactly when the form read off its entries rebuilds it.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 
 from .geometry import ConvexSet, _Record, iso_type
-from .green import _witness_Z
+from .green import _family, _witness_Z
 from .matrix import TropMatrix, VerificationError, _stored, left_residual, right_residual
-from .semiring import TropScalar, _cut, _quote
+from .semiring import TropScalar, _cut, _quote, _scalar_key
 
 
 class IdempotentForm(_Record):
@@ -56,14 +56,10 @@ class IdempotentForm(_Record):
         return (self.kind, self.x, self.y)
 
     def matrix(self) -> TropMatrix:
-        x, y = self.x, self.y
         if self.kind == "zero":
             return TropMatrix.zero(2)
-        if self.kind == "diagonal":
-            return TropMatrix([[0, x], [y, 0]])
-        if self.kind == "upper":
-            return TropMatrix([[0, x], [y, x * y]])
-        return TropMatrix([[x * y, x], [y, 0]])
+        (x, y), den = _stored((self.x.frac, self.y.frac))
+        return _family(self.kind, x, y, den)
 
     def params(self) -> dict[str, str]:
         if self.kind == "zero":
@@ -80,36 +76,30 @@ class GroupType(enum.Enum):
     REALS_WREATH_S2 = "reals-wr-s2"
 
 
-def is_idempotent(a: TropMatrix) -> bool:
-    return a @ a == a
-
-
 def _family_form(a: TropMatrix) -> IdempotentForm | None:
-    """The form of the idempotent family a belongs to, read off its entries
-    with the priority of ``idempotent_form``; None if it is in no family."""
+    """The form of the idempotent family a belongs to, read off its stored
+    entries with the priority of ``idempotent_form``; None outside them."""
     if a.is_zero:
         return IdempotentForm("zero")
-    x, y = a[0, 1], a[1, 0]
-    if x * y > 0:
+    p, q, r, s = a._e
+    if q is not None and r is not None and q + r > 0:
         return None
-    kind = ("diagonal" if a[1, 1] == 0 else "upper") if a[0, 0] == 0 else "lower"
-    form = IdempotentForm(kind, x, y)
-    return form if form.matrix() == a else None
+    kind = ("diagonal" if s == 0 else "upper") if p == 0 else "lower"
+    if _family(kind, q, r, a._den) != a:
+        return None
+    return IdempotentForm(kind, a[0, 1], a[1, 0])
 
 
 def in_idempotent_family(a: TropMatrix) -> bool:
-    """Shape-based membership test for the four idempotent families.
-
-    Used as the classification side of the exhaustive idempotent check; it
-    never multiplies matrices.
-    """
+    """Shape-based membership test for the four idempotent families, the
+    classification side of the exhaustive idempotent check: no product."""
     return _family_form(a) is not None
 
 
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
     """Classify an idempotent into its family, with fixed priority zero,
     diagonal, upper, lower when parameters land on an overlap."""
-    if not is_idempotent(e):
+    if e @ e != e:
         raise ValueError("matrix is not idempotent")
     form = _family_form(e)
     if form is None:
@@ -117,31 +107,34 @@ def idempotent_form(e: TropMatrix) -> IdempotentForm:
     return form
 
 
-def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
-    """The idempotent in the H-class with column space m and row space n,
-    or None when that H-class has none (or is empty).
-
-    An idempotent exists exactly when (i) m = {x} and n = {y} are singletons
-    with {x, y} not the mixed pair {-inf, +inf}, or (ii) m is the pointwise
-    negation of n and n is not a singleton.  The idempotent is then the
-    matrix ``witness_Z(m, n)`` builds, checked to be idempotent.
-    """
+def _has_idempotent(m: ConvexSet, n: ConvexSet) -> bool:
+    """Whether the H-class with column space m and row space n contains an
+    idempotent: exactly when (i) m = {x} and n = {y} are singletons with
+    {x, y} not the mixed pair {-inf, +inf}, or (ii) m is the pointwise
+    negation of n and n is not a singleton.  Both clauses imply that m and
+    n are isometric."""
     if m.is_point and n.is_point:
         kx = m._lo[0]  # the kinds of x and y: -1, 0 or 1 for -inf, finite, +inf
-        if kx and kx == -n._lo[0]:
-            return None
-    elif m != n.negated() or n.is_point:
+        return not kx or kx != -n._lo[0]
+    return not n.is_point and m == n.negated()
+
+
+def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
+    """The idempotent in the H-class with column space m and row space n,
+    or None when that H-class has none (or is empty), as ``_has_idempotent``
+    decides.  The idempotent is the matrix ``witness_Z(m, n)`` builds,
+    checked to be idempotent."""
+    if not _has_idempotent(m, n):
         return None
-    # both clauses imply that m and n are isometric
     e = _witness_Z(m, n)
-    if not is_idempotent(e):
+    if e @ e != e:
         raise VerificationError(f"idempotent construction defect for ({_cut(m)}, {_cut(n)})")
     return e
 
 
 def group_type_of_H(m: ConvexSet, n: ConvexSet) -> GroupType:
     """The abstract group carried by the maximal subgroup at (m, n)."""
-    if idempotent_in_H(m, n) is None:
+    if not _has_idempotent(m, n):
         raise ValueError(f"the H-class at ({_cut(m)}, {_cut(n)}) contains no idempotent")
     t = iso_type(m)
     if t.kind == "empty":
@@ -184,20 +177,20 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     """
     if family not in _FAMILY_NAMES:
         raise ValueError(f"unknown family {_quote(family)}: expected one of {_FAMILY_NAMES}")
-    af = TropScalar(a).frac
+    af = _scalar_key(a)[1]
     if af is None:
         raise ValueError("the group parameter must be a rational, not -inf")
     xf = yf = None
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
-        xf = TropScalar(x).frac
+        xf = _scalar_key(x)[1]
         if xf is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
     elif family != "W":
         if x is None or y is None:
             raise ValueError(f"family {family} needs interval endpoints x < y")
-        xf, yf = TropScalar(x).frac, TropScalar(y).frac
+        xf, yf = _scalar_key(x)[1], _scalar_key(y)[1]
         if xf is None or yf is None or xf >= yf:
             raise ValueError("interval endpoints must be rationals with x < y")
     (a, x, y), den = _stored((af, xf, yf))

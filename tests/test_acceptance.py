@@ -37,7 +37,7 @@ from tropmat.ideals import (
     ideal_from_generators,
     principal_ideal_of,
 )
-from tropmat.matrix import TropMatrix, solves_right
+from tropmat.matrix import TropMatrix, VerificationError, solves_right
 from tropmat.sampling import (
     sample_descriptor,
     sample_isometric_pair,
@@ -47,7 +47,6 @@ from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
 from tropmat.structure import (
     idempotent_in_H,
     in_idempotent_family,
-    is_idempotent,
     regular_witness,
     subgroup_element,
 )
@@ -198,7 +197,7 @@ def test_criterion_7_h_class_idempotent_criterion():
             assert (e is not None) == expected, (m, n)
             if e is not None:
                 existing += 1
-                assert is_idempotent(e), (m, n, e)
+                assert e @ e == e, (m, n, e)
                 assert proj_column_space(e) == m, (m, n, e)
                 assert proj_row_space(e) == n, (m, n, e)
     report(
@@ -333,6 +332,19 @@ def test_each_suite_fails_on_a_broken_decision(
     digest = hashlib.sha256("\n".join(result.failures).encode()).hexdigest()
     assert (result.passed, result.failed, len(result.failures)) == (passed, failed, 5)
     assert digest == failures_sha256
+
+
+def test_the_regularity_suite_reports_a_raising_witness_with_its_matrix(monkeypatch):
+    seen = []
+
+    def defect(a):
+        seen.append(a)
+        raise VerificationError("regularity witness defect")
+
+    monkeypatch.setattr(verify_mod, "regular_witness", defect)
+    result = run_suite("regularity", 5, 3)
+    assert (result.passed, result.failed, len(seen)) == (0, 5, 5)
+    assert result.failures == tuple(f"regularity witness defect for {a}" for a in seen)
 
 
 def test_suites_pinned_failures_and_readme_agree():

@@ -64,7 +64,6 @@ from tropmat.structure import (
     group_type_of_H,
     idempotent_form,
     idempotent_in_H,
-    is_idempotent,
     regular_witness,
     subgroup_element,
 )
@@ -135,7 +134,7 @@ def test_regularity_and_idempotents_on_the_256_matrix_grid():
     for a in matrices:
         y = regular_witness(a)
         assert a @ y @ a == a, a
-    idempotents = [e for e in matrices if is_idempotent(e)]
+    idempotents = [e for e in matrices if e @ e == e]
     assert len(idempotents) > 20
     for e in idempotents:
         assert idempotent_in_H(*spaces(e)) == e, e
@@ -152,7 +151,7 @@ def maximal_subgroup_counts(matrices):
     order two are as many as its S2 factor allows.  Returns the number of
     idempotents, the number of members of their classes, and the group
     types by name."""
-    idempotents = [e for e in matrices if is_idempotent(e)]
+    idempotents = [e for e in matrices if e @ e == e]
     types = Counter()
     members = 0
     for e in idempotents:
@@ -196,7 +195,7 @@ def subgroup_family_counts(matrices):
     that family's element at ``a = h[0, 0]``.  Returns how many members each
     family rebuilt, and how many no family parametrizes."""
     counts = Counter()
-    for e in filter(is_idempotent, matrices):
+    for e in [e for e in matrices if e @ e == e]:
         family = family_of(*spaces(e))
         for h in [h for h in matrices if spaces(h) == spaces(e)]:
             if family is None:

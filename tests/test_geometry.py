@@ -266,6 +266,16 @@ def test_convex_set_constructor_checks_its_endpoints():
     assert len(str(exc.value)) < 400
 
 
+def test_the_empty_set_and_the_repr():
+    e = ConvexSet.empty()
+    with pytest.raises(ValueError, match="no endpoints"):
+        e.hi
+    assert not e.contains(0)
+    assert (e == "empty") is False
+    for s in (e, ConvexSet.point(NEG_INF), ConvexSet(Fraction(-1, 3), POS_INF)):
+        assert eval(repr(s)) == s
+
+
 def test_non_square_matrices_rejected():
     with pytest.raises(ValueError):
         proj_column_space(TropMatrix.identity(3))

@@ -23,7 +23,7 @@ from tropmat.green import (
     related,
     witness_Z,
 )
-from tropmat.matrix import TropMatrix, VerificationError, solves_right
+from tropmat.matrix import ResidualMatrix, TropMatrix, VerificationError, solves_right
 from tropmat.sampling import sample_isometric_pair, sample_matrix
 from tropmat.semiring import NEG_INF, POS_INF
 
@@ -192,6 +192,15 @@ def test_j_factorization_check_fires_on_an_image_outside_the_target(monkeypatch)
     assert x @ b @ y == a
     monkeypatch.setattr(green, "embed_image", lambda s, t: s)
     with pytest.raises(VerificationError, match="z must be right-divisible by b"):
+        j_factorization(a, b)
+
+
+def test_j_factorization_check_fires_on_a_wrong_left_factor(monkeypatch):
+    # z is right-divisible by b, but a zero left factor x cannot give a
+    a, b = TropMatrix([[0, 0], [5, 5]]), TropMatrix([[0, 0], [0, 1]])
+    zero = ResidualMatrix([["-inf", "-inf"], ["-inf", "-inf"]])
+    monkeypatch.setattr(green, "right_residual", lambda a, z: zero)
+    with pytest.raises(VerificationError, match="a must be left-divisible by z"):
         j_factorization(a, b)
 
 

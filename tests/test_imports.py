@@ -1,5 +1,6 @@
 """Every module of the package and of the test suite reads each name it
-imports.  ``tropmat/__init__.py`` is exempt: its imports are the public API.
+imports.  ``tropmat/__init__.py`` is exempt: its imports are the public API,
+which ``__all__`` names exactly.
 Every private helper the package defines is read somewhere in the package
 or the benchmark, and every class method and function the traced benchmark
 patches by name exists where it looks for it.  Importing ``tropmat.cli``
@@ -54,6 +55,12 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(MODULES) > 15
     unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_the_public_names_are_the_names_the_package_imports():
+    source = (ROOT / "src" / "tropmat" / "__init__.py").read_text()
+    assert len(set(tropmat.__all__)) == len(tropmat.__all__)
+    assert set(tropmat.__all__) == imported_names(source)
 
 
 def test_the_geometric_route_does_not_import_the_oracle():

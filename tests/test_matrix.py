@@ -194,6 +194,17 @@ def test_dimension_mismatch_rejected():
             make([[0, 1], [2]])
 
 
+def test_repr_round_trips_and_scalar_operands_are_refused():
+    a = TropMatrix([["1/2", "-inf"], [0, -3]])
+    r = ResidualMatrix([["+inf", "-1/3"], ["-inf", 2]])
+    assert eval(repr(a)) == a
+    assert eval(repr(r)) == r
+    with pytest.raises(TypeError):
+        a @ 3
+    with pytest.raises(TypeError):
+        a + 3
+
+
 @pytest.mark.parametrize(
     "scalars",
     [

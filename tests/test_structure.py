@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from tropmat import green
+from tropmat import green, structure
 from tropmat.geometry import (
     ConvexSet,
     proj_column_space,
@@ -21,7 +24,6 @@ from tropmat.structure import (
     idempotent_form,
     idempotent_in_H,
     in_idempotent_family,
-    is_idempotent,
     regular_witness,
     subgroup_element,
 )
@@ -41,10 +43,11 @@ def column_matrix(v):
 
 
 def test_is_idempotent_examples():
-    assert is_idempotent(TropMatrix([[0, -1], [-2, -3]]))
-    assert is_idempotent(I2)
-    assert not is_idempotent(TropMatrix([[1, "-inf"], ["-inf", 0]]))
-    assert is_idempotent(Z2)
+    e, a = TropMatrix([[0, -1], [-2, -3]]), TropMatrix([[1, "-inf"], ["-inf", 0]])
+    assert e @ e == e
+    assert I2 @ I2 == I2
+    assert a @ a != a
+    assert Z2 @ Z2 == Z2
 
 
 def test_idempotent_form_examples():
@@ -93,7 +96,7 @@ def test_form_reconstruction():
     seen = set()
     for _ in range(2000):
         a = sample_matrix(rng, "boundary")
-        if is_idempotent(a):
+        if a @ a == a:
             f = idempotent_form(a)
             assert f.matrix() == a
             seen.add(f.kind)
@@ -106,11 +109,48 @@ def test_exhaustive_grid_idempotent_classification():
     count = 0
     for a, b, c, d in product(grid, repeat=4):
         m = TropMatrix([[a, b], [c, d]])
-        assert is_idempotent(m) == in_idempotent_family(m)
-        if is_idempotent(m):
+        assert (m @ m == m) == in_idempotent_family(m)
+        if m @ m == m:
             assert idempotent_form(m).matrix() == m
         count += 1
     assert count == 1296
+
+
+def test_idempotent_form_matrix_equals_the_coercing_definition():
+    # parameters over denominators 1, 2 and 3, with x*y <= 0
+    values = [BOTTOM] + [TropScalar(v) for v in ("-3/2", "-1/3", "0", "1/2", "2/3")]
+    definitions = {
+        "upper": lambda x, y: [[0, x], [y, x * y]],
+        "diagonal": lambda x, y: [[0, x], [y, 0]],
+        "lower": lambda x, y: [[x * y, x], [y, 0]],
+    }
+    pairs = [(x, y) for x, y in product(values, repeat=2) if x * y <= 0]
+    assert len(pairs) == 24
+    for x, y in pairs:
+        for kind, rows in definitions.items():
+            assert IdempotentForm(kind, x, y).matrix() == TropMatrix(rows(x, y)), (kind, x, y)
+    assert IdempotentForm("zero").matrix() == Z2
+
+
+def test_idempotent_families_on_a_mixed_denominator_grid():
+    """The 625 matrices over {-inf, -1/2, 0, 1/3, 1}: unlike the 1,296-matrix
+    integer grid, they store denominators up to 6."""
+    grid = [BOTTOM] + [TropScalar(v) for v in ("-1/2", "0", "1/3", "1")]
+    kinds = Counter()
+    for a, b, c, d in product(grid, repeat=4):
+        m = TropMatrix([[a, b], [c, d]])
+        assert in_idempotent_family(m) == (m @ m == m), m
+        if m @ m == m:
+            form = idempotent_form(m)
+            assert form.matrix() == m, m
+            kinds[form.kind] += 1
+    assert kinds == {"zero": 1, "diagonal": 15, "upper": 11, "lower": 11}
+
+
+def test_idempotent_form_check_fires_on_a_matrix_in_no_family(monkeypatch):
+    monkeypatch.setattr(structure, "_family_form", lambda a: None)
+    with pytest.raises(VerificationError, match="is in no family"):
+        idempotent_form(I2)
 
 
 def test_idempotent_in_H_examples():
@@ -153,7 +193,7 @@ def test_idempotent_in_H_exhaustive_endpoint_grid():
             assert (e is not None) == expected, (m, n)
             if e is None:
                 continue
-            assert is_idempotent(e)
+            assert e @ e == e
             assert proj_column_space(e) == m
             assert proj_row_space(e) == n
             for j in range(2):
@@ -324,6 +364,33 @@ def test_group_type_examples():
     ) is GroupType.REALS_WREATH_S2
 
 
+# the 37 sets with endpoints over denominators 1, 2 and 3 (as in test_green)
+_MIXED = ["-inf", "-3/2", "-1/3", "0", "1/2", "2/3", "5", "+inf"]
+_MIXED_SETS = [ConvexSet.empty()] + [
+    ConvexSet.parse(f"[{lo},{hi}]") for lo, hi in combinations_with_replacement(_MIXED, 2)
+]
+# SHA-256 of the answers below, pinned from the construction-based decision
+GROUP_TYPE_GRID_SHA256 = "93867c18cdbd6630121002661a6ba89646281c105595db133245e7b62d8caa1f"
+
+
+def test_group_type_of_H_builds_no_matrix(monkeypatch):
+    def build(m, n):
+        pytest.fail(f"group_type_of_H built the idempotent of ({m}, {n})")
+
+    monkeypatch.setattr(structure, "_witness_Z", build)
+    lines, counts = [], Counter()
+    for m, n in product(_MIXED_SETS, repeat=2):
+        try:
+            answer = group_type_of_H(m, n).value
+            counts[answer] += 1
+        except ValueError as exc:
+            answer = f"ValueError: {exc}"
+            counts["none"] += 1
+        lines.append(json.dumps([str(m), str(n), answer]))
+    assert counts == {"none": 1303, "reals": 64, "trivial": 1, "reals-wr-s2": 1}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GROUP_TYPE_GRID_SHA256
+
+
 def test_group_type_rejects_idempotent_free_H_classes():
     with pytest.raises(ValueError):
         group_type_of_H(ConvexSet.point(NEG_INF), ConvexSet.point(POS_INF))
@@ -339,5 +406,6 @@ def test_fixes_image():
     for v in map(column_matrix, members):
         assert solves_right(e, v)
         assert e @ v == v
-    assert not is_idempotent(TropMatrix([[1, "-inf"], ["-inf", 0]]))
+    a = TropMatrix([[1, "-inf"], ["-inf", 0]])
+    assert a @ a != a
     assert not solves_right(e, column_matrix((5, 2)))

@@ -14,9 +14,9 @@ its endpoints and isometry type, so the set decisions compare ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .matrix import TropMatrix, _frac, _lowest, _stored
+from .matrix import TropMatrix, _frac, _stored
 from .semiring import (
     NEG_INF,
     _NEG_KEY,
@@ -275,10 +275,11 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
     q = p if y1 is None and y2 is None else _image(y1, y2)
     if q < p:
         p, q = q, p
-    if den != 1:
-        (x, y), den = _lowest((p[1], q[1]), den)
-        p, q = (p[0], x), (q[0], y)
-    return ConvexSet._of(p, q, den)
+    (kp, x), (kq, y) = p, q
+    g = gcd(den, x or 0, y or 0)
+    if g != 1:
+        p, q = (kp, x and x // g), (kq, y and y // g)  # None and 0 stay as they are
+    return ConvexSet._of(p, q, den // g)
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
@@ -313,8 +314,9 @@ def _iso_key(s: ConvexSet) -> tuple[int, int, int]:
         elif lo[0] or hi[0]:
             k = (4 if lo[0] < 0 < hi[0] else 3, 0, 1)
         else:
-            (d,), den = _lowest((hi[1] - lo[1],), s._den)
-            k = (2, d, den)
+            d, den = hi[1] - lo[1], s._den
+            g = gcd(d, den)
+            k = (2, d // g, den // g)
         s._ikey = k
     return k
 
@@ -384,8 +386,8 @@ def embed_image(s: ConvexSet, t: ConvexSet) -> ConvexSet:
     d *= den // dd
     (kl, lo), (kh, hi) = _ends(t, den)
     lo, hi = (lo, lo + d) if not kl else (hi - d, hi) if not kh else (0, d)
-    (lo, hi), den = _lowest((lo, hi), den)
-    return ConvexSet._of((0, lo), (0, hi), den)
+    g = gcd(den, lo, hi)
+    return ConvexSet._of((0, lo // g), (0, hi // g), den // g)
 
 
 def canonical_set(t: IsoType) -> ConvexSet:

@@ -22,7 +22,11 @@ matrix stores its witness there and flags its ``+inf`` entries in
 compare it structurally.  Max and + commute with scaling by a positive
 integer, so the kernels rescale two operands to the lcm of their
 denominators, compute on ints and bring the result to lowest terms; only
-the public accessors build ``Fraction`` values.
+the public accessors build ``Fraction`` values.  Products, sums, residuals
+and the constructions reduce their results; transposes, residual witnesses
+and the monomial inverse only move or negate the entries of a canonical
+store, which keeps their gcd, so they keep it as it is, and
+``subgroup_element`` builds its entries in lowest terms directly.
 """
 
 from __future__ import annotations
@@ -81,20 +85,22 @@ def _stored(vals) -> tuple[tuple, int]:
 
 
 def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
-    """Numerators over den in lowest terms, which is the stored form: both
-    divided by the gcd of den and every finite numerator."""
-    if den != 1:
-        g = gcd(den, *[x for x in nums if x is not None])
-        if g != 1:
-            return tuple([None if x is None else x // g for x in nums]), den // g
-    return nums, den
+    """The four numerators over den in lowest terms, which is the stored
+    form: both divided by the gcd of den and every finite numerator."""
+    p, q, r, s = nums
+    g = gcd(den, p or 0, q or 0, r or 0, s or 0)
+    if g == 1:
+        return nums, den
+    # ``x and x // g`` keeps None (``-inf``) as None and 0 as 0
+    return (p and p // g, q and q // g, r and r // g, s and s // g), den // g
 
 
 def _rescaled(nums: tuple, k: int) -> tuple:
-    """Numerators multiplied by the positive int k."""
+    """The four numerators multiplied by the positive int k."""
     if k == 1:
         return nums
-    return tuple([None if x is None else x * k for x in nums])
+    p, q, r, s = nums
+    return p and p * k, q and q * k, r and r * k, s and s * k
 
 
 def _common(x: "_Store", y: "_Store") -> tuple[tuple, tuple, int]:
@@ -187,11 +193,11 @@ class TropMatrix(_Store):
         return m
 
     @classmethod
-    def _over(cls, nums: tuple, den: int) -> "TropMatrix":
+    def _over(cls, nums: tuple, den: int, lowest: bool = False) -> "TropMatrix":
         """The matrix of the numerators (p, q, r, s) over den, brought to
-        lowest terms."""
+        lowest terms unless the caller knows they are (``lowest``)."""
         m = object.__new__(cls)
-        m._e, m._den = _lowest(nums, den)
+        m._e, m._den = (nums, den) if lowest else _lowest(nums, den)
         m._pc = m._pr = None
         return m
 
@@ -228,7 +234,9 @@ class TropMatrix(_Store):
 
     def transpose(self) -> "TropMatrix":
         p, q, r, s = self._e
-        return TropMatrix._over((p, r, q, s), self._den)
+        t = TropMatrix._over((p, r, q, s), self._den, True)
+        t._pc, t._pr = self._pr, self._pc
+        return t
 
     def is_monomial(self) -> bool:
         """True iff exactly one entry per row and per column is not ``-inf``.
@@ -278,7 +286,8 @@ def monomial_inverse(a: TropMatrix) -> TropMatrix:
     if not a.is_monomial():
         raise ValueError("matrix is not monomial, hence not invertible")
     p, q, r, s = a._e
-    return TropMatrix._over(tuple([None if x is None else -x for x in (p, r, q, s)]), a._den)
+    inverse = (-p, None, None, -s) if q is None else (None, -r, -q, None)
+    return TropMatrix._over(inverse, a._den, True)
 
 
 def residual_scalar(target, divisor) -> ProjPoint:
@@ -314,11 +323,12 @@ class ResidualMatrix(_Store):
         self._free = tuple([kind == 1 for kind, _ in keys])
 
     @classmethod
-    def _over(cls, nums: tuple, free: tuple, den: int) -> "ResidualMatrix":
+    def _over(cls, nums: tuple, free: tuple, den: int, lowest: bool = False) -> "ResidualMatrix":
         """The residual matrix of the witness numerators (p, q, r, s) over
-        den, brought to lowest terms, with ``+inf`` where free."""
+        den, brought to lowest terms unless they are (``lowest``), with
+        ``+inf`` where free."""
         m = object.__new__(cls)
-        m._e, m._den = _lowest(nums, den)
+        m._e, m._den = (nums, den) if lowest else _lowest(nums, den)
         m._free = free
         return m
 
@@ -327,10 +337,10 @@ class ResidualMatrix(_Store):
 
     def transpose(self) -> "ResidualMatrix":
         (p, q, r, s), (fp, fq, fr, fs) = self._e, self._free
-        return ResidualMatrix._over((p, r, q, s), (fp, fr, fq, fs), self._den)
+        return ResidualMatrix._over((p, r, q, s), (fp, fr, fq, fs), self._den, True)
 
     def witness(self) -> TropMatrix:
-        return TropMatrix._over(self._e, self._den)
+        return TropMatrix._over(self._e, self._den, True)
 
     def dominates(self, x: TropMatrix) -> bool:
         """Entrywise x <= self, with ``+inf`` maximal."""

@@ -18,6 +18,7 @@ a family exactly when the form read off its entries rebuilds it.
 from __future__ import annotations
 
 import enum
+from math import lcm
 
 from .geometry import ConvexSet, _Record, iso_type
 from .green import _family, _witness_Z
@@ -46,7 +47,10 @@ class IdempotentForm(_Record):
             raise ValueError(f"the {kind} family needs both parameters x and y")
         else:
             x, y = TropScalar(x), TropScalar(y)
-            if x * y > 0:
+            fx, fy = x._k[1], y._k[1]
+            if fx is not None and fy is not None and (
+                fx.numerator * fy.denominator + fy.numerator * fx.denominator > 0
+            ):
                 raise ValueError(f"the {kind} family needs x*y <= 0, got x={_cut(x)}, y={_cut(y)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "x", x)
@@ -180,24 +184,29 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     af = _scalar_key(a)[1]
     if af is None:
         raise ValueError("the group parameter must be a rational, not -inf")
-    xf = yf = None
+    a, da = af.numerator, af.denominator
+    if family == "W":
+        return TropMatrix._over((a, None, None, None), da, True)
+    # each entry is a, or a plus or minus a parameter, so over the lcm of
+    # the reduced denominators the numerators are already in lowest terms
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
         xf = _scalar_key(x)[1]
         if xf is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
-    elif family != "W":
-        if x is None or y is None:
-            raise ValueError(f"family {family} needs interval endpoints x < y")
-        xf, yf = _scalar_key(x)[1], _scalar_key(y)[1]
-        if xf is None or yf is None or xf >= yf:
-            raise ValueError("interval endpoints must be rationals with x < y")
-    (a, x, y), den = _stored((af, xf, yf))
-    if family == "W":
-        return TropMatrix._over((a, None, None, None), den)
-    if family == "Z":
-        return TropMatrix._over((a, None, a + x, a), den)
-    if family == "X":
-        return TropMatrix._over((a, a - y, a + x, a), den)
-    return TropMatrix._over((a, a - x, a + y, a), den)
+        x, dx = xf.numerator, xf.denominator
+        den = lcm(da, dx)
+        a, x = a * (den // da), x * (den // dx)
+        return TropMatrix._over((a, None, a + x, a), den, True)
+    if x is None or y is None:
+        raise ValueError(f"family {family} needs interval endpoints x < y")
+    xf, yf = _scalar_key(x)[1], _scalar_key(y)[1]
+    if xf is not None and yf is not None:
+        x, dx, y, dy = xf.numerator, xf.denominator, yf.numerator, yf.denominator
+    if xf is None or yf is None or x * dy >= y * dx:
+        raise ValueError("interval endpoints must be rationals with x < y")
+    den = lcm(da, dx, dy)
+    a, x, y = a * (den // da), x * (den // dx), y * (den // dy)
+    entries = (a, a - y, a + x, a) if family == "X" else (a, a - x, a + y, a)
+    return TropMatrix._over(entries, den, True)

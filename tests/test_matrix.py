@@ -1,12 +1,17 @@
 import json
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from test_boundary_grid import assert_plain
 
+from tropmat.geometry import proj_column_space, proj_row_space
 from tropmat.matrix import (
     ResidualMatrix,
     TropMatrix,
+    _lowest,
     left_residual,
     monomial_inverse,
     parse_matrix,
@@ -233,3 +238,37 @@ def test_parse_matrix_round_trip_and_errors():
     for text in ["5", "[1, 2]"]:
         with pytest.raises(ValueError, match="JSON array of arrays"):
             parse_matrix(text)
+
+
+def test_lowest_terms_match_fractions():
+    # None is -inf; the grid holds all-None and all-zero entries, negative
+    # numerators and every denominator 1-12
+    for den in range(1, 13):
+        for nums in product([None, 0, 1, -2, 3, -6, 12], repeat=4):
+            got, d = _lowest(nums, den)
+            assert [None if x is None else Fraction(x, d) for x in got] == [
+                None if x is None else Fraction(x, den) for x in nums
+            ], (nums, den)
+            assert d > 0 and gcd(d, *[x for x in got if x is not None]) == 1, (nums, den)
+
+
+def test_transposes_witnesses_and_inverses_keep_a_canonical_store():
+    # these builders keep their input's store without reducing it again: the
+    # result must still be canonical, and a transpose's handed-over spaces
+    # must be those of a fresh copy
+    b = TropMatrix([["1/2", "-inf"], ["-5/3", "7/4"]])
+    scalars = ["-inf", "-7/4", "-2/3", "0", "5/6", "3"]
+    for i, entries in enumerate(product(scalars, repeat=4)):
+        a = TropMatrix([entries[:2], entries[2:]])
+        if i % 2:  # cache a's spaces first on every other matrix
+            proj_column_space(a), proj_row_space(a)
+        t = a.transpose()
+        assert_plain(t)
+        for r in (left_residual(a, b), right_residual(b, a), left_residual(a, a)):
+            assert_plain(r.transpose())
+            assert_plain(r.witness())
+        if a.is_monomial():
+            assert_plain(monomial_inverse(a))
+        fresh = TropMatrix(t.rows)
+        assert proj_column_space(t) == proj_row_space(a) == proj_column_space(fresh), entries
+        assert proj_row_space(t) == proj_column_space(a) == proj_row_space(fresh), entries

@@ -336,18 +336,54 @@ def test_subgroup_elements_live_in_their_H_class():
 
 
 def test_subgroup_element_validation():
-    with pytest.raises(ValueError):
-        subgroup_element("Q", 0)
-    with pytest.raises(ValueError):
-        subgroup_element("X", 0, 2, 1)
-    with pytest.raises(ValueError):
-        subgroup_element("X", 0)
-    with pytest.raises(ValueError):
-        subgroup_element("Z", 0)
-    with pytest.raises(ValueError):
-        subgroup_element("Z", 0, "-inf")
-    with pytest.raises(ValueError):
-        subgroup_element("W", "-inf")
+    # every refusal, with its exact type and message
+    family = "unknown family {}: expected one of ('W', 'X', 'Y', 'Z')"
+    group = "the group parameter must be a rational, not -inf"
+    order = "interval endpoints must be rationals with x < y"
+    token = "bad rational token {}: expected an integer or 'p/q'"
+    floats = "refusing float {}: arithmetic here is exact, pass an int, Fraction, or 'p/q' string"
+    cases = [
+        (("Q", 0), ValueError, family.format("'Q'")),
+        (("w", 0, 1, 2), ValueError, family.format("'w'")),
+        (("W", "-inf"), ValueError, group),
+        (("X", "-inf", 0, 1), ValueError, group),
+        (("Z", " -inf ", 1), ValueError, group),
+        (("Z", 0), ValueError, "family Z needs the finite interval endpoint x"),
+        (("Z", 0, None, 5), ValueError, "family Z needs the finite interval endpoint x"),
+        (("Z", 0, "-inf"), ValueError, "the interval endpoint x must be a rational, not -inf"),
+        (("X", 0), ValueError, "family X needs interval endpoints x < y"),
+        (("X", 0, None, 1), ValueError, "family X needs interval endpoints x < y"),
+        (("Y", 0, 1), ValueError, "family Y needs interval endpoints x < y"),
+        (("X", 0, "-inf", 1), ValueError, order),
+        (("Y", 0, 0, "-inf"), ValueError, order),
+        (("X", 0, 1, 1), ValueError, order),
+        (("Y", 0, "1/2", Fraction(2, 4)), ValueError, order),
+        (("X", 0, 2, 1), ValueError, order),
+        (("Y", 0, "1/3", "2/7"), ValueError, order),
+        (("X", 0, "-2/7", "-1/3"), ValueError, order),
+        (("X", 0, "1e3", 5), ValueError, token.format("'1e3'")),
+        (("W", "abc"), ValueError, token.format("'abc'")),
+        (("Z", 0, "x"), ValueError, token.format("'x'")),
+        (("X", 0, 0, "+inf"), ValueError, "+inf is not a tropical scalar (it only exists "
+         "projectively)"),
+        (("X", 0.5, 0, 1), TypeError, floats.format("0.5")),
+        (("Z", 0, 1.5), TypeError, floats.format("1.5")),
+        (("Y", 0, 0, -2.0), TypeError, floats.format("-2.0")),
+        (("X", True, 0, 1), TypeError, "bool is not a tropical scalar"),
+        (("Z", 0, False), TypeError, "bool is not a tropical scalar"),
+        (("Y", 0, 0, True), TypeError, "bool is not a tropical scalar"),
+    ]
+    for args, kind, message in cases:
+        with pytest.raises(kind) as caught:
+            subgroup_element(*args)
+        assert type(caught.value) is kind and str(caught.value) == message, args
+    # the order is decided exactly across denominators and signs, and the
+    # families ignore the parameters they do not take
+    assert subgroup_element("X", 0, "2/7", "1/3") == TropMatrix([[0, "-1/3"], ["2/7", 0]])
+    assert subgroup_element("Y", 0, "-1/3", "-2/7") == TropMatrix([[0, "1/3"], ["-2/7", 0]])
+    w = subgroup_element("W", "3/6", "abc", 1.5)
+    assert w == TropMatrix([["1/2", "-inf"], ["-inf", "-inf"]])
+    assert subgroup_element("Z", "1/2", "1/3", "x") == TropMatrix([["1/2", "-inf"], ["5/6", "1/2"]])
 
 
 def test_group_type_examples():

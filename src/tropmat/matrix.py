@@ -234,9 +234,7 @@ class TropMatrix(_Store):
 
     def transpose(self) -> "TropMatrix":
         p, q, r, s = self._e
-        t = TropMatrix._over((p, r, q, s), self._den, True)
-        t._pc, t._pr = self._pr, self._pc
-        return t
+        return TropMatrix._over((p, r, q, s), self._den, True)
 
     def is_monomial(self) -> bool:
         """True iff exactly one entry per row and per column is not ``-inf``.

@@ -48,9 +48,7 @@ class IdempotentForm(_Record):
         else:
             x, y = TropScalar(x), TropScalar(y)
             fx, fy = x._k[1], y._k[1]
-            if fx is not None and fy is not None and (
-                fx.numerator * fy.denominator + fy.numerator * fx.denominator > 0
-            ):
+            if fx is not None and fy is not None and fx + fy > 0:
                 raise ValueError(f"the {kind} family needs x*y <= 0, got x={_cut(x)}, y={_cut(y)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "x", x)
@@ -202,10 +200,9 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     if x is None or y is None:
         raise ValueError(f"family {family} needs interval endpoints x < y")
     xf, yf = _scalar_key(x)[1], _scalar_key(y)[1]
-    if xf is not None and yf is not None:
-        x, dx, y, dy = xf.numerator, xf.denominator, yf.numerator, yf.denominator
-    if xf is None or yf is None or x * dy >= y * dx:
+    if xf is None or yf is None or xf.numerator * yf.denominator >= yf.numerator * xf.denominator:
         raise ValueError("interval endpoints must be rationals with x < y")
+    x, dx, y, dy = xf.numerator, xf.denominator, yf.numerator, yf.denominator
     den = lcm(da, dx, dy)
     a, x, y = a * (den // da), x * (den // dx), y * (den // dy)
     entries = (a, a - y, a + x, a) if family == "X" else (a, a - x, a + y, a)

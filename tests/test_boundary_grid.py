@@ -554,8 +554,11 @@ def test_constructed_matrices_equal_and_hash_like_coerced_ones():
             assert_plain(idempotent_form(e).matrix())
         if iso_type(m) == iso_type(n):
             assert_plain(witness_Z(m, n))
-    for family in "WXYZ":
-        assert_plain(subgroup_element(family, "3/2", -1, 2))
+    # subgroup_element builds its store in lowest terms without reducing it
+    ends = [-1, "-2/3", 0, "1/4", "3/2", 2]
+    for a, (x, y) in product(["3/2", 0, "-5/6", 4], combinations(ends, 2)):
+        for family in "WXYZ":
+            assert_plain(subgroup_element(family, a, x, y))
     # form parameters given as plain ints still build tropical entries
     upper = IdempotentForm("upper", -1, "-2").matrix()
     assert_plain(upper)

@@ -13,20 +13,15 @@ the concrete solution over the plain semiring that puts 0 at each ``+inf``.
 This makes ``A = B @ X`` decidable:  it is solvable iff that witness attains
 A.
 
-Each matrix and residual matrix stores one positive ``int`` denominator
-``den``, the lcm of the reduced denominators of its finite entries, and its
-entries ``(p, q, r, s)`` flat, row by row, as ``int`` numerators over it
-(None for ``-inf``), in the store the two share, ``_Store``; a residual
-matrix stores its witness there and flags its ``+inf`` entries in
-``_free``.  That form is canonical, so ``_Store``'s one equality and hash
-compare it structurally.  Max and + commute with scaling by a positive
+Each matrix and residual matrix stores its entries ``(p, q, r, s)`` flat,
+row by row, as ``int`` numerators (None for ``-inf``) over one positive
+``int`` denominator, the lcm of their reduced denominators: a canonical
+form, held in ``_Store``.  Max and + commute with scaling by a positive
 integer, so the kernels rescale two operands to the lcm of their
-denominators, compute on ints and bring the result to lowest terms; only
-the public accessors build ``Fraction`` values.  Products, sums, residuals
-and the constructions reduce their results; transposes, residual witnesses
-and the monomial inverse only move or negate the entries of a canonical
-store, which keeps their gcd, so they keep it as it is, and
-``subgroup_element`` builds its entries in lowest terms directly.
+denominators, compute on ints and reduce the result; only the public
+accessors build ``Fraction`` values.  Transposes, residual witnesses and the
+monomial inverse only move or negate canonical entries, and ``parse_matrix``
+and ``subgroup_element`` build theirs in lowest terms, so none reduces again.
 """
 
 from __future__ import annotations
@@ -35,7 +30,9 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-from .semiring import _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _scalar, _scalar_key
+from .semiring import (
+    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _scalar, _scalar_key, _scalar_ratio
+)
 
 
 class VerificationError(AssertionError):
@@ -184,15 +181,6 @@ class TropMatrix(_Store):
         self._pc = self._pr = None
 
     @classmethod
-    def _of(cls, rows) -> "TropMatrix":
-        """The matrix of 2x2 rows of Fractions (None for ``-inf``), without
-        coercion."""
-        m = object.__new__(cls)
-        m._e, m._den = _stored(_flat(rows))
-        m._pc = m._pr = None
-        return m
-
-    @classmethod
     def _over(cls, nums: tuple, den: int, lowest: bool = False) -> "TropMatrix":
         """The matrix of the numerators (p, q, r, s) over den, brought to
         lowest terms unless the caller knows they are (``lowest``)."""
@@ -252,12 +240,16 @@ class TropMatrix(_Store):
         return json.dumps(self.to_tokens())
 
 
+# integers stay strings, so they meet the one rational grammar and its cap
+_DECODER = json.JSONDecoder(parse_int=str)
+
+
 def parse_matrix(text: str) -> TropMatrix:
     """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
     try:
-        # integers stay strings, so they meet the one rational grammar and
-        # its length cap
-        data = json.loads(text, parse_int=str)
+        # bytes, a BOM and other types get json.loads's own decoding or refusal
+        plain = type(text) is str and not text.startswith("\ufeff")
+        data = _DECODER.decode(text) if plain else json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad matrix JSON at offset {exc.pos}: {exc.msg}") from exc
     except RecursionError:
@@ -266,16 +258,17 @@ def parse_matrix(text: str) -> TropMatrix:
         ) from None
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix must be a JSON array of arrays of scalar tokens")
-    rows = []
+    pairs = []  # every entry is read, row by row, before the shape is checked
     for i, row in enumerate(data):
-        out = []
         for j, tok in enumerate(row):
             try:
-                out.append(_scalar_key(tok)[1])
+                pairs.append(_scalar_ratio(tok))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"matrix entry ({i},{j}): {exc}") from exc
-        rows.append(out)
-    return TropMatrix._of(rows)
+    _check_shape(len(data), all(len(row) == len(data) for row in data), "matrix")
+    # over the lcm of reduced denominators the numerators are in lowest terms
+    den = lcm(*[d for _, d in pairs])
+    return TropMatrix._over(tuple([x and x * (den // d) for x, d in pairs]), den, True)
 
 
 def monomial_inverse(a: TropMatrix) -> TropMatrix:

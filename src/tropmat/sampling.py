@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
-from .matrix import TropMatrix
+from .matrix import TropMatrix, _stored
 from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _quote, _scalar
 
 RNG_ALGORITHM = "mt19937"
@@ -56,7 +56,7 @@ def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
 
 def sample_matrix(rng: random.Random, profile: str) -> TropMatrix:
     # four draws, row by row: the order every seeded stream depends on
-    return TropMatrix._of([[_draw(rng, profile) for _ in range(2)] for _ in range(2)])
+    return TropMatrix._over(*_stored([_draw(rng, profile) for _ in range(4)]), True)
 
 
 def sample_proj_point(rng: random.Random) -> ProjPoint:

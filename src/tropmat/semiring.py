@@ -9,9 +9,10 @@ line, which carries the distance ``delta``:  |y - x| between rationals, 0
 between equal infinities, infinite otherwise.
 
 Everything here is exact: scalars are arbitrary-precision ``Fraction`` values
-and the infinities are explicit variants, never sentinel numerics.  The
-classification machinery built on top compares endpoints for *equality*, so
-there is deliberately no floating-point mode.
+and the infinities are explicit variants, never sentinel numerics, and every
+``p/q`` token is read once, by ``_ratio``, straight into a reduced pair of
+ints.  The classification machinery built on top compares endpoints for
+*equality*, so there is deliberately no floating-point mode.
 
 A scalar, a projective point and a distance each store one order key
 ``(kind, value)``: kind -1, 0 or +1 for ``-inf``, finite or ``+inf``, and
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _new = object.__new__
 _ZERO = Fraction(0)
 
 # ASCII digits only: ``\d`` would also match the other Unicode digits.
-_RATIONAL_TOKEN = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
+_RATIONAL_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 # Longest rational token accepted, in characters.  It sits below CPython's
 # default 4300-digit limit on int-from-string conversion, so an over-long
 # token is refused here, with the same message on every interpreter.
@@ -58,8 +60,25 @@ def _cut(value, limit: int = _QUOTE_CHARS) -> str:
     return f"{text[:limit]}… ({len(text)} characters)"
 
 
+def _ratio(value: str) -> tuple[int, int]:
+    """A ``p/q`` or integer token read once, straight to ints: its numerator
+    and positive denominator in lowest terms, the length cap checked first."""
+    token = value.strip()
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ValueError(
+            f"bad rational token of {len(token)} characters: expected an "
+            f"integer or 'p/q' of at most {MAX_TOKEN_CHARS} characters"
+        )
+    m = _RATIONAL_TOKEN.fullmatch(token)
+    if m is None:
+        raise ValueError(f"bad rational token {_quote(value)}: expected an integer or 'p/q'")
+    p, q = int(m[1]), int(m[2] or 1)
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 def _as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction, or ``p/q`` token to an exact Fraction."""
+    """Coerce an int, Fraction, or ``p/q`` token (read once into ints) to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -67,17 +86,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        token = value.strip()
-        if len(token) > MAX_TOKEN_CHARS:
-            raise ValueError(
-                f"bad rational token of {len(token)} characters: expected an "
-                f"integer or 'p/q' of at most {MAX_TOKEN_CHARS} characters"
-            )
-        if not _RATIONAL_TOKEN.match(token):
-            raise ValueError(
-                f"bad rational token {_quote(value)}: expected an integer or 'p/q'"
-            )
-        return Fraction(token)
+        return Fraction(*_ratio(value))
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: arithmetic here is exact, pass an int, "
@@ -191,12 +200,23 @@ def _scalar_key(value) -> tuple:
     if isinstance(value, TropScalar):
         return value._k
     if isinstance(value, str):
-        token = value.strip()
-        if token == "-inf":
-            return _NEG_KEY
-        if token == "+inf":
-            raise ValueError("+inf is not a tropical scalar (it only exists projectively)")
+        x, d = _scalar_ratio(value)
+        return _NEG_KEY if x is None else (0, Fraction(x, d))
     return 0, _as_fraction(value)
+
+
+def _scalar_ratio(value) -> tuple[int | None, int]:
+    """The reduced numerator and denominator of a scalar as ``_scalar_key``
+    takes it, ``(None, 1)`` for ``-inf``; a token builds no Fraction."""
+    if not isinstance(value, str):
+        f = _scalar_key(value)[1]
+        return (None, 1) if f is None else (f.numerator, f.denominator)
+    token = value.strip()
+    if token == "-inf":
+        return None, 1
+    if token == "+inf":
+        raise ValueError("+inf is not a tropical scalar (it only exists projectively)")
+    return _ratio(value)
 
 
 BOTTOM = TropScalar("-inf")

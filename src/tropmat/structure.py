@@ -23,7 +23,7 @@ from math import lcm
 from .geometry import ConvexSet, _Record, iso_type
 from .green import _family, _witness_Z
 from .matrix import TropMatrix, VerificationError, _stored, left_residual, right_residual
-from .semiring import TropScalar, _cut, _quote, _scalar_key
+from .semiring import TropScalar, _cut, _quote, _scalar_ratio
 
 
 class IdempotentForm(_Record):
@@ -100,11 +100,13 @@ def in_idempotent_family(a: TropMatrix) -> bool:
 
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
     """Classify an idempotent into its family, with fixed priority zero,
-    diagonal, upper, lower when parameters land on an overlap."""
-    if e @ e != e:
-        raise ValueError("matrix is not idempotent")
+    diagonal, upper, lower when parameters land on an overlap.  Every family
+    member is idempotent, so only a matrix outside them is squared: to
+    refuse a non-idempotent, or to report an idempotent in no family."""
     form = _family_form(e)
     if form is None:
+        if e @ e != e:
+            raise ValueError("matrix is not idempotent")
         raise VerificationError(f"the idempotent {_cut(e)} is in no family")
     return form
 
@@ -179,10 +181,9 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     """
     if family not in _FAMILY_NAMES:
         raise ValueError(f"unknown family {_quote(family)}: expected one of {_FAMILY_NAMES}")
-    af = _scalar_key(a)[1]
-    if af is None:
+    a, da = _scalar_ratio(a)
+    if a is None:
         raise ValueError("the group parameter must be a rational, not -inf")
-    a, da = af.numerator, af.denominator
     if family == "W":
         return TropMatrix._over((a, None, None, None), da, True)
     # each entry is a, or a plus or minus a parameter, so over the lcm of
@@ -190,19 +191,17 @@ def subgroup_element(family: str, a, x=None, y=None) -> TropMatrix:
     if family == "Z":
         if x is None:
             raise ValueError("family Z needs the finite interval endpoint x")
-        xf = _scalar_key(x)[1]
-        if xf is None:
+        x, dx = _scalar_ratio(x)
+        if x is None:
             raise ValueError("the interval endpoint x must be a rational, not -inf")
-        x, dx = xf.numerator, xf.denominator
         den = lcm(da, dx)
         a, x = a * (den // da), x * (den // dx)
         return TropMatrix._over((a, None, a + x, a), den, True)
     if x is None or y is None:
         raise ValueError(f"family {family} needs interval endpoints x < y")
-    xf, yf = _scalar_key(x)[1], _scalar_key(y)[1]
-    if xf is None or yf is None or xf.numerator * yf.denominator >= yf.numerator * xf.denominator:
+    (x, dx), (y, dy) = _scalar_ratio(x), _scalar_ratio(y)
+    if x is None or y is None or x * dy >= y * dx:
         raise ValueError("interval endpoints must be rationals with x < y")
-    x, dx, y, dy = xf.numerator, xf.denominator, yf.numerator, yf.denominator
     den = lcm(da, dx, dy)
     a, x, y = a * (den // da), x * (den // dx), y * (den // dy)
     entries = (a, a - y, a + x, a) if family == "X" else (a, a - x, a + y, a)

@@ -125,7 +125,7 @@ _GRID_SAMPLES = len(_GRID) ** 4  # idempotent-grid runs all 1,296 matrices
 def _idempotent_grid(rng: random.Random, i: int) -> str | None:
     # the i-th matrix in itertools.product(_GRID, repeat=4) order
     p, q, r, s = [_GRID[i // 6**k % 6] for k in (3, 2, 1, 0)]
-    m = TropMatrix._of([[p, q], [r, s]])
+    m = TropMatrix._over((p, q, r, s), 1, True)  # ints over 1 are in lowest terms
     if (m @ m == m) != in_idempotent_family(m):
         return f"brute-force and family classification disagree on {m}"
 

@@ -227,6 +227,41 @@ def test_error_paths(capsys):
     assert code == 1 and "expected" in out["error"]
 
 
+def test_classify_squares_a_matrix_once(capsys, monkeypatch):
+    from tropmat.matrix import TropMatrix
+
+    matmul, products = TropMatrix.__matmul__, []
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(TropMatrix, "__matmul__", counted)
+    for text, form in [
+        ('[["0","-1"],["1","0"]]', {"kind": "diagonal", "x": "-1", "y": "1"}),
+        ('[["-inf","-inf"],["-inf","-inf"]]', {"kind": "zero"}),
+        ('[["0","0"],["1","2"]]', None),
+    ]:
+        products.clear()
+        code, out = run(capsys, "classify", text)
+        assert code == 0 and out["idempotent_form"] == form and out["idempotent"] is bool(form)
+        assert len(products) == 1, text
+
+
+def test_classify_reports_an_idempotent_in_no_family(capsys, monkeypatch):
+    import tropmat.structure as structure
+
+    monkeypatch.setattr(structure, "_family_form", lambda a: None)
+    code, out = run(capsys, "classify", '[["0","-1"],["1","0"]]')
+    assert code == 2
+    assert out == {
+        "error": 'internal verification failure: the idempotent [["0", "-1"], ["1", "0"]] '
+        "is in no family"
+    }
+    code, out = run(capsys, "classify", '[["0","0"],["1","2"]]')
+    assert code == 0 and out["idempotent_form"] is None
+
+
 def test_unknown_flags_and_commands_are_errors(capsys):
     code, out = run(capsys, "classify", '[["0","0"],["1","2"]]', "--fast")
     assert code == 1 and "error" in out

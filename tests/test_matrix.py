@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from test_boundary_grid import assert_plain
+from test_semiring import REFUSED_TOKENS
 
 from tropmat.geometry import proj_column_space, proj_row_space
 from tropmat.matrix import (
@@ -238,6 +239,93 @@ def test_parse_matrix_round_trip_and_errors():
     for text in ["5", "[1, 2]"]:
         with pytest.raises(ValueError, match="JSON array of arrays"):
             parse_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "scalars",
+    [
+        ["-inf", "-7/4", "-2/3", "0", "5/6", "3"],
+        ["-inf", "-4/6", "0/5", "-0", "12/8", "+3/9"],
+        ["-inf", "-2", "-0", "0", "007", "+5"],
+    ],
+    ids=["mixed-denominators", "reducible", "integers"],
+)
+def test_parse_matrix_builds_a_canonical_store(scalars):
+    # each token is read straight to ints and the store is built over their
+    # lcm without a second reduction: it must be canonical all the same
+    for entries in product(scalars, repeat=4):
+        rows = [list(entries[:2]), list(entries[2:])]
+        a = parse_matrix(json.dumps(rows))
+        assert_plain(a)
+        b = TropMatrix(rows)
+        assert a == b and hash(a) == hash(b), entries
+        assert a._den > 0 and gcd(a._den, *[x for x in a._e if x is not None]) == 1
+
+
+def test_parse_matrix_reads_json_integers_as_tokens():
+    a = parse_matrix("[[0,7],[-1,2]]")
+    assert_plain(a)
+    assert a == TropMatrix([[0, 7], [-1, 2]]) and hash(a) == hash(TropMatrix([[0, 7], [-1, 2]]))
+
+
+# The messages of parse_matrix, byte for byte.  Entries are read row by row
+# before the shape is checked, so a bad token is reported ahead of a bad
+# shape.
+PARSE_ERRORS = {
+    "[[": "bad matrix JSON at offset 2: Expecting value",
+    "\ufeff" + '[["0","0"],["0","0"]]': (
+        "bad matrix JSON at offset 0: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    ),
+    "[" * 100_000: "bad matrix JSON: nested too deeply for arrays of '-inf' or 'p/q' tokens",
+    "{}": "matrix must be a JSON array of arrays of scalar tokens",
+    "[1,2]": "matrix must be a JSON array of arrays of scalar tokens",
+    '[["x","0"]]': "matrix entry (0,0): bad rational token 'x': expected an integer or 'p/q'",
+    '[["0","0","x"],["0","0"],["0","0"]]': (
+        "matrix entry (0,2): bad rational token 'x': expected an integer or 'p/q'"
+    ),
+    '[["0","0"],["0","0"],["0","0"]]': "matrix must be square and nonempty",
+    '[["0","0"],["0"]]': "matrix must be square and nonempty",
+    "[]": "matrix must be square and nonempty",
+    '[["0","0","0"],["0","0","0"],["0","0","0"]]': (
+        "the classification theory is specific to 2x2 matrices, got 3x3"
+    ),
+    '[["0","+inf"],["0","0"]]': (
+        "matrix entry (0,1): +inf is not a tropical scalar (it only exists projectively)"
+    ),
+    "[[1.5,0],[0,0]]": (
+        "matrix entry (0,0): refusing float 1.5: arithmetic here is exact, pass an int, "
+        "Fraction, or 'p/q' string"
+    ),
+    "[[1e400,0],[0,0]]": (
+        "matrix entry (0,0): refusing float inf: arithmetic here is exact, pass an int, "
+        "Fraction, or 'p/q' string"
+    ),
+    "[[true,0],[0,0]]": "matrix entry (0,0): bool is not a tropical scalar",
+    "[[null,0],[0,0]]": (
+        "matrix entry (0,0): cannot build an exact rational from None: pass an int, "
+        "Fraction, or 'p/q' string"
+    ),
+    '[[["1"],0],[0,0]]': (
+        "matrix entry (0,0): cannot build an exact rational from ['1']: pass an int, "
+        "Fraction, or 'p/q' string"
+    ),
+    "[[" + "7" * 5000 + ",0],[0,0]]": (
+        "matrix entry (0,0): bad rational token of 5000 characters: expected an integer "
+        "or 'p/q' of at most 4000 characters"
+    ),
+    **{
+        json.dumps([["0", "0"], ["0", token]]): f"matrix entry (1,1): {message}"
+        for token, message in REFUSED_TOKENS.items()
+        if token != "+inf"
+    },
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS), ids=range(len(PARSE_ERRORS)))
+def test_parse_matrix_keeps_its_messages_and_their_order(text):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == PARSE_ERRORS[text]
 
 
 def test_lowest_terms_match_fractions():

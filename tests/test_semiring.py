@@ -16,6 +16,8 @@ from tropmat.semiring import (
     ExtDistance,
     ProjPoint,
     TropScalar,
+    _as_fraction,
+    _ratio,
     delta,
 )
 
@@ -136,6 +138,84 @@ def test_bad_tokens_rejected():
     assert TropScalar("9" * MAX_TOKEN_CHARS).frac == 10**MAX_TOKEN_CHARS - 1
     with pytest.raises(ValueError, match="at most"):
         TropScalar("9" * (MAX_TOKEN_CHARS + 1))
+
+
+# Tokens the one reader takes, each checked against Fraction(token): signs,
+# -0, leading zeros, zero and reducible ratios, surrounding whitespace, and
+# integer and p/q tokens of exactly MAX_TOKEN_CHARS characters once stripped.
+READER_GRID = [
+    "0", "-0", "+0", "7", "+7", "-7", "007", "-007", "+00", "0/5", "-0/5", "1/2", "+1/2",
+    "-1/2", "-4/6", "4/6", "12/8", "-12/4", "003/12", "-10/10", " 5 ", "\t-4/6\n",
+    "9" * MAX_TOKEN_CHARS,
+    "-" + "9" * (MAX_TOKEN_CHARS - 1),
+    "1/" + "3" * (MAX_TOKEN_CHARS - 2),
+    "-" + "6" * (MAX_TOKEN_CHARS // 2 - 2) + "/" + "4" * (MAX_TOKEN_CHARS // 2),
+    "  " + "8" * MAX_TOKEN_CHARS + "\n",
+]
+
+
+@pytest.mark.parametrize("token", READER_GRID, ids=[str(i) for i in range(len(READER_GRID))])
+def test_the_reader_agrees_with_fraction(token):
+    f = Fraction(token)
+    n, d = _ratio(token)
+    assert type(n) is int and type(d) is int
+    assert (n, d) == (f.numerator, f.denominator)
+    assert _as_fraction(token) == f == TropScalar(token).frac == ProjPoint(token).frac
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "9" * (MAX_TOKEN_CHARS + 1),
+        "9" * (MAX_TOKEN_CHARS - 1) + "/3",
+        " " + "9" * (MAX_TOKEN_CHARS + 1) + "\n",
+    ],
+    ids=["integer", "ratio", "padded"],
+)
+def test_the_reader_refuses_one_character_over_the_cap(token):
+    assert Fraction(token)  # the general parser would take it
+    with pytest.raises(ValueError) as exc:
+        _ratio(token)
+    assert str(exc.value) == (
+        f"bad rational token of {MAX_TOKEN_CHARS + 1} characters: expected an integer "
+        f"or 'p/q' of at most {MAX_TOKEN_CHARS} characters"
+    )
+
+
+def test_the_cap_is_checked_before_any_int_is_built():
+    # 5,000 digits are past CPython's int-from-string limit: the cap's own
+    # message shows that no int() call came first
+    with pytest.raises(ValueError, match="^bad rational token of 5000 characters"):
+        _ratio("7" * 5000)
+
+
+# The refusal messages of the token grammar, byte for byte.
+REFUSED_TOKENS = {
+    "1_000": "bad rational token '1_000': expected an integer or 'p/q'",
+    "\u0663": "bad rational token '\u0663': expected an integer or 'p/q'",
+    "1e3": "bad rational token '1e3': expected an integer or 'p/q'",
+    "0x10": "bad rational token '0x10': expected an integer or 'p/q'",
+    "3/0": "bad rational token '3/0': expected an integer or 'p/q'",
+    "3/-4": "bad rational token '3/-4': expected an integer or 'p/q'",
+    "3/04": "bad rational token '3/04': expected an integer or 'p/q'",
+    "": "bad rational token '': expected an integer or 'p/q'",
+    "1/2/3": "bad rational token '1/2/3': expected an integer or 'p/q'",
+    "+inf": "bad rational token '+inf': expected an integer or 'p/q'",
+}
+
+
+@pytest.mark.parametrize("token", list(REFUSED_TOKENS))
+def test_refused_tokens_keep_their_messages(token):
+    scalar_message = (
+        "+inf is not a tropical scalar (it only exists projectively)"
+        if token == "+inf"
+        else REFUSED_TOKENS[token]
+    )
+    readers = [(_ratio, REFUSED_TOKENS[token]), (_as_fraction, REFUSED_TOKENS[token])]
+    for read, message in readers + [(TropScalar, scalar_message)]:
+        with pytest.raises(ValueError) as exc:
+            read(token)
+        assert str(exc.value) == message, read
 
 
 def test_proj_point_scalar_conversion():

@@ -105,7 +105,7 @@ def _rclass(pc: ConvexSet) -> tuple[str, dict[str, str]]:
     return "interval", {"x": str(lo), "y": str(hi)}
 
 
-def _cmd_classify(ns) -> dict:
+def _cmd_classify(ns) -> tuple[dict, int]:
     a = parse_matrix(ns.matrix)
     pc = proj_column_space(a)
     t = iso_type(pc)
@@ -116,22 +116,25 @@ def _cmd_classify(ns) -> dict:
     if idp:
         f = idempotent_form(a)
         form = {"kind": f.kind, **f.params()}
-    return {
-        "matrix": a.to_tokens(),
-        "pc": str(pc),
-        "pr": str(pr),
-        "rclass": rclass,
-        "rclass_params": rclass_params,
-        "iso_type": str(t),
-        "diameter": _diameter(t),
-        "idempotent": idp,
-        "idempotent_form": form,
-        "monomial": a.is_monomial(),
-        "principal_ideal": str(principal_ideal_of(a)),
-    }
+    return (
+        {
+            "matrix": a.to_tokens(),
+            "pc": str(pc),
+            "pr": str(pr),
+            "rclass": rclass,
+            "rclass_params": rclass_params,
+            "iso_type": str(t),
+            "diameter": _diameter(t),
+            "idempotent": idp,
+            "idempotent_form": form,
+            "monomial": a.is_monomial(),
+            "principal_ideal": str(principal_ideal_of(a)),
+        },
+        0,
+    )
 
 
-def _cmd_relate(ns) -> dict:
+def _cmd_relate(ns) -> tuple[dict, int]:
     rel = GreenRelation.from_token(ns.relation)
     a = parse_matrix(ns.a)
     b = parse_matrix(ns.b)
@@ -147,41 +150,47 @@ def _cmd_relate(ns) -> dict:
         elif rel is GreenRelation.LEQ_J:
             x, y = j_factorization(a, b)
             out["witness_pair"] = [x.to_tokens(), y.to_tokens()]
-    return out
+    return out, 0
 
 
-def _cmd_witness(ns) -> dict:
+def _cmd_witness(ns) -> tuple[dict, int]:
     m = ConvexSet.parse(ns.m)
     n = ConvexSet.parse(ns.n)
     z = witness_Z(m, n)
-    return {
-        "witness": z.to_tokens(),
-        "pc": str(proj_column_space(z)),
-        "pr": str(proj_row_space(z)),
-    }
+    return (
+        {
+            "witness": z.to_tokens(),
+            "pc": str(proj_column_space(z)),
+            "pr": str(proj_row_space(z)),
+        },
+        0,
+    )
 
 
-def _cmd_idempotent(ns) -> dict:
+def _cmd_idempotent(ns) -> tuple[dict, int]:
     m = ConvexSet.parse(ns.m)
     n = ConvexSet.parse(ns.n)
     e = idempotent_in_H(m, n)
     if e is None:
-        return {"exists": False, "idempotent": None, "form": None}
+        return {"exists": False, "idempotent": None, "form": None}, 0
     f = idempotent_form(e)
-    return {
-        "exists": True,
-        "idempotent": e.to_tokens(),
-        "form": {"kind": f.kind, **f.params()},
-    }
+    return (
+        {
+            "exists": True,
+            "idempotent": e.to_tokens(),
+            "form": {"kind": f.kind, **f.params()},
+        },
+        0,
+    )
 
 
-def _cmd_regular(ns) -> dict:
+def _cmd_regular(ns) -> tuple[dict, int]:
     a = parse_matrix(ns.matrix)
     y = regular_witness(a)
-    return {"witness": y.to_tokens(), "verified": a @ y @ a == a}
+    return {"witness": y.to_tokens(), "verified": a @ y @ a == a}, 0
 
 
-def _cmd_subgroup(ns) -> dict:
+def _cmd_subgroup(ns) -> tuple[dict, int]:
     m = ConvexSet.parse(ns.m)
     n = ConvexSet.parse(ns.n)
     group = group_type_of_H(m, n)
@@ -199,33 +208,36 @@ def _cmd_subgroup(ns) -> dict:
             )
         out["family"] = ns.family
         out["element"] = element.to_tokens()
-    return out
+    return out, 0
 
 
-def _cmd_ideal(ns) -> dict:
+def _cmd_ideal(ns) -> tuple[dict, int]:
     if ns.action == "contains":
         d = IdealDescriptor.parse(ns.descriptor)
         a = parse_matrix(ns.matrix)
-        return {"descriptor": str(d), "contains": ideal_contains(d, a)}
+        return {"descriptor": str(d), "contains": ideal_contains(d, a)}, 0
     if ns.action == "principal":
-        return {"descriptor": str(principal_ideal_of(parse_matrix(ns.matrix)))}
+        return {"descriptor": str(principal_ideal_of(parse_matrix(ns.matrix)))}, 0
     if ns.action == "compare":
         d1 = IdealDescriptor.parse(ns.first)
         d2 = IdealDescriptor.parse(ns.second)
-        return {"order": ideal_compare(d1, d2).value}
+        return {"order": ideal_compare(d1, d2).value}, 0
     if ns.action == "generate":
         gens = [parse_matrix(text) for text in ns.matrices]
-        return {"descriptor": str(ideal_from_generators(gens))}
+        return {"descriptor": str(ideal_from_generators(gens))}, 0
     principal, removed = decompose(IdealDescriptor.parse(ns.descriptor))
-    return {
-        "principal": str(principal),
-        "removed_j_class": None if removed is None else str(removed),
-    }
+    return (
+        {
+            "principal": str(principal),
+            "removed_j_class": None if removed is None else str(removed),
+        },
+        0,
+    )
 
 
-def _cmd_verify(ns) -> dict:
+def _cmd_verify(ns) -> tuple[dict, int]:
     result = run_suite(ns.suite, ns.samples, ns.seed)
-    return {
+    out = {
         "suite": result.suite,
         "samples": result.samples,
         "seed": result.seed,
@@ -234,6 +246,7 @@ def _cmd_verify(ns) -> dict:
         "failed": result.failed,
         "failures": list(result.failures),
     }
+    return out, 2 if result.failed else 0
 
 
 def build_parser() -> _Parser:
@@ -309,7 +322,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         ns = _parser().parse_args(argv)
-        result = ns.handler(ns)
+        result, code = ns.handler(ns)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
@@ -317,7 +330,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": f"internal verification failure: {exc}"}))
         return 2
     print(json.dumps(result))
-    return 2 if ns.command == "verify" and result["failed"] else 0  # failed samples: defects
+    return code
 
 
 if __name__ == "__main__":

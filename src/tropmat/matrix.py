@@ -240,16 +240,19 @@ class TropMatrix(_Store):
         return json.dumps(self.to_tokens())
 
 
-# integers stay strings, so they meet the one rational grammar and its cap
+# integers stay strings, so they meet the one rational grammar and its cap;
+# built once, as ``json.loads(text, parse_int=str)`` would build it per call
 _DECODER = json.JSONDecoder(parse_int=str)
 
 
 def parse_matrix(text: str) -> TropMatrix:
     """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
+    if not isinstance(text, str):
+        raise TypeError(f"matrix JSON must be a str, not {type(text).__name__}")
     try:
-        # bytes, a BOM and other types get json.loads's own decoding or refusal
-        plain = type(text) is str and not text.startswith("\ufeff")
-        data = _DECODER.decode(text) if plain else json.loads(text, parse_int=str)
+        if text.startswith("\ufeff"):  # refused with json.loads's message
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad matrix JSON at offset {exc.pos}: {exc.msg}") from exc
     except RecursionError:
@@ -258,16 +261,17 @@ def parse_matrix(text: str) -> TropMatrix:
         ) from None
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix must be a JSON array of arrays of scalar tokens")
-    pairs = []  # every entry is read, row by row, before the shape is checked
+    rows = []
     for i, row in enumerate(data):
+        out = []
         for j, tok in enumerate(row):
             try:
-                pairs.append(_scalar_ratio(tok))
+                out.append(_scalar_ratio(tok))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"matrix entry ({i},{j}): {exc}") from exc
-    _check_shape(len(data), all(len(row) == len(data) for row in data), "matrix")
-    # over the lcm of reduced denominators the numerators are in lowest terms
-    den = lcm(*[d for _, d in pairs])
+        rows.append(out)
+    pairs = _flat(rows)
+    den = lcm(*[d for _, d in pairs])  # the numerators over it are in lowest terms: see ``_stored``
     return TropMatrix._over(tuple([x and x * (den // d) for x, d in pairs]), den, True)
 
 

@@ -8,11 +8,11 @@ top element ``+inf``, giving the two-point compactification of the rational
 line, which carries the distance ``delta``:  |y - x| between rationals, 0
 between equal infinities, infinite otherwise.
 
-Everything here is exact: scalars are arbitrary-precision ``Fraction`` values
-and the infinities are explicit variants, never sentinel numerics, and every
-``p/q`` token is read once, by ``_ratio``, straight into a reduced pair of
-ints.  The classification machinery built on top compares endpoints for
-*equality*, so there is deliberately no floating-point mode.
+Everything here is exact: scalars are arbitrary-precision ``Fraction`` values,
+read once from a ``p/q`` token into a reduced pair of ints (``_ratio``), and
+the infinities are explicit variants, never sentinel numerics.  The
+classification machinery built on top compares endpoints for *equality*, so
+there is deliberately no floating-point mode.
 
 A scalar, a projective point and a distance each store one order key
 ``(kind, value)``: kind -1, 0 or +1 for ``-inf``, finite or ``+inf``, and

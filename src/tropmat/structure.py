@@ -100,9 +100,8 @@ def in_idempotent_family(a: TropMatrix) -> bool:
 
 def idempotent_form(e: TropMatrix) -> IdempotentForm:
     """Classify an idempotent into its family, with fixed priority zero,
-    diagonal, upper, lower when parameters land on an overlap.  Every family
-    member is idempotent, so only a matrix outside them is squared: to
-    refuse a non-idempotent, or to report an idempotent in no family."""
+    diagonal, upper, lower when parameters land on an overlap.  Family
+    members are idempotent, so only a matrix in no family is squared."""
     form = _family_form(e)
     if form is None:
         if e @ e != e:

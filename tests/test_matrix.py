@@ -268,6 +268,14 @@ def test_parse_matrix_reads_json_integers_as_tokens():
     assert a == TropMatrix([[0, 7], [-1, 2]]) and hash(a) == hash(TropMatrix([[0, 7], [-1, 2]]))
 
 
+@pytest.mark.parametrize("text", [b'[["0","0"],["0","0"]]', bytearray(b"[[]]"), None, 7])
+def test_parse_matrix_takes_only_str(text):
+    # bytes are refused on purpose: every caller, the CLI included, has a str
+    with pytest.raises(TypeError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == f"matrix JSON must be a str, not {type(text).__name__}"
+
+
 # The messages of parse_matrix, byte for byte.  Entries are read row by row
 # before the shape is checked, so a bad token is reported ahead of a bad
 # shape.

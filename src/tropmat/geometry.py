@@ -35,10 +35,10 @@ class ConvexSet:
     """A closed convex subset of the projective line.
 
     Canonical form: empty (no endpoints), a point (equal endpoints), or an
-    interval with ``lo < hi`` strictly.  ``ConvexSet(lo, hi)`` takes both
-    endpoints in order, or None for both; ``empty()``, ``point()`` and
-    ``interval()`` also build sets, the latter sorting its endpoints and
-    collapsing equal ones to a point.
+    interval with ``lo < hi`` strictly.  ``ConvexSet(lo, hi)``, the one
+    validated constructor, takes both endpoints in order, or None for both;
+    ``point()`` and ``interval()`` coerce their endpoints once and call it,
+    the latter sorting them first.
 
     Stored as order keys ``(kind, numerator)`` over one positive int
     denominator in lowest terms; ``lo`` and ``hi`` build fresh ``ProjPoint``s.
@@ -73,14 +73,13 @@ class ConvexSet:
 
     @classmethod
     def point(cls, p) -> "ConvexSet":
-        return cls.interval(p, p)
+        p = ProjPoint(p)  # refuses None, which cls(None, None) reads as empty
+        return cls(p, p)
 
     @classmethod
     def interval(cls, a, b) -> "ConvexSet":
         a, b = ProjPoint(a), ProjPoint(b)
-        if b < a:
-            a, b = b, a
-        return cls(a, b)
+        return cls(a, b) if a <= b else cls(b, a)
 
     @classmethod
     def full_line(cls) -> "ConvexSet":
@@ -95,25 +94,12 @@ class ConvexSet:
         return self._lo is not None and self._lo == self._hi
 
     @property
-    def is_interval(self) -> bool:
-        return self._lo is not None and self._lo != self._hi
-
-    @property
     def lo(self) -> ProjPoint:
-        if self._lo is None:
-            raise ValueError("the empty set has no endpoints")
         return _proj(self._lo, self._den)
 
     @property
     def hi(self) -> ProjPoint:
-        if self._hi is None:
-            raise ValueError("the empty set has no endpoints")
         return _proj(self._hi, self._den)
-
-    def contains(self, p) -> bool:
-        if self._lo is None:
-            return False
-        return self.lo <= ProjPoint(p) <= self.hi
 
     def negated(self) -> "ConvexSet":
         """The pointwise negation; swaps and negates the endpoints."""
@@ -146,7 +132,7 @@ class ConvexSet:
         if token == "empty":
             return ConvexSet.empty()
         if token.startswith("{") and token.endswith("}"):
-            return ConvexSet.point(ProjPoint(token[1:-1].strip()))
+            return ConvexSet.point(token[1:-1].strip())
         if token.startswith("[") and token.endswith("]"):
             parts = token[1:-1].split(",")
             if len(parts) != 2:
@@ -156,7 +142,7 @@ class ConvexSet:
             lo, hi = ProjPoint(parts[0].strip()), ProjPoint(parts[1].strip())
             if hi < lo:
                 raise ValueError(f"bad set literal {_quote(text)}: endpoints out of order")
-            return ConvexSet.interval(lo, hi)
+            return ConvexSet(lo, hi)
         raise ValueError(
             f"bad set literal {_quote(text)}: expected 'empty', '{{p}}', or '[lo,hi]'"
         )
@@ -248,8 +234,11 @@ class IsoType(_Record):
         return IsoType(token)
 
 
-def _proj(key: tuple, den: int) -> ProjPoint:
-    """The point of an order key, its value a numerator over den."""
+def _proj(key: tuple | None, den: int) -> ProjPoint:
+    """The point of an order key, its value a numerator over den; the None
+    key of the empty set is refused."""
+    if key is None:
+        raise ValueError("the empty set has no endpoints")
     kind, x = key
     return _point((kind, _frac(x, den)))
 
@@ -395,9 +384,9 @@ def canonical_set(t: IsoType) -> ConvexSet:
     if t.kind == "empty":
         return ConvexSet.empty()
     if t.kind == "point":
-        return ConvexSet.point(ProjPoint(0))
+        return ConvexSet(0, 0)
     if t.kind == "interval":
-        return ConvexSet.interval(ProjPoint(0), ProjPoint(t.diameter))
+        return ConvexSet(0, t.diameter)
     if t.kind == "halfinf":
-        return ConvexSet.interval(NEG_INF, ProjPoint(0))
+        return ConvexSet(NEG_INF, 0)
     return ConvexSet.full_line()

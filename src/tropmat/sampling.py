@@ -93,11 +93,11 @@ def sample_isometric_pair(rng: random.Random) -> tuple[ConvexSet, ConvexSet]:
     if lo.is_finite and hi.is_finite:
         shift = _random_rational(rng)
         d = hi.frac - lo.frac
-        return s, ConvexSet.interval(ProjPoint(shift), ProjPoint(shift + d))
+        return s, ConvexSet(shift, shift + d)
     end = _random_rational(rng)
     if rng.randrange(2) == 0:
-        return s, ConvexSet.interval(NEG_INF, ProjPoint(end))
-    return s, ConvexSet.interval(ProjPoint(end), POS_INF)
+        return s, ConvexSet(NEG_INF, end)
+    return s, ConvexSet(end, POS_INF)
 
 
 def sample_descriptor(rng: random.Random) -> IdealDescriptor:

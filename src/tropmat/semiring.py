@@ -209,7 +209,7 @@ def _scalar_ratio(value) -> tuple[int | None, int]:
     """The reduced numerator and denominator of a scalar as ``_scalar_key``
     takes it, ``(None, 1)`` for ``-inf``; a token builds no Fraction."""
     if not isinstance(value, str):
-        f = _scalar_key(value)[1]
+        f = value._k[1] if isinstance(value, TropScalar) else _as_fraction(value)
         return (None, 1) if f is None else (f.numerator, f.denominator)
     token = value.strip()
     if token == "-inf":

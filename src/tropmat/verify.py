@@ -120,6 +120,7 @@ def _regularity(rng: random.Random, i: int) -> str | None:
 
 _GRID = (None, -2, -1, 0, 1, 2)  # -inf and the integers -2..2
 _GRID_SAMPLES = len(_GRID) ** 4  # idempotent-grid runs all 1,296 matrices
+_MAX_SAMPLES = 1_000_000  # a run of the slowest suite, ideal-order, takes minutes
 
 
 def _idempotent_grid(rng: random.Random, i: int) -> str | None:
@@ -223,12 +224,14 @@ SUITES = {
 def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     """Run ``SUITES[name]`` on indices 0..samples-1 of one stream seeded by
     seed: each check returns None for a pass and its failure message for a
-    failure.  ``idempotent-grid`` is exhaustive and ignores samples."""
+    failure.  ``idempotent-grid`` is exhaustive; it ignores samples in range."""
     if name not in SUITES:
         valid = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {_quote(name)}: expected one of {valid}")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES:,}")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if name == "idempotent-grid":

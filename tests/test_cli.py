@@ -199,6 +199,28 @@ def test_verify_output_bytes_are_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("suite", ["ideal-order", "idempotent-grid"])
+@pytest.mark.parametrize("samples", ["1000001", "9" * 4000], ids=["one-over", "4000-digits"])
+def test_verify_refuses_samples_over_the_ceiling_before_any_draw(
+    capsys, monkeypatch, suite, samples
+):
+    import tropmat.verify as verify_mod
+
+    calls = []
+    monkeypatch.setitem(verify_mod.SUITES, suite, lambda rng, i: calls.append(i))
+    code, out = run(capsys, "verify", "--suite", suite, "--samples", samples, "--seed", "1")
+    assert (code, out, calls) == (1, {"error": "samples must be at most 1,000,000"}, [])
+
+
+def test_verify_runs_the_ceiling_itself(monkeypatch):
+    import tropmat.verify as verify_mod
+
+    calls = []
+    monkeypatch.setitem(verify_mod.SUITES, "duality", lambda rng, i: calls.append(i))
+    result = verify_mod.run_suite("duality", 1_000_000, 1)
+    assert (result.samples, result.passed, len(calls)) == (1_000_000, 1_000_000, 1_000_000)
+
+
 def test_verify_rejects_negative_seed(capsys):
     code, out = run(capsys, "verify", "--samples", "5", "--seed", "-1", "--suite", "duality")
     assert code == 1 and "error" in out

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,7 +22,15 @@ from tropmat.geometry import (
 )
 from tropmat.matrix import TropMatrix, solves_right
 from tropmat.sampling import sample_convex_set, sample_matrix, sample_scalar
-from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ExtDistance, INF_DIST, ProjPoint
+from tropmat.semiring import (
+    BOTTOM,
+    INF_DIST,
+    NEG_INF,
+    POS_INF,
+    ExtDistance,
+    ProjPoint,
+    TropScalar,
+)
 
 SEED = 20260808
 
@@ -160,7 +169,8 @@ def test_membership_agrees_with_projective_geometry():
         elif a.is_zero:
             geometric = False
         else:
-            geometric = proj_column_space(a).contains(proj_column_space(v).lo)
+            pc = proj_column_space(a)
+            geometric = pc.lo <= proj_column_space(v).lo <= pc.hi
         assert algebraic == geometric
 
 
@@ -207,6 +217,105 @@ def test_embed_image_on_the_mixed_denominator_grid_is_pinned():
     assert digest == EMBED_GRID_SHA256
 
 
+def _forms(token):
+    """An endpoint of the grid in every type that holds it: its token, a
+    ProjPoint, a TropScalar, a Fraction and an int."""
+    forms = [token, ProjPoint(token)]
+    if token != "+inf":
+        forms.append(TropScalar(token))
+    if not token.endswith("inf"):
+        forms.append(Fraction(token))
+        if forms[-1].denominator == 1:
+            forms.append(int(forms[-1]))
+    return forms
+
+
+def test_every_construction_path_builds_one_canonical_set():
+    # each ordered endpoint pair of the grid, each endpoint in each of its
+    # types, through the constructor, interval both ways, point and parse
+    built = 0
+    for lo, hi in itertools.combinations_with_replacement(_GRID, 2):
+        text = "{" + lo + "}" if lo == hi else f"[{lo},{hi}]"
+        den = lcm(*(Fraction(t).denominator for t in (lo, hi) if not t.endswith("inf")))
+        for a, b in itertools.product(_forms(lo), _forms(hi)):
+            first = ConvexSet(a, b)
+            sets = [first, ConvexSet.interval(a, b), ConvexSet.interval(b, a)]
+            if lo == hi:
+                sets += [ConvexSet.point(a), ConvexSet.point(b)]
+            sets.append(ConvexSet.parse(str(first)))
+            for s in sets:
+                assert s == first and hash(s) == hash(first), (s, first)
+                assert str(s) == text and s._den == den, (s, s._den, den)
+            built += len(sets)
+    assert built == 2430
+
+
+# each refusal of the construction path, its type and message pinned
+_LONG = "1" * 3000
+_BOTH = "a convex set has both endpoints or neither"
+_NONE = "cannot build an exact rational from None: pass an int, Fraction, or 'p/q' string"
+_SHAPES = "expected 'empty', '{p}', or '[lo,hi]'"
+_TWO = "expected two comma-separated endpoints"
+_TOKEN = "bad rational token {}: expected an integer or 'p/q'"
+_NO_ENDS = "the empty set has no endpoints"
+_SET_REFUSALS = {
+    "lo-none": (lambda: ConvexSet(None, 1), ValueError, _BOTH),
+    "hi-none": (lambda: ConvexSet(POS_INF, None), ValueError, _BOTH),
+    "order": (lambda: ConvexSet(3, 1), ValueError, "convex set endpoints out of order: 3 > 1"),
+    "order-points": (
+        lambda: ConvexSet(ProjPoint("+inf"), ProjPoint("1/2")),
+        ValueError,
+        "convex set endpoints out of order: +inf > 1/2",
+    ),
+    "order-long": (
+        lambda: ConvexSet(_LONG, 0),
+        ValueError,
+        f"convex set endpoints out of order: {_LONG[:64]}… (3000 characters) > 0",
+    ),
+    "parse-order": (
+        lambda: ConvexSet.parse("[2,1]"),
+        ValueError,
+        "bad set literal '[2,1]': endpoints out of order",
+    ),
+    "parse-order-inf": (
+        lambda: ConvexSet.parse("[+inf,-inf]"),
+        ValueError,
+        "bad set literal '[+inf,-inf]': endpoints out of order",
+    ),
+    "point-none": (lambda: ConvexSet.point(None), TypeError, _NONE),
+    "interval-none": (lambda: ConvexSet.interval(1, None), TypeError, _NONE),
+    "point-bool": (lambda: ConvexSet.point(True), TypeError, "bool is not a tropical scalar"),
+    "open-brace": (
+        lambda: ConvexSet.parse("{+inf"), ValueError, f"bad set literal '{{+inf': {_SHAPES}"
+    ),
+    "three-endpoints": (
+        lambda: ConvexSet.parse("[1,2,3]"), ValueError, f"bad set literal '[1,2,3]': {_TWO}"
+    ),
+    "no-endpoints": (lambda: ConvexSet.parse("[]"), ValueError, f"bad set literal '[]': {_TWO}"),
+    "no-point": (lambda: ConvexSet.parse("{ }"), ValueError, _TOKEN.format("''")),
+    "bad-lo": (lambda: ConvexSet.parse("[x,y]"), ValueError, _TOKEN.format("'x'")),
+    "bad-hi": (lambda: ConvexSet.parse("[1, 1.5]"), ValueError, _TOKEN.format("'1.5'")),
+    "bad-point": (lambda: ConvexSet.parse("{ 1e3 }"), ValueError, _TOKEN.format("'1e3'")),
+    "bad-inf": (lambda: ConvexSet.parse("{inf}"), ValueError, _TOKEN.format("'inf'")),
+    "bad-ctor": (lambda: ConvexSet(1, "1/0"), ValueError, _TOKEN.format("'1/0'")),
+    "empty-lo": (lambda: ConvexSet.empty().lo, ValueError, _NO_ENDS),
+    "empty-hi": (lambda: ConvexSet(None, None).hi, ValueError, _NO_ENDS),
+}
+
+
+@pytest.mark.parametrize("build, error, message", _SET_REFUSALS.values(), ids=_SET_REFUSALS)
+def test_construction_refusals_are_pinned(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_canonical_set_is_pinned_for_every_type():
+    kinds = ["empty", "point", "interval:7/2", "halfinf", "fullline"]
+    got = [(str(s), s._den) for s in (canonical_set(IsoType.parse(k)) for k in kinds)]
+    assert got == [("empty", 1), ("{0}", 1), ("[0,7/2]", 2), ("[-inf,0]", 1), ("[-inf,+inf]", 1)]
+
+
 def test_canonical_set_round_trips_types():
     for t in [
         IsoType("empty"),
@@ -249,14 +358,14 @@ def test_set_parsing_round_trip():
 
 def test_convex_set_constructor_checks_its_endpoints():
     # out of order, and one endpoint missing: each used to build a set that
-    # its own repr, contains, iso_type or equality got wrong
+    # its own repr, membership, iso_type or equality got wrong
     for lo, hi in [(ProjPoint(3), ProjPoint(1)), (3, 1), (None, ProjPoint(1)), (ProjPoint(1), None)]:
         with pytest.raises(ValueError):
             ConvexSet(lo, hi)
     s = ConvexSet(1, 3)
     assert s.lo.is_finite and s == ConvexSet.interval(1, 3)
     assert ConvexSet.parse(str(s)) == s
-    assert s.contains(2) and iso_type(s) == IsoType("interval", 2)
+    assert subset(ConvexSet.point(2), s) and iso_type(s) == IsoType("interval", 2)
     assert ConvexSet(None, None) == ConvexSet.empty()
     assert ConvexSet("-inf", "+inf") == FULL
     assert ConvexSet(ProjPoint(2), 2).is_point
@@ -270,7 +379,7 @@ def test_the_empty_set_and_the_repr():
     e = ConvexSet.empty()
     with pytest.raises(ValueError, match="no endpoints"):
         e.hi
-    assert not e.contains(0)
+    assert not subset(ConvexSet.point(0), e)
     assert (e == "empty") is False
     for s in (e, ConvexSet.point(NEG_INF), ConvexSet(Fraction(-1, 3), POS_INF)):
         assert eval(repr(s)) == s

@@ -18,6 +18,7 @@ from tropmat.semiring import (
     TropScalar,
     _as_fraction,
     _ratio,
+    _scalar_ratio,
     delta,
 )
 
@@ -300,3 +301,55 @@ def test_a_plain_operand_a_class_refuses_equals_none_of_its_values():
     for d in (ExtDistance(3), ExtDistance(0), INF_DIST):
         assert d != -1 and not d == -1 and -1 != d
         assert d != Fraction(-1, 2) and not Fraction(-1, 2) == d
+
+
+_EXACT = "arithmetic here is exact, pass an int, Fraction, or 'p/q' string"
+_NOT_EXACT = "cannot build an exact rational from {}: pass an int, Fraction, or 'p/q' string"
+_BAD_TOKEN = "bad rational token {}: expected an integer or 'p/q'"
+# _scalar_ratio on each kind of input, each answer or refusal pinned
+SCALAR_RATIOS = [
+    (TropScalar(3), (3, 1)),
+    (TropScalar("-1/2"), (-1, 2)),
+    (BOTTOM, (None, 1)),
+    (0, (0, 1)),
+    (-7, (-7, 1)),
+    (10**30, (10**30, 1)),
+    (Fraction(6, 4), (3, 2)),
+    (Fraction(-1, 3), (-1, 3)),
+    (" -inf ", (None, 1)),
+    ("3/6", (1, 2)),
+    (" -4 ", (-4, 1)),
+    (True, (TypeError, "bool is not a tropical scalar")),
+    (False, (TypeError, "bool is not a tropical scalar")),
+    (0.5, (TypeError, f"refusing float 0.5: {_EXACT}")),
+    (1.0, (TypeError, f"refusing float 1.0: {_EXACT}")),
+    (None, (TypeError, _NOT_EXACT.format("None"))),
+    (ProjPoint(1), (TypeError, _NOT_EXACT.format("ProjPoint('1')"))),
+    (NEG_INF, (TypeError, _NOT_EXACT.format("ProjPoint('-inf')"))),
+    (POS_INF, (TypeError, _NOT_EXACT.format("ProjPoint('+inf')"))),
+    ("+inf", (ValueError, "+inf is not a tropical scalar (it only exists projectively)")),
+    ("inf", (ValueError, _BAD_TOKEN.format("'inf'"))),
+    ("1/0", (ValueError, _BAD_TOKEN.format("'1/0'"))),
+    ("1.5", (ValueError, _BAD_TOKEN.format("'1.5'"))),
+    ("", (ValueError, _BAD_TOKEN.format("''"))),
+    (
+        "9" * 4001,
+        (
+            ValueError,
+            "bad rational token of 4001 characters: expected an integer or 'p/q' of at most "
+            "4000 characters",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, expected", SCALAR_RATIOS, ids=[repr(v)[:20] for v, _ in SCALAR_RATIOS]
+)
+def test_scalar_ratio_answers_and_refusals_are_pinned(value, expected):
+    if isinstance(expected[0], type):
+        with pytest.raises(expected[0]) as exc:
+            _scalar_ratio(value)
+        assert str(exc.value) == expected[1]
+    else:
+        assert _scalar_ratio(value) == expected

@@ -8,23 +8,20 @@ and exits 1; an internal verification failure (a library defect) exits 2.
 Matrices are JSON arrays of scalar tokens such as ``[["0","-inf"],["1/2","3"]]``,
 sets are ``empty``, ``{p}``, or ``[lo,hi]``, and ideal descriptors are
 ``closed:<type>``, ``open:<w>``, or ``openline``.
+
+Flags take ``--flag value`` or ``--flag=value`` anywhere after the command; a
+unique prefix names a long flag, the last repeat wins and a value may start
+with ``-`` (``--a -1/2``).  ``-h``/``--help`` prints this text and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .geometry import ConvexSet, IsoType, iso_type, proj_column_space, proj_row_space
-from .green import (
-    GreenRelation,
-    d_class_witness,
-    j_factorization,
-    related,
-    witness_Z,
-)
+from .green import GreenRelation, d_class_witness, j_factorization, related, witness_Z
 from .ideals import (
     IdealDescriptor,
     decompose,
@@ -34,7 +31,7 @@ from .ideals import (
     principal_ideal_of,
 )
 from .matrix import left_residual, parse_matrix, right_residual
-from .semiring import _as_fraction, _cut, _quote
+from .semiring import _as_fraction, _cut, _quote, _ratio
 from .structure import (
     group_type_of_H,
     idempotent_form,
@@ -45,38 +42,12 @@ from .structure import (
 from .verify import SUITES, run_suite
 
 
-def _rational_flag(token: str):
-    """argparse type of the ``--a/--x/--y`` flags: the scalar ``p/q`` grammar.
-
-    Its errors pass through as ``ArgumentTypeError``, so the message names
-    the grammar; argparse would otherwise print this function's name.
-    """
-    try:
-        return _as_fraction(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _int_flag(token: str) -> int:
-    """argparse type of ``--samples``/``--seed``: an integer of the scalar grammar."""
-    value = _rational_flag(token)
-    if value.denominator != 1:
-        raise argparse.ArgumentTypeError(f"bad integer {_quote(token)}: expected an integer")
-    return int(value)
-
-
-# argparse's own messages can echo a whole argument (an unknown subcommand,
-# an unrecognized or ambiguous option), so they are cut at this many
-# characters, far above any message whose token ``_quote`` has cut.
-_MESSAGE_CHARS = 256
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that raises instead of exiting, so every input
-    problem funnels into one JSON error path."""
-
-    def error(self, message):
-        raise ValueError(_cut(message, _MESSAGE_CHARS))
+    """Reader of ``--samples``/``--seed``: an integer of the scalar grammar."""
+    num, den = _ratio(token)
+    if den != 1:
+        raise ValueError(f"bad integer {_quote(token)}: expected an integer")
+    return num
 
 
 def _diameter(t: IsoType) -> str:
@@ -249,80 +220,109 @@ def _cmd_verify(ns) -> tuple[dict, int]:
     return out, 2 if result.failed else 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="tropmat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_M_N = {"--M": ("m", str, None, True), "--N": ("n", str, None, True)}
+_AXY = {f"--{v}": (v, _as_fraction, None, False) for v in "axy"}
 
-    p = sub.add_parser("classify", help="full structural classification of one matrix")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("relate", help="decide a Green's relation or preorder")
-    p.add_argument("relation", help="one of " + ", ".join(m.value for m in GreenRelation))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_relate)
-
-    p = sub.add_parser("witness", help="matrix with prescribed column/row spaces")
-    p.add_argument("--M", dest="m", required=True)
-    p.add_argument("--N", dest="n", required=True)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("idempotent", help="the idempotent of an H-class, if any")
-    p.add_argument("--M", dest="m", required=True)
-    p.add_argument("--N", dest="n", required=True)
-    p.set_defaults(handler=_cmd_idempotent)
-
-    p = sub.add_parser("regular", help="verified witness Y with A Y A = A")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_regular)
-
-    p = sub.add_parser("subgroup", help="group type of a maximal subgroup")
-    p.add_argument("--M", dest="m", required=True)
-    p.add_argument("--N", dest="n", required=True)
-    p.add_argument("--family", help="one of W, X, Y, Z")
-    p.add_argument("--a", type=_rational_flag)
-    p.add_argument("--x", type=_rational_flag)
-    p.add_argument("--y", type=_rational_flag)
-    p.set_defaults(handler=_cmd_subgroup)
-
-    p = sub.add_parser("ideal", help="two-sided ideal calculus")
-    action = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    q = action.add_parser("contains")
-    q.add_argument("descriptor")
-    q.add_argument("matrix")
-    q = action.add_parser("principal")
-    q.add_argument("matrix")
-    q = action.add_parser("compare")
-    q.add_argument("first")
-    q.add_argument("second")
-    q = action.add_parser("generate")
-    q.add_argument("matrices", nargs="+")
-    q = action.add_parser("decompose")
-    q.add_argument("descriptor")
-    p.set_defaults(handler=_cmd_ideal)
-
-    p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--samples", type=_int_flag, default=1000)
-    p.add_argument("--seed", type=_int_flag, default=42)
-    p.add_argument("--suite", required=True, help="one of " + ", ".join(sorted(SUITES)))
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
+# Each command, and each ``ideal`` action, maps to its positional names (a last
+# name ending in ``...`` takes one or more values), its flags and its handler.
+# A flag maps to its attribute, the reader of its value, its default and
+# whether it is required.
+_COMMANDS = {
+    "classify": (("matrix",), {}, _cmd_classify),
+    "relate": (("relation", "a", "b"), {}, _cmd_relate),
+    "witness": ((), _M_N, _cmd_witness),
+    "idempotent": ((), _M_N, _cmd_idempotent),
+    "regular": (("matrix",), {}, _cmd_regular),
+    "subgroup": ((), {**_M_N, "--family": ("family", str, None, False), **_AXY}, _cmd_subgroup),
+    "ideal": {
+        "contains": (("descriptor", "matrix"), {}, _cmd_ideal),
+        "principal": (("matrix",), {}, _cmd_ideal),
+        "compare": (("first", "second"), {}, _cmd_ideal),
+        "generate": (("matrices...",), {}, _cmd_ideal),
+        "decompose": (("descriptor",), {}, _cmd_ideal),
+    },
+    "verify": ((), {
+        "--samples": ("samples", _int_flag, 1000, False),
+        "--seed": ("seed", _int_flag, 42, False),
+        "--suite": ("suite", str, None, True),
+    }, _cmd_verify),
+}
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser ``main`` uses, built on the first call and then reused:
-    ``parse_args`` leaves a parser as it was and returns a fresh namespace,
-    so one parser serves any number of calls."""
-    return build_parser()
+def _read(argv):
+    """The handler and namespace argv asks for; a bad argv raises ``ValueError``."""
+    spec, tokens, ns = _COMMANDS, iter(argv), {}
+    for level in ("command", "action"):
+        if isinstance(spec, dict):
+            choice = next(tokens, None)
+            if choice is None:
+                raise ValueError(f"the following arguments are required: {level}")
+            if choice not in spec:
+                choices = ", ".join(map(repr, spec))
+                raise ValueError(
+                    f"argument {level}: invalid choice: {_quote(choice)} (choose from {choices})"
+                )
+            ns[level], spec = choice, spec[choice]
+    positionals, flags, handler = spec
+    ns.update((attr, default) for attr, _, default, _ in flags.values())
+    values = []
+    for token in tokens:
+        if token[:1] != "-":
+            values.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in flags:  # a long flag may be named by a unique prefix
+            long = flag.startswith("--") and len(flag) > 2
+            matches = [f for f in flags if long and f.startswith(flag)]
+            if len(matches) > 1:
+                raise ValueError(f"ambiguous option: {_cut(flag)} could match {', '.join(matches)}")
+            if not matches:
+                raise ValueError(f"unrecognized arguments: {_cut(token)}")
+            flag = matches[0]
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"argument {flag}: expected one argument")
+        attr, reader, _, _ = flags[flag]
+        try:
+            ns[attr] = reader(value)
+        except ValueError as exc:
+            raise ValueError(f"argument {flag}: {exc}") from None
+    names = [name.removesuffix("...") for name in positionals]
+    if positionals and positionals[-1].endswith("...") and len(values) >= len(names):
+        values[len(names) - 1 :] = [values[len(names) - 1 :]]
+    if len(values) > len(names):
+        raise ValueError(f"unrecognized arguments: {_cut(values[len(names)])}")
+    ns.update(zip(names, values))
+    missing = names[len(values) :] + [f for f, (a, _, _, r) in flags.items() if r and ns[a] is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**ns)
+
+
+def _usage() -> str:
+    """The help text: the module docstring, a usage line for each command and
+    ``ideal`` action of the table, the relations and the suites."""
+    lines = [(__doc__ or "").strip(), "", "usage:"]
+    for command, spec in _COMMANDS.items():
+        for action, (names, flags, _) in spec.items() if isinstance(spec, dict) else [("", spec)]:
+            words = [command, action, *names]
+            for flag, (attr, _, _, required) in flags.items():
+                words.append(f"{flag} {attr.upper()}" if required else f"[{flag} {attr.upper()}]")
+            lines.append("  tropmat " + " ".join(filter(None, words)))
+    lines.append("relations: " + ", ".join(r.value for r in GreenRelation))
+    lines.append("suites: " + ", ".join(sorted(SUITES)))
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
+    """Run the command argv asks for (``sys.argv[1:]`` when argv is None),
+    print its JSON result or error, and return the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return 0
     try:
-        ns = _parser().parse_args(argv)
-        result, code = ns.handler(ns)
+        handler, ns = _read(argv)
+        result, code = handler(ns)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from tropmat.cli import main
 from tropmat.geometry import ConvexSet
 from tropmat.ideals import IdealDescriptor
 from tropmat.matrix import parse_matrix
+from tropmat.structure import subgroup_element
 
 
 def run(capsys, *argv):
@@ -403,8 +405,8 @@ def test_errors_quote_long_input_cut(capsys, argv):
 
 
 A = '[["0","0"],["1","2"]]'
-# argvs for one process, among them every kind of error argparse reports
-# itself; a family element, then a plain call on the same H-class
+# argvs for one process, among them every kind of error the argv reader
+# reports itself; a family element, then a plain call on the same H-class
 REUSE_ARGVS = [
     ["frobnicate"],
     ["witness", "--M", "{1}"],
@@ -422,24 +424,14 @@ REUSE_ARGVS = [
 ]
 
 
-def test_one_parser_serves_every_call(capsys, monkeypatch):
-    import tropmat.cli as cli
-
-    build = cli.build_parser
-    builds = []
-
-    def counted():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
+def test_one_process_serves_every_call(capsys):
+    argvs = [list(argv) for argv in REUSE_ARGVS]
     outputs = {}
-    for argv in REUSE_ARGVS + REUSE_ARGVS[::-1]:
+    for argv in argvs + argvs[::-1]:
         code = main(argv)
         outputs.setdefault(tuple(argv), set()).add((code, capsys.readouterr().out))
-    assert len(builds) == 1
-    # each argv gave the same bytes forward, on a fresh parser, and reversed
+    assert argvs == REUSE_ARGVS  # main leaves its argv as it was
+    # each argv gave the same bytes forward and reversed
     assert all(len(seen) == 1 for seen in outputs.values()), outputs
     results = {argv: next(iter(seen)) for argv, seen in outputs.items()}
     for argv in REUSE_ARGVS[:6]:
@@ -448,6 +440,89 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     family, plain = (json.loads(results[tuple(a)][1]) for a in REUSE_ARGVS[6:8])
     assert family["family"] == "X" and family["element"] == [["1", "0"], ["1", "1"]]
     assert plain == {"group_type": "reals-x-s2", "idempotent": [["0", "-1"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        ([LONG], "argument command: invalid choice: 'xxx"),
+        (["ideal"], "the following arguments are required: action"),
+        (["ideal", LONG, "openline"], "argument action: invalid choice: 'xxx"),
+        (["classify", A, "--" + LONG], "unrecognized arguments: --xxx"),
+        (["classify", A, "-" + LONG + "=1"], "unrecognized arguments: -xxx"),
+        (["verify", "--s", "3", "--suite", "duality"], "ambiguous option: --s could match"),
+        (["witness", "--N", "{0}", "--M"], "argument --M: expected one argument"),
+        (["witness", "--M", LONG], "the following arguments are required: --N"),
+        (["verify", "--seed", "1"], "the following arguments are required: --suite"),
+        (["relate", "J", A], "the following arguments are required: b"),
+        (["ideal", "generate"], "the following arguments are required: matrices"),
+        (["regular", A, LONG], "unrecognized arguments: xxx"),
+        ([*SUBGROUP, "--a", LONG], "argument --a: "),
+        ([*SUBGROUP, "--a", "1", "--x", "0", "--y", LONG], "argument --y: "),
+        (["verify", "--suite", "duality", "--samples", LONG], "argument --samples: "),
+        (["verify", "--suite", "duality", "--seed=1/2"], "argument --seed: bad integer '1/2'"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "no-action",
+        "unknown-action",
+        "unknown-flag",
+        "unknown-flag-with-value",
+        "ambiguous-flag",
+        "flag-without-value",
+        "missing-flag",
+        "missing-suite",
+        "missing-positional",
+        "missing-variadic",
+        "extra-positional",
+        "bad-a",
+        "bad-y",
+        "bad-samples",
+        "bad-seed",
+    ],
+)
+def test_each_bad_argv_is_one_short_json_error(capsys, argv, message):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 1 and len(out.encode()) < 400, out
+    error = json.loads(out)
+    assert list(error) == ["error"] and isinstance(error["error"], str)
+    assert error["error"].startswith(message), error
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["ideal", "--help"], ["verify", "--suite", "duality", "-h"]]
+)
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    from tropmat.verify import SUITES
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "usage:" in out and "tropmat ideal generate matrices..." in out
+    assert all(suite in out for suite in SUITES)
+
+
+def test_flag_spellings_agree(capsys):
+    base = ["verify", "--suite", "duality", "--seed", "1"]
+    outs = [
+        run(capsys, *base, *flag)
+        for flag in (["--samples", "3"], ["--samples=3"], ["--sam", "3"], ["--sam=3"])
+    ]
+    # the flags in another order, and a repeated flag whose last value wins
+    outs.append(
+        run(capsys, "verify", "--samples", "5", "--seed=1", "--samples", "3", "--su", "duality")
+    )
+    assert outs == [outs[0]] * 5 and outs[0][1]["samples"] == 3
+
+
+def test_a_flag_value_may_start_with_a_minus(capsys):
+    expected = subgroup_element("X", Fraction(-1, 2), 0, 1).to_tokens()
+    h_class = ("subgroup", "--M", "[0,1]", "--N", "[-1,0]", "--family", "X")
+    for a in (["--a", "-1/2"], ["--a=-1/2"]):
+        code, out = run(capsys, *h_class, *a, "--x", "0", "--y", "1")
+        assert code == 0 and out["element"] == expected
 
 
 _BROKEN_RESIDUAL = """

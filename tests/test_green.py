@@ -26,6 +26,7 @@ from tropmat.green import (
 from tropmat.matrix import ResidualMatrix, TropMatrix, VerificationError, solves_right
 from tropmat.sampling import sample_isometric_pair, sample_matrix
 from tropmat.semiring import NEG_INF, POS_INF
+from tropmat.structure import regular_witness
 
 SEED = 20260808
 
@@ -277,3 +278,27 @@ def test_only_2x2_accepted():
         leq_R(TropMatrix.identity(3), I2)
     with pytest.raises(ValueError, match="specific to 2x2"):
         related(GreenRelation.J, I2, TropMatrix([[0, 0, 0]] * 3))
+
+
+def test_witnesses_of_integer_matrices_are_integer():
+    """On the 1,296 matrices over {-inf, -2, ..., 2}, every regularity,
+    D-class and J-factorization witness has integer entries, so Green's
+    relations of the integer submonoid would be the restrictions of the full
+    monoid's.  This is pinned on the grid, not proved."""
+    grid = [
+        TropMatrix([[p, q], [r, s]])
+        for p, q, r, s in itertools.product(["-inf", -2, -1, 0, 1, 2], repeat=4)
+    ]
+    assert [a for a in grid if regular_witness(a)._den != 1] == []
+    rng = random.Random(SEED)
+    d_pairs = j_pairs = 0
+    for _ in range(2000):
+        a, b = rng.choice(grid), rng.choice(grid)
+        for x, y in ((a, b), (b, a)):
+            if related(GreenRelation.D, x, y):
+                d_pairs += 1
+                assert d_class_witness(x, y)._den == 1, (x, y)
+            if leq_J(x, y):
+                j_pairs += 1
+                assert [f._den for f in j_factorization(x, y)] == [1, 1], (x, y)
+    assert (d_pairs, j_pairs) == (848, 2424)

@@ -208,16 +208,7 @@ def _cmd_ideal(ns) -> tuple[dict, int]:
 
 def _cmd_verify(ns) -> tuple[dict, int]:
     result = run_suite(ns.suite, ns.samples, ns.seed)
-    out = {
-        "suite": result.suite,
-        "samples": result.samples,
-        "seed": result.seed,
-        "rng": result.rng,
-        "passed": result.passed,
-        "failed": result.failed,
-        "failures": list(result.failures),
-    }
-    return out, 2 if result.failed else 0
+    return {name: getattr(result, name) for name in result.__slots__}, 2 if result.failed else 0
 
 
 _M_N = {"--M": ("m", str, None, True), "--N": ("n", str, None, True)}

@@ -13,6 +13,7 @@ its endpoints and isometry type, so the set decisions compare ints.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -153,31 +154,44 @@ _ISO_KINDS = tuple(_ISO_RANK)  # the kinds by rank
 
 
 class _Record:
-    """Base of the value classes.  A subclass names its fields in
-    ``__slots__``, sets them once in ``__init__`` through
-    ``object.__setattr__`` and returns them, in that order, from
-    ``_fields``.  Two records are equal when they are of one type with equal
-    fields, hash as the tuple of their fields and print like
+    """Base of the value classes.  A subclass names its fields once, in
+    ``__slots__``; a subclass adding none declares ``__slots__ = ()`` and
+    keeps its base's.  ``_Record(*values)`` stores one value per field, in
+    order; a subclass that checks its values stores them itself through
+    ``object.__setattr__``.  Two records are equal when they are of one type
+    with equal fields, hash as the tuple of their fields and print like
     ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
-    raises ``AttributeError``.  ``_fields`` spells its tuple out rather than
-    looping over ``__slots__``: equality and hashing sit on hot paths, and
-    the loop made them several times slower."""
+    raises ``AttributeError``.  The fields are read through one
+    ``operator.attrgetter`` per class, ``_get``: equality and hashing sit on
+    hot paths, where a loop over the names is several times slower."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls._names = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
+        get = operator.attrgetter(*names)
+        cls._get = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __init__(self, *values):
+        names = self._names
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self._get(self) == other._get(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._get(self))
 
     def __repr__(self):
-        # the field names are the __slots__ of the class that declares them;
-        # a subclass adding no fields declares __slots__ = ()
-        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
-        fields = zip(names, self._fields())
+        fields = zip(self._names, self._get(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __setattr__(self, name, value):
@@ -189,7 +203,7 @@ class _Record:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which does not
         # assign through the frozen __setattr__
-        return type(self), self._fields()
+        return type(self), self._get(self)
 
 
 class IsoType(_Record):
@@ -214,9 +228,6 @@ class IsoType(_Record):
             raise ValueError(f"{kind} types carry no diameter")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "diameter", diameter)
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.diameter)
 
     def key(self) -> tuple[int, Fraction]:
         return (_ISO_RANK[self.kind], self.diameter or _ZERO)

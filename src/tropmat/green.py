@@ -91,7 +91,9 @@ def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
         return leq_R(a, b)
     if rel is _LEQ_L:
         return leq_L(a, b)
-    return leq_J(a, b)
+    if rel is _LEQ_J:
+        return leq_J(a, b)
+    raise TypeError(f"unknown relation {_quote(rel)}: expected a GreenRelation")
 
 
 def _family(kind: str, x, y, den: int) -> TropMatrix:

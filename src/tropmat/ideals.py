@@ -49,9 +49,6 @@ class IdealDescriptor(_Record):
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "width", width)
 
-    def _fields(self) -> tuple:
-        return (self.kind, self.iso, self.width)
-
     @classmethod
     def closed(cls, t: IsoType) -> "IdealDescriptor":
         return cls("closed", iso=t)

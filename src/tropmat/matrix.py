@@ -64,6 +64,14 @@ def _check_shape(n: int, square: bool, what: str) -> None:
         raise ValueError(f"the classification theory is specific to 2x2 matrices, got {n}x{n}")
 
 
+def _row(row, what: str):
+    """row, if it is a list or tuple; a TypeError naming its type otherwise,
+    as a str, bytes or dict row would be read element by element."""
+    if isinstance(row, (list, tuple)):
+        return row
+    raise TypeError(f"{what} rows must be lists or tuples, not {type(row).__name__}")
+
+
 def _flat(rows, what: str = "matrix") -> tuple:
     """The entries (p, q, r, s) of rows that form a 2x2 grid, row by row; a
     ValueError for any other shape."""
@@ -177,7 +185,8 @@ class TropMatrix(_Store):
     __slots__ = ("_pc", "_pr")
 
     def __init__(self, rows):
-        self._e, self._den = _stored(_flat([[_scalar_key(e)[1] for e in row] for row in rows]))
+        rows = [[_scalar_key(e)[1] for e in _row(row, "matrix")] for row in rows]
+        self._e, self._den = _stored(_flat(rows))
         self._pc = self._pr = None
 
     @classmethod
@@ -313,7 +322,8 @@ class ResidualMatrix(_Store):
     __slots__ = ("_free",)
 
     def __init__(self, rows):
-        keys = _flat([[ProjPoint(e)._k for e in row] for row in rows], "residual matrix")
+        what = "residual matrix"
+        keys = _flat([[ProjPoint(e)._k for e in _row(row, what)] for row in rows], what)
         self._e, self._den = _stored([0 if kind == 1 else f for kind, f in keys])
         self._free = tuple([kind == 1 for kind, _ in keys])
 

@@ -51,13 +51,13 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} characters)"
 
 
-def _cut(value, limit: int = _QUOTE_CHARS) -> str:
-    """``str`` of a value for an error message, unquoted; longer than limit
-    characters, it is cut and marked as ``_quote`` marks a cut."""
+def _cut(value) -> str:
+    """``str`` of a value for an error message, unquoted; past ``_QUOTE_CHARS``
+    characters it is cut and marked as ``_quote`` marks a cut."""
     text = str(value)
-    if len(text) <= limit:
+    if len(text) <= _QUOTE_CHARS:
         return text
-    return f"{text[:limit]}… ({len(text)} characters)"
+    return f"{text[:_QUOTE_CHARS]}… ({len(text)} characters)"
 
 
 def _ratio(value: str) -> tuple[int, int]:

@@ -54,9 +54,6 @@ class IdempotentForm(_Record):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def _fields(self) -> tuple:
-        return (self.kind, self.x, self.y)
-
     def matrix(self) -> TropMatrix:
         if self.kind == "zero":
             return TropMatrix.zero(2)

@@ -51,20 +51,6 @@ class SuiteResult(_Record):
 
     __slots__ = ("suite", "samples", "seed", "rng", "passed", "failed", "failures")
 
-    def __init__(self, suite, samples, seed, rng, passed, failed, failures):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "rng", rng)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failed", failed)
-        object.__setattr__(self, "failures", failures)
-
-    def _fields(self) -> tuple:
-        return (
-            self.suite, self.samples, self.seed, self.rng, self.passed, self.failed, self.failures
-        )
-
 
 def matrix_with_iso_type(t: IsoType) -> TropMatrix:
     """A concrete matrix whose projective column space has the given type."""

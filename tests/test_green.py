@@ -74,6 +74,22 @@ def test_related_examples():
     assert related(GreenRelation.H, a, a)
 
 
+def test_related_refuses_what_is_not_a_relation():
+    # R is false and leq_J true on this pair, so reading a non-member as
+    # leq_J would answer True
+    a = TropMatrix([[0, 0], [1, 2]])
+    b = TropMatrix([[0, 0], [5, 7]])
+    answers = {rel.value: related(rel, a, b) for rel in GreenRelation}
+    assert answers == {
+        "R": False, "L": False, "H": False, "D": False, "J": False,
+        "leqR": False, "leqL": True, "leqJ": True,
+    }
+    for rel, text in (("R", "'R'"), (None, "None")):
+        with pytest.raises(TypeError) as exc:
+            related(rel, a, b)
+        assert str(exc.value) == f"unknown relation {text}: expected a GreenRelation"
+
+
 def test_preorders_through_related():
     a = TropMatrix([[0, 0], [1, 2]])
     b = TropMatrix([[0, 0], [0, 3]])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmat.geometry import IsoType
+from tropmat.geometry import IsoType, _Record
 from tropmat.ideals import (
     IdealDescriptor,
     Ordering,
@@ -294,6 +294,38 @@ def test_suite_results_are_records():
         res.passed = 3
     with pytest.raises(AttributeError):
         del res.failures
+
+
+class _Pair(_Record):
+    __slots__ = ("left", "right")
+
+
+class _Single(_Record):
+    __slots__ = ("value",)
+
+
+def test_a_record_is_its_slots():
+    # a record declaring only __slots__ is built by _Record.__init__
+    pair = _Pair(1, Fraction(1, 2))
+    single = _Single("x")
+    assert (pair.left, pair.right, single.value) == (1, Fraction(1, 2), "x")
+    assert pair == _Pair(1, Fraction(1, 2)) and pair != _Pair(1, 2)
+    assert hash(pair) == hash((1, Fraction(1, 2))) and hash(single) == hash(("x",))
+    assert repr(pair) == "_Pair(left=1, right=Fraction(1, 2))"
+    assert repr(single) == "_Single(value='x')"
+    for value, name in ((pair, "left"), (single, "value")):
+        assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"_Pair takes 2 fields, got {len(values)}"):
+            _Pair(*values)
+    fields = ("duality", 3, 1, "mt19937", 2, 1, ("defect",))
+    for values in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match=f"SuiteResult takes 7 fields, got {len(values)}"):
+            SuiteResult(*values)
 
 
 def test_descriptor_matches_matrix_membership():

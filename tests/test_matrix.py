@@ -200,6 +200,19 @@ def test_dimension_mismatch_rejected():
             make([[0, 1], [2]])
 
 
+@pytest.mark.parametrize(
+    "rows, kind",
+    [([b"12", b"34"], "bytes"), (["10", "01"], "str"), ([{1: 0, 2: 0}, {1: 0, 2: 0}], "dict")],
+)
+def test_rows_other_than_lists_or_tuples_are_refused(rows, kind):
+    # read element by element, each would build a 2x2 matrix:
+    # [[49,50],[51,52]], [[1,0],[0,1]] and [[1,2],[1,2]]
+    for make, what in ((TropMatrix, "matrix"), (ResidualMatrix, "residual matrix")):
+        with pytest.raises(TypeError) as exc:
+            make(rows)
+        assert str(exc.value) == f"{what} rows must be lists or tuples, not {kind}"
+
+
 def test_repr_round_trips_and_scalar_operands_are_refused():
     a = TropMatrix([["1/2", "-inf"], [0, -3]])
     r = ResidualMatrix([["+inf", "-1/3"], ["-inf", 2]])

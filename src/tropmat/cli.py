@@ -18,28 +18,20 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import cache
+from importlib import import_module
 from types import SimpleNamespace
 
-from .geometry import ConvexSet, IsoType, iso_type, proj_column_space, proj_row_space
-from .green import GreenRelation, d_class_witness, j_factorization, related, witness_Z
-from .ideals import (
-    IdealDescriptor,
-    decompose,
-    ideal_compare,
-    ideal_contains,
-    ideal_from_generators,
-    principal_ideal_of,
-)
-from .matrix import left_residual, parse_matrix, right_residual
 from .semiring import _as_fraction, _cut, _quote, _ratio
-from .structure import (
-    group_type_of_H,
-    idempotent_form,
-    idempotent_in_H,
-    regular_witness,
-    subgroup_element,
-)
-from .verify import SUITES, run_suite
+
+
+@cache
+def _lib(name: str):
+    """The library module ``tropmat.<name>``, imported on the first call.
+    Each handler reaches its modules through here, so a fresh process loads
+    only the modules its command runs; an import statement in the handler
+    would cost microseconds on every call."""
+    return import_module(f"{__package__}.{name}")
 
 
 def _int_flag(token: str) -> int:
@@ -50,7 +42,7 @@ def _int_flag(token: str) -> int:
     return num
 
 
-def _diameter(t: IsoType) -> str:
+def _diameter(t) -> str:
     """The diameter of a set of isometry type t: ``0`` for the empty set and
     points, the interval's rational diameter, or ``inf`` for unbounded sets."""
     if t.kind == "interval":
@@ -58,7 +50,7 @@ def _diameter(t: IsoType) -> str:
     return "0" if t.kind in ("empty", "point") else "inf"
 
 
-def _rclass(pc: ConvexSet) -> tuple[str, dict[str, str]]:
+def _rclass(pc) -> tuple[str, dict[str, str]]:
     """The R-class of a matrix, named by its column space pc: the shape of
     pc (one of eight) and its finite endpoints, ``x`` below ``y`` and a
     lone one ``y``."""
@@ -77,15 +69,16 @@ def _rclass(pc: ConvexSet) -> tuple[str, dict[str, str]]:
 
 
 def _cmd_classify(ns) -> tuple[dict, int]:
-    a = parse_matrix(ns.matrix)
-    pc = proj_column_space(a)
-    t = iso_type(pc)
-    pr = proj_row_space(a)
+    geometry = _lib("geometry")
+    a = _lib("matrix").parse_matrix(ns.matrix)
+    pc = geometry.proj_column_space(a)
+    t = geometry.iso_type(pc)
+    pr = geometry.proj_row_space(a)
     rclass, rclass_params = _rclass(pc)
     idp = a @ a == a
     form = None
     if idp:
-        f = idempotent_form(a)
+        f = _lib("structure").idempotent_form(a)
         form = {"kind": f.kind, **f.params()}
     return (
         {
@@ -99,52 +92,56 @@ def _cmd_classify(ns) -> tuple[dict, int]:
             "idempotent": idp,
             "idempotent_form": form,
             "monomial": a.is_monomial(),
-            "principal_ideal": str(principal_ideal_of(a)),
+            "principal_ideal": str(_lib("ideals").principal_ideal_of(a)),
         },
         0,
     )
 
 
 def _cmd_relate(ns) -> tuple[dict, int]:
+    green, matrix = _lib("green"), _lib("matrix")
+    GreenRelation = green.GreenRelation
     rel = GreenRelation.from_token(ns.relation)
-    a = parse_matrix(ns.a)
-    b = parse_matrix(ns.b)
-    holds = related(rel, a, b)
+    a = matrix.parse_matrix(ns.a)
+    b = matrix.parse_matrix(ns.b)
+    holds = green.related(rel, a, b)
     out = {"relation": ns.relation, "holds": holds}
     if holds:
         if rel in (GreenRelation.D, GreenRelation.J):
-            out["witness"] = d_class_witness(a, b).to_tokens()
+            out["witness"] = green.d_class_witness(a, b).to_tokens()
         elif rel is GreenRelation.LEQ_R:
-            out["witness"] = left_residual(b, a).witness().to_tokens()
+            out["witness"] = matrix.left_residual(b, a).witness().to_tokens()
         elif rel is GreenRelation.LEQ_L:
-            out["witness"] = right_residual(a, b).witness().to_tokens()
+            out["witness"] = matrix.right_residual(a, b).witness().to_tokens()
         elif rel is GreenRelation.LEQ_J:
-            x, y = j_factorization(a, b)
+            x, y = green.j_factorization(a, b)
             out["witness_pair"] = [x.to_tokens(), y.to_tokens()]
     return out, 0
 
 
 def _cmd_witness(ns) -> tuple[dict, int]:
-    m = ConvexSet.parse(ns.m)
-    n = ConvexSet.parse(ns.n)
-    z = witness_Z(m, n)
+    geometry = _lib("geometry")
+    m = geometry.ConvexSet.parse(ns.m)
+    n = geometry.ConvexSet.parse(ns.n)
+    z = _lib("green").witness_Z(m, n)
     return (
         {
             "witness": z.to_tokens(),
-            "pc": str(proj_column_space(z)),
-            "pr": str(proj_row_space(z)),
+            "pc": str(geometry.proj_column_space(z)),
+            "pr": str(geometry.proj_row_space(z)),
         },
         0,
     )
 
 
 def _cmd_idempotent(ns) -> tuple[dict, int]:
-    m = ConvexSet.parse(ns.m)
-    n = ConvexSet.parse(ns.n)
-    e = idempotent_in_H(m, n)
+    geometry, structure = _lib("geometry"), _lib("structure")
+    m = geometry.ConvexSet.parse(ns.m)
+    n = geometry.ConvexSet.parse(ns.n)
+    e = structure.idempotent_in_H(m, n)
     if e is None:
         return {"exists": False, "idempotent": None, "form": None}, 0
-    f = idempotent_form(e)
+    f = structure.idempotent_form(e)
     return (
         {
             "exists": True,
@@ -156,24 +153,25 @@ def _cmd_idempotent(ns) -> tuple[dict, int]:
 
 
 def _cmd_regular(ns) -> tuple[dict, int]:
-    a = parse_matrix(ns.matrix)
-    y = regular_witness(a)
+    a = _lib("matrix").parse_matrix(ns.matrix)
+    y = _lib("structure").regular_witness(a)
     return {"witness": y.to_tokens(), "verified": a @ y @ a == a}, 0
 
 
 def _cmd_subgroup(ns) -> tuple[dict, int]:
-    m = ConvexSet.parse(ns.m)
-    n = ConvexSet.parse(ns.n)
-    group = group_type_of_H(m, n)
+    geometry, structure = _lib("geometry"), _lib("structure")
+    m = geometry.ConvexSet.parse(ns.m)
+    n = geometry.ConvexSet.parse(ns.n)
+    group = structure.group_type_of_H(m, n)
     out = {
         "group_type": group.value,
-        "idempotent": idempotent_in_H(m, n).to_tokens(),
+        "idempotent": structure.idempotent_in_H(m, n).to_tokens(),
     }
     if ns.family is not None:
         if ns.a is None:
             raise ValueError("--family needs --a")
-        element = subgroup_element(ns.family, ns.a, ns.x, ns.y)
-        if proj_column_space(element) != m or proj_row_space(element) != n:
+        element = structure.subgroup_element(ns.family, ns.a, ns.x, ns.y)
+        if geometry.proj_column_space(element) != m or geometry.proj_row_space(element) != n:
             raise ValueError(
                 f"the family {ns.family} element is outside the H-class at ({_cut(m)}, {_cut(n)})"
             )
@@ -183,20 +181,22 @@ def _cmd_subgroup(ns) -> tuple[dict, int]:
 
 
 def _cmd_ideal(ns) -> tuple[dict, int]:
+    ideals, parse_matrix = _lib("ideals"), _lib("matrix").parse_matrix
+    IdealDescriptor = ideals.IdealDescriptor
     if ns.action == "contains":
         d = IdealDescriptor.parse(ns.descriptor)
         a = parse_matrix(ns.matrix)
-        return {"descriptor": str(d), "contains": ideal_contains(d, a)}, 0
+        return {"descriptor": str(d), "contains": ideals.ideal_contains(d, a)}, 0
     if ns.action == "principal":
-        return {"descriptor": str(principal_ideal_of(parse_matrix(ns.matrix)))}, 0
+        return {"descriptor": str(ideals.principal_ideal_of(parse_matrix(ns.matrix)))}, 0
     if ns.action == "compare":
         d1 = IdealDescriptor.parse(ns.first)
         d2 = IdealDescriptor.parse(ns.second)
-        return {"order": ideal_compare(d1, d2).value}, 0
+        return {"order": ideals.ideal_compare(d1, d2).value}, 0
     if ns.action == "generate":
         gens = [parse_matrix(text) for text in ns.matrices]
-        return {"descriptor": str(ideal_from_generators(gens))}, 0
-    principal, removed = decompose(IdealDescriptor.parse(ns.descriptor))
+        return {"descriptor": str(ideals.ideal_from_generators(gens))}, 0
+    principal, removed = ideals.decompose(IdealDescriptor.parse(ns.descriptor))
     return (
         {
             "principal": str(principal),
@@ -207,7 +207,7 @@ def _cmd_ideal(ns) -> tuple[dict, int]:
 
 
 def _cmd_verify(ns) -> tuple[dict, int]:
-    result = run_suite(ns.suite, ns.samples, ns.seed)
+    result = _lib("verify").run_suite(ns.suite, ns.samples, ns.seed)
     return {name: getattr(result, name) for name in result.__slots__}, 2 if result.failed else 0
 
 
@@ -299,8 +299,8 @@ def _usage() -> str:
             for flag, (attr, _, _, required) in flags.items():
                 words.append(f"{flag} {attr.upper()}" if required else f"[{flag} {attr.upper()}]")
             lines.append("  tropmat " + " ".join(filter(None, words)))
-    lines.append("relations: " + ", ".join(r.value for r in GreenRelation))
-    lines.append("suites: " + ", ".join(sorted(SUITES)))
+    lines.append("relations: " + ", ".join(r.value for r in _lib("green").GreenRelation))
+    lines.append("suites: " + ", ".join(sorted(_lib("verify").SUITES)))
     return "\n".join(lines)
 
 

@@ -217,7 +217,7 @@ class IsoType(_Record):
     __slots__ = ("kind", "diameter")
 
     def __init__(self, kind: str, diameter: Fraction | None = None):
-        if kind not in _ISO_RANK:
+        if kind not in _ISO_KINDS:  # a tuple, so an unhashable kind is refused too
             raise ValueError(f"unknown isometry type {_quote(kind)}")
         if diameter is not None and type(diameter) is not Fraction:
             diameter = _as_fraction(diameter)

@@ -243,6 +243,19 @@ def test_descriptor_rejects_parameters_of_the_wrong_type(build, error):
         build()
 
 
+def test_records_refuse_an_unknown_kind_alike_even_unhashable():
+    records = {
+        IsoType: "unknown isometry type",
+        IdempotentForm: "unknown idempotent family",
+        IdealDescriptor: "unknown descriptor kind",
+    }
+    for cls, message in records.items():
+        for kind in (["x"], {}):
+            with pytest.raises(ValueError) as info:
+                cls(kind)
+            assert str(info.value) == f"{message} {kind!r}", cls
+
+
 def test_value_classes_are_frozen_records():
     records = [
         (

@@ -13,6 +13,7 @@ its endpoints and isometry type, so the set decisions compare ints.
 
 from __future__ import annotations
 
+import enum
 import operator
 from fractions import Fraction
 from math import gcd, lcm
@@ -204,6 +205,19 @@ class _Record:
         # copy and pickle rebuild through the constructor, which does not
         # assign through the frozen __setattr__
         return type(self), self._get(self)
+
+
+class _Members(enum.EnumMeta):
+    # 3.11 iterates an enum by a Python generator over its names; no enum
+    # here has aliases, so the member map's values are the members in order
+    def __iter__(cls):
+        return iter(cls._member_map_.values())
+
+
+class _Enum(enum.Enum, metaclass=_Members):
+    # members are singletons compared by identity, so hash them by identity
+    # at C speed; 3.11's Enum.__hash__ is the Python-level hash(self._name_)
+    __hash__ = object.__hash__
 
 
 class IsoType(_Record):

@@ -14,11 +14,11 @@ one denominator and build no Fraction.
 
 from __future__ import annotations
 
-import enum
 from math import lcm
 
 from .geometry import (
     ConvexSet,
+    _Enum,
     _ends,
     _iso_key,
     embed_image,
@@ -32,7 +32,7 @@ from .matrix import TropMatrix, VerificationError, left_residual, right_residual
 from .semiring import _cut, _quote
 
 
-class GreenRelation(enum.Enum):
+class GreenRelation(_Enum):
     """The five Green's equivalences and the three associated preorders."""
 
     R = "R"

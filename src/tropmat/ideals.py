@@ -12,10 +12,9 @@ ones are exactly a principal ideal minus its generating J-class.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
-from .geometry import IsoType, _Record, iso_type, proj_column_space
+from .geometry import IsoType, _Enum, _Record, iso_type, proj_column_space
 from .matrix import TropMatrix
 from .semiring import _ZERO, _as_fraction, _cut, _quote
 
@@ -102,7 +101,7 @@ class IdealDescriptor(_Record):
         )
 
 
-class Ordering(enum.Enum):
+class Ordering(_Enum):
     LESS = "less"
     EQUAL = "equal"
     GREATER = "greater"

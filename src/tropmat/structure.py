@@ -17,10 +17,9 @@ a family exactly when the form read off its entries rebuilds it.
 
 from __future__ import annotations
 
-import enum
 from math import lcm
 
-from .geometry import ConvexSet, _Record, iso_type
+from .geometry import ConvexSet, _Enum, _Record, iso_type
 from .green import _family, _witness_Z
 from .matrix import TropMatrix, VerificationError, _stored, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote, _scalar_ratio
@@ -66,7 +65,7 @@ class IdempotentForm(_Record):
         return {"x": str(self.x), "y": str(self.y)}
 
 
-class GroupType(enum.Enum):
+class GroupType(_Enum):
     """Abstract isomorphism type of a maximal subgroup."""
 
     TRIVIAL = "trivial"

@@ -318,3 +318,31 @@ def test_witnesses_of_integer_matrices_are_integer():
                 j_pairs += 1
                 assert [f._den for f in j_factorization(x, y)] == [1, 1], (x, y)
     assert (d_pairs, j_pairs) == (848, 2424)
+
+
+def test_witnesses_of_finitary_matrices_are_finitary():
+    """On the 625 matrices over {-2, ..., 2}, none with a -inf entry, every
+    regularity, D-class and J-factorization witness has no -inf entry
+    either, so Green's relations of the finitary submonoid FM2 would be the
+    restrictions of the full monoid's.  This is pinned on the grid, not
+    proved."""
+    grid = [
+        TropMatrix([[p, q], [r, s]]) for p, q, r, s in itertools.product(range(-2, 3), repeat=4)
+    ]
+
+    def finitary(m):
+        return None not in m._e
+
+    assert [a for a in grid if not finitary(regular_witness(a))] == []
+    rng = random.Random(SEED)
+    d_pairs = j_pairs = 0
+    for _ in range(2000):
+        a, b = rng.choice(grid), rng.choice(grid)
+        for x, y in ((a, b), (b, a)):
+            if related(GreenRelation.D, x, y):
+                d_pairs += 1
+                assert finitary(d_class_witness(x, y)), (x, y)
+            if leq_J(x, y):
+                j_pairs += 1
+                assert all(map(finitary, j_factorization(x, y))), (x, y)
+    assert (d_pairs, j_pairs) == (752, 2376)

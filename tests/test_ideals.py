@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropmat.geometry import IsoType, _Record
+from tropmat.green import GreenRelation
 from tropmat.ideals import (
     IdealDescriptor,
     Ordering,
@@ -17,7 +18,7 @@ from tropmat.ideals import (
 )
 from tropmat.matrix import TropMatrix
 from tropmat.sampling import sample_descriptor, sample_matrix
-from tropmat.structure import IdempotentForm
+from tropmat.structure import GroupType, IdempotentForm
 from tropmat.verify import SuiteResult, _strict_type, matrix_with_iso_type
 
 SEED = 20260808
@@ -339,6 +340,28 @@ def test_a_record_is_its_slots():
     for values in (fields[:-1], fields + (None,)):
         with pytest.raises(TypeError, match=f"SuiteResult takes 7 fields, got {len(values)}"):
             SuiteResult(*values)
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (GreenRelation, ["R", "L", "H", "D", "J", "leqR", "leqL", "leqJ"]),
+        (Ordering, ["less", "equal", "greater"]),
+        (GroupType, ["trivial", "reals", "reals-x-s2", "reals-wr-s2"]),
+    ],
+)
+def test_the_public_enums_keep_the_enum_contract(cls, values):
+    # the enums iterate their member map, which would repeat an alias, so
+    # none may have one
+    assert [m.value for m in cls] == values
+    assert len(cls) == len(cls.__members__) == len(values)
+    by_dict, by_set = {m: m.value for m in cls}, set(cls)
+    for m in cls:
+        assert cls(m.value) is m and cls[m.name] is m and m in cls
+        assert pickle.loads(pickle.dumps(m)) is m and copy.deepcopy(m) is m
+        assert by_dict[m] == m.value and m in by_set
+        assert m != m.value
+    assert len(by_dict) == len(by_set) == len(values)
 
 
 def test_descriptor_matches_matrix_membership():

@@ -22,7 +22,7 @@ from functools import cache
 from importlib import import_module
 from types import SimpleNamespace
 
-from .semiring import _as_fraction, _cut, _quote, _ratio
+from .semiring import NEG_INF, POS_INF, _as_fraction, _cut, _quote, _ratio
 
 
 @cache
@@ -60,10 +60,10 @@ def _rclass(pc) -> tuple[str, dict[str, str]]:
     if pc.is_point:
         if lo.is_finite:
             return "point", {"y": str(lo)}
-        return ("point-neginf" if lo.is_neg_inf else "point-posinf"), {}
-    if lo.is_neg_inf:
-        return ("fullline", {}) if hi.is_pos_inf else ("half-low", {"y": str(hi)})
-    if hi.is_pos_inf:
+        return ("point-neginf" if lo == NEG_INF else "point-posinf"), {}
+    if lo == NEG_INF:
+        return ("fullline", {}) if hi == POS_INF else ("half-low", {"y": str(hi)})
+    if hi == POS_INF:
         return "half-high", {"y": str(lo)}
     return "interval", {"x": str(lo), "y": str(hi)}
 
@@ -101,7 +101,7 @@ def _cmd_classify(ns) -> tuple[dict, int]:
 def _cmd_relate(ns) -> tuple[dict, int]:
     green, matrix = _lib("green"), _lib("matrix")
     GreenRelation = green.GreenRelation
-    rel = GreenRelation.from_token(ns.relation)
+    rel = GreenRelation(ns.relation)
     a = matrix.parse_matrix(ns.a)
     b = matrix.parse_matrix(ns.b)
     holds = green.related(rel, a, b)

@@ -45,10 +45,8 @@ class GreenRelation(_Enum):
     LEQ_J = "leqJ"
 
     @classmethod
-    def from_token(cls, token: str) -> "GreenRelation":
-        for member in cls:
-            if member.value == token:
-                return member
+    def _missing_(cls, token):
+        # ``GreenRelation(token)`` found no member: name the valid tokens
         valid = ", ".join(m.value for m in cls)
         raise ValueError(f"unknown relation {_quote(token)}: expected one of {valid}")
 

@@ -145,7 +145,6 @@ class _Store:
 
     __slots__ = ("_e", "_den")
 
-    n = 2  # the dimension of every matrix
     _free = (False, False, False, False)  # only a residual matrix has +inf
 
     def __eq__(self, other):

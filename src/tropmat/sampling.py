@@ -13,7 +13,7 @@ from fractions import Fraction
 from .geometry import ConvexSet, iso_type
 from .ideals import IdealDescriptor
 from .matrix import TropMatrix, _stored
-from .semiring import NEG_INF, POS_INF, ProjPoint, TropScalar, _quote, _scalar
+from .semiring import NEG_INF, POS_INF, ProjPoint, _quote
 
 RNG_ALGORITHM = "mt19937"
 
@@ -36,7 +36,7 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 def _draw(rng: random.Random, profile: str) -> Fraction | None:
     """One entry's value under a profile, None for ``-inf``: the draw rule
-    behind every scalar and matrix sampler."""
+    behind ``sample_matrix``."""
     if profile == "dense-rational":
         return _random_rational(rng)
     if profile == "with-neginf":
@@ -48,10 +48,6 @@ def _draw(rng: random.Random, profile: str) -> Fraction | None:
             return None
         return rng.choice(_BOUNDARY_GRID)
     raise ValueError(f"unknown profile {_quote(profile)}: expected one of {PROFILES}")
-
-
-def sample_scalar(rng: random.Random, profile: str) -> TropScalar:
-    return _scalar(_draw(rng, profile))
 
 
 def sample_matrix(rng: random.Random, profile: str) -> TropMatrix:
@@ -88,7 +84,7 @@ def sample_isometric_pair(rng: random.Random) -> tuple[ConvexSet, ConvexSet]:
     if s.is_point:
         return s, ConvexSet.point(sample_proj_point(rng))
     lo, hi = s.lo, s.hi
-    if lo.is_neg_inf and hi.is_pos_inf:
+    if lo == NEG_INF and hi == POS_INF:
         return s, ConvexSet.full_line()
     if lo.is_finite and hi.is_finite:
         shift = _random_rational(rng)

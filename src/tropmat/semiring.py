@@ -253,14 +253,6 @@ class ProjPoint(_Key):
     def is_finite(self) -> bool:
         return self._k[0] == 0
 
-    @property
-    def is_neg_inf(self) -> bool:
-        return self._k[0] == -1
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self._k[0] == 1
-
     def to_scalar(self) -> TropScalar:
         """Reinterpret as a tropical scalar; rejects ``+inf``."""
         if self._k[0] == 1:

@@ -37,7 +37,7 @@ from .sampling import (
     sample_descriptor,
     sample_matrix,
 )
-from .semiring import BOTTOM, _quote
+from .semiring import _quote
 from .structure import (
     in_idempotent_family,
     regular_witness,
@@ -82,9 +82,8 @@ def _d_equals_j(rng: random.Random, i: int) -> str | None:
 
 
 def _zero_row(a: TropMatrix, i: int) -> TropMatrix:
-    rows = [list(r) for r in a.rows]
-    rows[i] = [BOTTOM] * a.n
-    return TropMatrix(rows)
+    p, q, r, s = a._e
+    return TropMatrix._over((None, None, r, s) if i == 0 else (p, q, None, None), a._den)
 
 
 def _regularity(rng: random.Random, i: int) -> str | None:

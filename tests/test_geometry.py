@@ -21,7 +21,7 @@ from tropmat.geometry import (
     subset,
 )
 from tropmat.matrix import TropMatrix, solves_right
-from tropmat.sampling import sample_convex_set, sample_matrix, sample_scalar
+from tropmat.sampling import _draw, sample_convex_set, sample_matrix
 from tropmat.semiring import (
     BOTTOM,
     INF_DIST,
@@ -30,6 +30,7 @@ from tropmat.semiring import (
     ExtDistance,
     ProjPoint,
     TropScalar,
+    _scalar,
 )
 
 SEED = 20260808
@@ -131,7 +132,7 @@ def in_column_space(v, a):
 
 
 def sample_vector(rng, profile):
-    return sample_scalar(rng, profile), sample_scalar(rng, profile)
+    return _scalar(_draw(rng, profile)), _scalar(_draw(rng, profile))
 
 
 def test_membership_examples():

@@ -278,13 +278,19 @@ def test_monotone_closure():
 
 
 def test_relation_token_round_trip():
-    for token in ["R", "L", "H", "D", "J", "leqR", "leqL", "leqJ"]:
-        assert GreenRelation.from_token(token).value == token
-    with pytest.raises(ValueError):
-        GreenRelation.from_token("K")
+    for member in GreenRelation:
+        assert GreenRelation(member.value) is member
+        # a member passes through unchanged
+        assert GreenRelation(member) is member
+    valid = "expected one of R, L, H, D, J, leqR, leqL, leqJ"
+    # an unhashable token is refused as a bad value, not with a TypeError
+    for token, text in (("K", "'K'"), ("r", "'r'"), (["R"], "['R']"), (None, "None")):
+        with pytest.raises(ValueError) as exc:
+            GreenRelation(token)
+        assert str(exc.value) == f"unknown relation {text}: {valid}"
     # an over-long token is quoted cut, not echoed whole
     with pytest.raises(ValueError, match="5000 characters") as exc:
-        GreenRelation.from_token("K" * 5000)
+        GreenRelation("K" * 5000)
     assert len(str(exc.value)) < 400
 
 

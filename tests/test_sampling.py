@@ -10,7 +10,6 @@ from tropmat.sampling import (
     sample_descriptor,
     sample_isometric_pair,
     sample_matrix,
-    sample_scalar,
 )
 from tropmat.geometry import iso_type, isometric
 from tropmat.structure import idempotent_form
@@ -55,8 +54,6 @@ def test_isometric_pairs_are_isometric_and_cover_all_types():
 
 
 def test_unknown_profile_rejected():
-    with pytest.raises(ValueError):
-        sample_scalar(random.Random(0), "gaussian")
     with pytest.raises(ValueError):
         sample_matrix(random.Random(0), "gaussian")
     # an over-long profile name is quoted cut, not echoed whole

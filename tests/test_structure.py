@@ -226,6 +226,28 @@ def test_non_isometric_H_class_has_no_idempotent():
     assert idempotent_in_H(ConvexSet.interval(0, 1), ConvexSet.interval(-2, 0)) is None
 
 
+def test_miller_clifford_on_the_256_matrix_grid():
+    """Miller-Clifford (Howie, Prop. 2.3.7): ab lies in R_a and L_b exactly
+    when L_a meets R_b in an H-class with an idempotent.  The left side is a
+    product and two spaces; the right side is the idempotent rule, at the
+    column space of b and the row space of a.  Checked on all 65,536 pairs
+    of matrices over {-inf, -1, 0, 1}."""
+    matrices = [
+        TropMatrix([[p, q], [r, s]]) for p, q, r, s in product([BOTTOM, -1, 0, 1], repeat=4)
+    ]
+    holds = 0
+    for a, b in product(matrices, repeat=2):
+        ab = a @ b
+        in_rl = (
+            proj_column_space(ab) == proj_column_space(a)
+            and proj_row_space(ab) == proj_row_space(b)
+        )
+        has_e = idempotent_in_H(proj_column_space(b), proj_row_space(a)) is not None
+        assert in_rl == has_e, (a, b)
+        holds += has_e
+    assert holds == 6224
+
+
 def test_regular_witness_examples():
     e = TropMatrix([[0, -3], [1, 0]])
     assert e @ e @ e == e  # any idempotent regularizes itself

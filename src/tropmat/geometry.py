@@ -46,11 +46,11 @@ class ConvexSet:
     denominator in lowest terms; ``lo`` and ``hi`` build fresh ``ProjPoint``s.
     """
 
-    # _ikey and _iso hold the isometry key and type once computed.
-    __slots__ = ("_lo", "_hi", "_den", "_ikey", "_iso")
+    # _ikey, _iso and _ideal hold the isometry key, type and principal ideal.
+    __slots__ = ("_lo", "_hi", "_den", "_ikey", "_iso", "_ideal")
 
     def __init__(self, lo, hi):
-        self._lo = self._hi = self._ikey = self._iso = None
+        self._lo = self._hi = self._ikey = self._iso = self._ideal = None
         self._den = 1
         if lo is not None or hi is not None:
             if lo is None or hi is None:
@@ -66,7 +66,7 @@ class ConvexSet:
         """The set of the keys lo <= hi over den in lowest terms, unchecked."""
         s = object.__new__(cls)
         s._lo, s._hi, s._den = lo, hi, den
-        s._ikey = s._iso = None
+        s._ikey = s._iso = s._ideal = None
         return s
 
     @classmethod
@@ -157,20 +157,24 @@ _ISO_KINDS = tuple(_ISO_RANK)  # the kinds by rank
 class _Record:
     """Base of the value classes.  A subclass names its fields once, in
     ``__slots__``; a subclass adding none declares ``__slots__ = ()`` and
-    keeps its base's.  ``_Record(*values)`` stores one value per field, in
-    order; a subclass that checks its values stores them itself through
-    ``object.__setattr__``.  Two records are equal when they are of one type
-    with equal fields, hash as the tuple of their fields and print like
-    ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
-    raises ``AttributeError``.  The fields are read through one
-    ``operator.attrgetter`` per class, ``_get``: equality and hashing sit on
-    hot paths, where a loop over the names is several times slower."""
+    keeps its base's.  A slot named with a leading underscore is no field:
+    it holds a value the subclass's ``__init__`` derives from the fields,
+    never compared, hashed, printed or pickled.  ``_Record(*values)`` stores
+    one value per field, in order; a subclass that checks its values stores
+    them itself through ``object.__setattr__``.  Two records are equal when
+    they are of one type with equal fields, hash as the tuple of their
+    fields and print like ``IsoType(kind='point', diameter=None)``;
+    assigning or deleting a field raises ``AttributeError``.  The fields are
+    read through one ``operator.attrgetter`` per class, ``_get``: equality
+    and hashing sit on hot paths, where a loop over the names is several
+    times slower."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls._names = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
+        slots = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
+        names = cls._names = tuple(n for n in slots if n[0] != "_")
         get = operator.attrgetter(*names)
         cls._get = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
 
@@ -203,7 +207,7 @@ class _Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which does not
-        # assign through the frozen __setattr__
+        # assign through the frozen __setattr__ and derives the _ slots
         return type(self), self._get(self)
 
 

@@ -12,6 +12,7 @@ ones are exactly a principal ideal minus its generating J-class.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .geometry import IsoType, _Enum, _Record, iso_type, proj_column_space
@@ -28,7 +29,7 @@ class IdealDescriptor(_Record):
     ideal corresponds to one.
     """
 
-    __slots__ = ("kind", "iso", "width")  # kind: "closed" | "open" | "openline"
+    __slots__ = ("kind", "iso", "width", "_key")  # kind: "closed" | "open" | "openline"
 
     def __init__(self, kind: str, iso: IsoType | None = None, width: Fraction | None = None):
         if width is not None and type(width) is not Fraction:
@@ -36,17 +37,21 @@ class IdealDescriptor(_Record):
         if kind == "closed":
             if not isinstance(iso, IsoType) or width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
+            key = (*iso.key(), 1)
         elif kind == "open":
             if iso is not None or width is None or width <= 0:
                 raise ValueError("open descriptors carry exactly a positive width")
+            key = (2, width, 0)
         elif kind == "openline":
             if iso is not None or width is not None:
                 raise ValueError("the open-line descriptor carries no parameters")
+            key = (3, _ZERO, 0)
         else:
             raise ValueError(f"unknown descriptor kind {_quote(kind)}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "width", width)
+        object.__setattr__(self, "_key", key)
 
     @classmethod
     def closed(cls, t: IsoType) -> "IdealDescriptor":
@@ -68,11 +73,7 @@ class IdealDescriptor(_Record):
         a closed descriptor extends its type's key by 1, and an open one
         sits just below the closed type it stops short of.
         """
-        if self.kind == "closed":
-            return (*self.iso.key(), 1)
-        if self.kind == "open":
-            return (2, self.width, 0)
-        return (3, _ZERO, 0)
+        return self._key
 
     def __str__(self):
         if self.kind == "closed":
@@ -107,38 +108,48 @@ class Ordering(_Enum):
     GREATER = "greater"
 
 
-def _contains_type(d: IdealDescriptor, t: IsoType) -> bool:
-    """Whether the J-class of isometry type t lies in the ideal d: the
-    principal ideal of that class is contained in d."""
-    return (*t.key(), 1) <= d.key()
+# ``ideal_compare`` returns these: a lookup on the enum class is slow on 3.11
+_LESS, _EQUAL, _GREATER = Ordering
+_key_of = operator.attrgetter("_key")
 
 
 def ideal_contains(d: IdealDescriptor, a: TropMatrix) -> bool:
-    """Membership of a matrix in the ideal described by d."""
-    return _contains_type(d, iso_type(proj_column_space(a)))
+    """Membership of a matrix in the ideal d: its principal ideal lies in d."""
+    try:
+        return principal_ideal_of(a)._key <= d._key
+    except AttributeError:
+        raise TypeError(f"expected an IdealDescriptor, not {_quote(d)}") from None
 
 
 def principal_ideal_of(b: TropMatrix) -> IdealDescriptor:
-    """The descriptor of the two-sided principal ideal generated by b."""
-    return IdealDescriptor.closed(iso_type(proj_column_space(b)))
+    """The descriptor of the principal ideal generated by b, built once per
+    column space: the closed descriptor of that space's isometry type."""
+    try:
+        s = proj_column_space(b)
+    except AttributeError:
+        raise TypeError(f"expected a TropMatrix, not {_quote(b)}") from None
+    d = s._ideal
+    if d is None:
+        d = s._ideal = IdealDescriptor.closed(iso_type(s))
+    return d
 
 
 def ideal_compare(d1: IdealDescriptor, d2: IdealDescriptor) -> Ordering:
     """The total containment order on ideals."""
-    k1, k2 = d1.key(), d2.key()
-    if k1 < k2:
-        return Ordering.LESS
-    if k1 > k2:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    try:
+        k1, k2 = d1._key, d2._key
+    except AttributeError:
+        bad = d2 if isinstance(d1, IdealDescriptor) else d1
+        raise TypeError(f"expected an IdealDescriptor, not {_quote(bad)}") from None
+    return _LESS if k1 < k2 else _GREATER if k1 > k2 else _EQUAL
 
 
 def ideal_from_generators(generators: list[TropMatrix]) -> IdealDescriptor:
     """The ideal generated by finitely many matrices: the maximum of their
     principal descriptors, so finitely generated ideals are principal."""
-    if not generators:
+    if (top := max(map(principal_ideal_of, generators), key=_key_of, default=None)) is None:
         raise ValueError("need at least one generator")
-    return max(map(principal_ideal_of, generators), key=IdealDescriptor.key)
+    return top
 
 
 def decompose(d: IdealDescriptor) -> tuple[IdealDescriptor, IsoType | None]:

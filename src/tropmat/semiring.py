@@ -208,7 +208,11 @@ def _scalar_key(value) -> tuple:
 def _scalar_ratio(value) -> tuple[int | None, int]:
     """The reduced numerator and denominator of a scalar as ``_scalar_key``
     takes it, ``(None, 1)`` for ``-inf``; a token builds no Fraction."""
-    if not isinstance(value, str):
+    if not isinstance(value, str):  # first, so a CLI token pays for no fast path
+        if type(value) is Fraction:
+            return value.numerator, value.denominator
+        if type(value) is int:  # a bool is refused by _as_fraction
+            return value, 1
         f = value._k[1] if isinstance(value, TropScalar) else _as_fraction(value)
         return (None, 1) if f is None else (f.numerator, f.denominator)
     token = value.strip()

@@ -31,6 +31,7 @@ import pytest
 from tropmat import cli
 from tropmat.geometry import (
     ConvexSet,
+    IsoType,
     embeds_isometrically,
     iso_type,
     isometric,
@@ -48,7 +49,7 @@ from tropmat.green import (
     related,
     witness_Z,
 )
-from tropmat.ideals import ideal_contains, principal_ideal_of
+from tropmat.ideals import IdealDescriptor, ideal_contains, principal_ideal_of
 from tropmat.matrix import (
     ResidualMatrix,
     TropMatrix,
@@ -283,6 +284,24 @@ def test_principal_ideal_membership_is_the_J_preorder_on_the_256_matrix_grid():
         d = principal_ideal_of(b)
         for a in matrices:
             assert ideal_contains(d, a) == leq_J(a, b), (a, b)
+
+
+def test_membership_is_the_type_rule_on_the_256_matrix_grid():
+    # a matrix of isometry type t lies in d exactly when the closed key of t,
+    # the type's key extended by 1, is at most d's key
+    widths = [Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4, 5]
+    types = [IsoType(k) for k in ("empty", "point", "halfinf", "fullline")]
+    types += [IsoType("interval", w) for w in widths]
+    descriptors = [IdealDescriptor.closed(t) for t in types]
+    descriptors += [IdealDescriptor.open_finite(w) for w in widths] + [IdealDescriptor.open_line()]
+    answers = Counter()
+    for a in grid(["-inf", -1, 0, 1]):
+        t = iso_type(proj_column_space(a))
+        for d in descriptors:
+            member = ideal_contains(d, a)
+            assert member == ((*t.key(), 1) <= d.key()), (d, a)
+            answers[member] += 1
+    assert answers[True] and answers[False]
 
 
 def test_green_relations_are_invariant_under_one_unit_on_the_65536_pair_grid():

@@ -1,11 +1,12 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropmat.geometry import IsoType, _Record
+from tropmat.geometry import IsoType, _Record, iso_type, proj_column_space
 from tropmat.green import GreenRelation
 from tropmat.ideals import (
     IdealDescriptor,
@@ -17,7 +18,7 @@ from tropmat.ideals import (
     principal_ideal_of,
 )
 from tropmat.matrix import TropMatrix
-from tropmat.sampling import sample_descriptor, sample_matrix
+from tropmat.sampling import PROFILES, sample_descriptor, sample_matrix
 from tropmat.structure import GroupType, IdempotentForm
 from tropmat.verify import SuiteResult, _strict_type, matrix_with_iso_type
 
@@ -69,8 +70,69 @@ def test_generators():
     assert ideal_from_generators([g1, g2]) == closed("interval", Fraction(2))
     assert ideal_from_generators([g1]) == principal_ideal_of(g1)
     assert ideal_from_generators([g1, I2, g2]) == closed("fullline")
-    with pytest.raises(ValueError):
-        ideal_from_generators([])
+    assert ideal_from_generators(iter([g1, g2])) == closed("interval", Fraction(2))
+
+
+def test_no_generators_is_refused_with_one_message():
+    # an empty iterator or generator cannot be told empty before it is read
+    for empty in ([], (), iter([]), (g for g in [I2] if g is None)):
+        with pytest.raises(ValueError, match="^need at least one generator$"):
+            ideal_from_generators(empty)
+
+
+def test_the_ideal_functions_name_the_type_they_expect():
+    a, d, rows = I2, closed("point"), [[0, 1], [2, 3]]
+    descriptor, matrix = "expected an IdealDescriptor, not ", "expected a TropMatrix, not "
+    calls = [
+        (lambda: ideal_contains("closed:point", a), descriptor + "'closed:point'"),
+        (lambda: ideal_contains(IsoType("point"), a), descriptor + repr(IsoType("point"))),
+        (lambda: ideal_contains(d, rows), matrix + "[[0, 1], [2, 3]]"),
+        (lambda: ideal_compare(d, "openline"), descriptor + "'openline'"),
+        (lambda: ideal_compare("openline", d), descriptor + "'openline'"),
+        (lambda: ideal_compare(None, None), descriptor + "None"),
+        (lambda: principal_ideal_of(rows), matrix + "[[0, 1], [2, 3]]"),
+        (lambda: principal_ideal_of(None), matrix + "None"),
+        (lambda: ideal_from_generators([a, rows]), matrix + "[[0, 1], [2, 3]]"),
+    ]
+    for call, message in calls:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$") as info:
+            call()
+        # the AttributeError it was read from is not chained to it
+        assert info.value.__suppress_context__, message
+
+
+def _spelled_key(d):
+    # the containment order key spelled out from the descriptor's fields
+    if d.kind == "closed":
+        return (*d.iso.key(), 1)
+    if d.kind == "open":
+        return (2, d.width, 0)
+    return (3, Fraction(0), 0)
+
+
+def test_a_descriptor_key_is_its_spelled_out_key_after_copy_and_pickle():
+    rng = random.Random(SEED + 9)
+    descriptors = [sample_descriptor(rng) for _ in range(2000)]
+    descriptors += [closed(kind) for kind in ("empty", "point", "halfinf", "fullline")]
+    descriptors += [closed("interval", Fraction(3, 2)), IdealDescriptor.open_line()]
+    descriptors += [IdealDescriptor.open_finite(w) for w in (Fraction(1, 3), 1, "5/2")]
+    kinds = {(d.kind, d.iso and d.iso.kind) for d in descriptors}
+    assert len(kinds) == 7  # every closed type, open and openline
+    for d in descriptors:
+        key = _spelled_key(d)
+        assert d.key() == key, d
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d and twin.key() == key, d
+
+
+def test_the_principal_ideal_of_a_matrix_is_built_once():
+    rng = random.Random(SEED + 10)
+    for profile in PROFILES:
+        for _ in range(50):
+            a = sample_matrix(rng, profile)
+            p = principal_ideal_of(a)
+            assert principal_ideal_of(a) is p and ideal_from_generators([a]) is p
+            assert p == IdealDescriptor.closed(iso_type(proj_column_space(a))), a
 
 
 def test_is_principal_and_decompose():
@@ -318,6 +380,15 @@ class _Single(_Record):
     __slots__ = ("value",)
 
 
+class _Derived(_Record):
+    # one field and one slot derived from it, which is no field
+    __slots__ = ("value", "_double")
+
+    def __init__(self, value):
+        super().__init__(value)
+        object.__setattr__(self, "_double", 2 * value)
+
+
 def test_a_record_is_its_slots():
     # a record declaring only __slots__ is built by _Record.__init__
     pair = _Pair(1, Fraction(1, 2))
@@ -336,6 +407,21 @@ def test_a_record_is_its_slots():
     for values in ((1,), (1, 2, 3)):
         with pytest.raises(TypeError, match=f"_Pair takes 2 fields, got {len(values)}"):
             _Pair(*values)
+    derived, other = _Derived(3), _Derived(3)
+    object.__setattr__(other, "_double", 7)  # an underscore slot that disagrees
+    assert _Derived._names == ("value",) and derived._double == 6
+    assert derived == other and hash(derived) == hash(other) == hash((3,))
+    assert repr(derived) == repr(other) == "_Derived(value=3)"
+    assert other.__reduce__() == (_Derived, (3,))
+    for twin in (copy.copy(other), copy.deepcopy(other), pickle.loads(pickle.dumps(other))):
+        assert twin == derived and twin._double == 6  # rebuilt by the constructor
+    for name in ("value", "_double"):
+        with pytest.raises(AttributeError):
+            setattr(derived, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(derived, name)
+    with pytest.raises(TypeError, match="_Derived takes 1 fields, got 2"):
+        _Record.__init__(derived, 3, 6)
     fields = ("duality", 3, 1, "mt19937", 2, 1, ("defect",))
     for values in (fields[:-1], fields + (None,)):
         with pytest.raises(TypeError, match=f"SuiteResult takes 7 fields, got {len(values)}"):

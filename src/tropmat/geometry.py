@@ -18,12 +18,11 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import TropMatrix, _frac, _stored
+from .matrix import TropMatrix, _frac, _stored, _token
 from .semiring import (
     NEG_INF,
     _NEG_KEY,
     _POS_KEY,
-    _ZERO,
     ProjPoint,
     _as_fraction,
     _cut,
@@ -158,16 +157,16 @@ class _Record:
     """Base of the value classes.  A subclass names its fields once, in
     ``__slots__``; a subclass adding none declares ``__slots__ = ()`` and
     keeps its base's.  A slot named with a leading underscore is no field:
-    it holds a value the subclass's ``__init__`` derives from the fields,
-    never compared, hashed, printed or pickled.  ``_Record(*values)`` stores
-    one value per field, in order; a subclass that checks its values stores
-    them itself through ``object.__setattr__``.  Two records are equal when
-    they are of one type with equal fields, hash as the tuple of their
-    fields and print like ``IsoType(kind='point', diameter=None)``;
-    assigning or deleting a field raises ``AttributeError``.  The fields are
-    read through one ``operator.attrgetter`` per class, ``_get``: equality
-    and hashing sit on hot paths, where a loop over the names is several
-    times slower."""
+    it holds a value derived from the fields, by ``__init__`` or, left unset
+    there, on first use; it is never compared, hashed, printed or pickled.
+    ``_Record(*values)`` stores one value per field, in order; a subclass
+    that checks its values stores them itself through ``object.__setattr__``.
+    Two records are equal when they are of one type with equal fields, hash
+    as the tuple of their fields and print like
+    ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
+    raises ``AttributeError``.  The fields are read through one
+    ``operator.attrgetter`` per class, ``_get``: equality and hashing sit on
+    hot paths, where a loop over the names is several times slower."""
 
     __slots__ = ()
 
@@ -230,9 +229,11 @@ class IsoType(_Record):
     ``interval`` carries its (positive, finite) diameter, an int, Fraction
     or ``p/q`` token stored as a Fraction; the other kinds carry none.
     Isometric embedding totally orders the types, realized by ``key()``.
+    ``__init__`` derives the int isometry key ``(rank, num, den)`` of
+    ``_iso_key``, and the first ``str()`` spells the text from it.
     """
 
-    __slots__ = ("kind", "diameter")
+    __slots__ = ("kind", "diameter", "_ikey", "_text")
 
     def __init__(self, kind: str, diameter: Fraction | None = None):
         if kind not in _ISO_KINDS:  # a tuple, so an unhashable kind is refused too
@@ -240,20 +241,39 @@ class IsoType(_Record):
         if diameter is not None and type(diameter) is not Fraction:
             diameter = _as_fraction(diameter)
         if kind == "interval":
-            if diameter is None or diameter <= 0:
+            if diameter is None or diameter.numerator <= 0:
                 raise ValueError("interval types carry a positive finite diameter")
+            key = (2, diameter.numerator, diameter.denominator)
         elif diameter is not None:
             raise ValueError(f"{kind} types carry no diameter")
+        else:
+            key = (_ISO_RANK[kind], 0, 1)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "_ikey", key)
+
+    @classmethod
+    def _of(cls, key: tuple[int, int, int]) -> "IsoType":
+        """The type of the int key ``(rank, num, den)`` in lowest terms, unchecked."""
+        t = object.__new__(cls)
+        rank, num, den = key
+        object.__setattr__(t, "kind", _ISO_KINDS[rank])
+        object.__setattr__(t, "diameter", Fraction(num, den) if rank == 2 else None)
+        object.__setattr__(t, "_ikey", key)
+        return t
 
     def key(self) -> tuple[int, Fraction]:
-        return (_ISO_RANK[self.kind], self.diameter or _ZERO)
+        rank, num, den = self._ikey
+        return (rank, Fraction(num, den))
 
     def __str__(self):
-        if self.kind == "interval":
-            return f"interval:{self.diameter}"
-        return self.kind
+        try:
+            return self._text
+        except AttributeError:
+            rank, num, den = self._ikey
+            text = "interval:" + _token(num, den) if rank == 2 else self.kind
+            object.__setattr__(self, "_text", text)
+            return text
 
     @staticmethod
     def parse(text: str) -> "IsoType":
@@ -343,8 +363,7 @@ def iso_type(s: ConvexSet) -> IsoType:
     """The isometry type of s, computed once per set."""
     t = s._iso
     if t is None:
-        rank, d, den = _iso_key(s)
-        t = s._iso = IsoType(_ISO_KINDS[rank], Fraction(d, den) if rank == 2 else None)
+        t = s._iso = IsoType._of(_iso_key(s))
     return t
 
 

@@ -12,12 +12,11 @@ ones are exactly a principal ideal minus its generating J-class.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .geometry import IsoType, _Enum, _Record, iso_type, proj_column_space
-from .matrix import TropMatrix
-from .semiring import _ZERO, _as_fraction, _cut, _quote
+from .matrix import TropMatrix, _token
+from .semiring import _as_fraction, _cut, _quote
 
 
 class IdealDescriptor(_Record):
@@ -26,10 +25,13 @@ class IdealDescriptor(_Record):
 
     The width is an int, Fraction or ``p/q`` token, stored as a Fraction.
     Half-infinite open intervals are unrepresentable by construction: no
-    ideal corresponds to one.
+    ideal corresponds to one.  ``__init__`` derives the int order key
+    ``(rank, num, den, closed)``, the first ``str()`` spells the text from
+    it, and the first ``decompose`` of an open descriptor stores its pair.
     """
 
-    __slots__ = ("kind", "iso", "width", "_key")  # kind: "closed" | "open" | "openline"
+    # kind: "closed" | "open" | "openline"
+    __slots__ = ("kind", "iso", "width", "_key", "_text", "_parts")
 
     def __init__(self, kind: str, iso: IsoType | None = None, width: Fraction | None = None):
         if width is not None and type(width) is not Fraction:
@@ -37,15 +39,15 @@ class IdealDescriptor(_Record):
         if kind == "closed":
             if not isinstance(iso, IsoType) or width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
-            key = (*iso.key(), 1)
+            key = (*iso._ikey, 1)
         elif kind == "open":
-            if iso is not None or width is None or width <= 0:
+            if iso is not None or width is None or width.numerator <= 0:
                 raise ValueError("open descriptors carry exactly a positive width")
-            key = (2, width, 0)
+            key = (2, width.numerator, width.denominator, 0)
         elif kind == "openline":
             if iso is not None or width is not None:
                 raise ValueError("the open-line descriptor carries no parameters")
-            key = (3, _ZERO, 0)
+            key = (3, 0, 1, 0)
         else:
             raise ValueError(f"unknown descriptor kind {_quote(kind)}")
         object.__setattr__(self, "kind", kind)
@@ -73,14 +75,22 @@ class IdealDescriptor(_Record):
         a closed descriptor extends its type's key by 1, and an open one
         sits just below the closed type it stops short of.
         """
-        return self._key
+        rank, num, den, closed = self._key
+        return (rank, Fraction(num, den), closed)
 
     def __str__(self):
-        if self.kind == "closed":
-            return f"closed:{self.iso}"
-        if self.kind == "open":
-            return f"open:{self.width}"
-        return "openline"
+        try:
+            return self._text
+        except AttributeError:
+            kind = self.kind
+            if kind == "closed":
+                text = "closed:" + str(self.iso)
+            elif kind == "open":
+                text = "open:" + _token(self._key[1], self._key[2])
+            else:
+                text = kind
+            object.__setattr__(self, "_text", text)
+            return text
 
     @staticmethod
     def parse(text: str) -> "IdealDescriptor":
@@ -110,13 +120,21 @@ class Ordering(_Enum):
 
 # ``ideal_compare`` returns these: a lookup on the enum class is slow on 3.11
 _LESS, _EQUAL, _GREATER = Ordering
-_key_of = operator.attrgetter("_key")
+
+
+def _order(k1: tuple, k2: tuple) -> int:
+    """Negative, zero or positive as the ideal of the int key k1 lies below,
+    equals or lies above that of k2: rank first, then the widths compared
+    as ``n1 * d2`` against ``n2 * d1``, then the closed flag."""
+    r1, n1, d1, c1 = k1
+    r2, n2, d2, c2 = k2
+    return r1 - r2 or n1 * d2 - n2 * d1 or c1 - c2
 
 
 def ideal_contains(d: IdealDescriptor, a: TropMatrix) -> bool:
     """Membership of a matrix in the ideal d: its principal ideal lies in d."""
     try:
-        return principal_ideal_of(a)._key <= d._key
+        return _order(principal_ideal_of(a)._key, d._key) <= 0
     except AttributeError:
         raise TypeError(f"expected an IdealDescriptor, not {_quote(d)}") from None
 
@@ -141,13 +159,19 @@ def ideal_compare(d1: IdealDescriptor, d2: IdealDescriptor) -> Ordering:
     except AttributeError:
         bad = d2 if isinstance(d1, IdealDescriptor) else d1
         raise TypeError(f"expected an IdealDescriptor, not {_quote(bad)}") from None
-    return _LESS if k1 < k2 else _GREATER if k1 > k2 else _EQUAL
+    c = _order(k1, k2)
+    return _LESS if c < 0 else _GREATER if c else _EQUAL
 
 
 def ideal_from_generators(generators: list[TropMatrix]) -> IdealDescriptor:
     """The ideal generated by finitely many matrices: the maximum of their
-    principal descriptors, so finitely generated ideals are principal."""
-    if (top := max(map(principal_ideal_of, generators), key=_key_of, default=None)) is None:
+    principal descriptors (the first of equal ones), so finitely generated
+    ideals are principal."""
+    top = None
+    for d in map(principal_ideal_of, generators):
+        if top is None or _order(d._key, top._key) > 0:
+            top = d
+    if top is None:
         raise ValueError("need at least one generator")
     return top
 
@@ -157,11 +181,15 @@ def decompose(d: IdealDescriptor) -> tuple[IdealDescriptor, IsoType | None]:
 
     Open descriptors name the least closed descriptor strictly above every
     member class; removing that class's own J-class recovers the ideal.
+    The pair of an open descriptor is built on the first call and returned
+    by every later one.
     """
     if d.kind == "closed":
         return (d, None)
-    if d.kind == "open":
-        t = IsoType("interval", d.width)
-    else:
-        t = IsoType("halfinf")
-    return (IdealDescriptor.closed(t), t)
+    try:
+        return d._parts
+    except AttributeError:
+        t = IsoType("interval", d.width) if d.kind == "open" else IsoType("halfinf")
+        parts = (IdealDescriptor.closed(t), t)
+        object.__setattr__(d, "_parts", parts)
+        return parts

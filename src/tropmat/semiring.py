@@ -29,7 +29,6 @@ from fractions import Fraction
 from math import gcd
 
 _new = object.__new__
-_ZERO = Fraction(0)
 
 # ASCII digits only: ``\d`` would also match the other Unicode digits.
 _RATIONAL_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")

@@ -110,19 +110,113 @@ def _spelled_key(d):
     return (3, Fraction(0), 0)
 
 
-def test_a_descriptor_key_is_its_spelled_out_key_after_copy_and_pickle():
-    rng = random.Random(SEED + 9)
+def _sampled_descriptors(seed):
+    # 2,000 sampled descriptors and every kind built by hand
+    rng = random.Random(seed)
     descriptors = [sample_descriptor(rng) for _ in range(2000)]
     descriptors += [closed(kind) for kind in ("empty", "point", "halfinf", "fullline")]
     descriptors += [closed("interval", Fraction(3, 2)), IdealDescriptor.open_line()]
     descriptors += [IdealDescriptor.open_finite(w) for w in (Fraction(1, 3), 1, "5/2")]
     kinds = {(d.kind, d.iso and d.iso.kind) for d in descriptors}
     assert len(kinds) == 7  # every closed type, open and openline
-    for d in descriptors:
+    return descriptors
+
+
+def _twins(x):
+    return (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+
+
+def test_a_descriptor_key_is_its_spelled_out_key_after_copy_and_pickle():
+    for d in _sampled_descriptors(SEED + 9):
         key = _spelled_key(d)
         assert d.key() == key, d
-        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        for twin in _twins(d):
             assert twin == d and twin.key() == key, d
+
+
+def _spelled_order(k1, k2):
+    return Ordering.LESS if k1 < k2 else Ordering.GREATER if k1 > k2 else Ordering.EQUAL
+
+
+# same-rank pairs with different denominators, or one value and both flags
+_SAME_RANK_PAIRS = [
+    ("open:5/2", "closed:interval:5/2"),
+    ("open:7/3", "open:5/2"),
+    ("closed:interval:2", "open:2"),
+    ("closed:interval:7/3", "open:5/2"),
+    ("closed:interval:5/3", "closed:interval:7/4"),
+]
+
+
+def test_the_int_order_agrees_with_the_public_fraction_keys():
+    rng = random.Random(SEED + 11)
+    sampled = [sample_descriptor(rng) for _ in range(4000)]
+    pairs = list(zip(sampled[::2], sampled[1::2]))
+    hand = [tuple(map(IdealDescriptor.parse, pair)) for pair in _SAME_RANK_PAIRS]
+    pairs += hand + [(d2, d1) for d1, d2 in hand]
+    same_rank = [
+        (d1, d2) for d1, d2 in pairs
+        if d1.key()[0] == d2.key()[0] and d1.key()[1].denominator != d2.key()[1].denominator
+    ]
+    assert len(pairs) == 2010 and len(same_rank) > 200
+    for d1, d2 in pairs:
+        assert ideal_compare(d1, d2) is _spelled_order(d1.key(), d2.key()), (d1, d2)
+    # membership against the spelled-out rule, on sampled matrices and on
+    # one matrix of each type the hand-picked descriptors name
+    types = [d.iso for pair in hand for d in pair if d.kind == "closed"]
+    types += [IsoType("interval", w) for w in ("5/2", "7/3", 2, "9/4")]
+    matrices = [sample_matrix(rng, PROFILES[i % len(PROFILES)]) for i in range(len(sampled))]
+    checks = list(zip(sampled, matrices))
+    checks += [(d, matrix_with_iso_type(t)) for pair in hand for d in pair for t in types]
+    for d, a in checks:
+        t = iso_type(proj_column_space(a))
+        assert ideal_contains(d, a) == ((*t.key(), 1) <= d.key()), (d, a)
+
+
+def test_the_generated_ideal_is_the_first_of_equal_maxima():
+    # distinct column spaces of one type give equal, distinct descriptors
+    shifted = [TropMatrix([[0, 0], [s, s + Fraction(5, 2)]]) for s in (0, 1, Fraction(1, 3))]
+    firsts = [principal_ideal_of(a) for a in shifted]
+    assert firsts[0] == firsts[1] == firsts[2] and firsts[0] is not firsts[1]
+    below = TropMatrix([[0, 0], [0, Fraction(7, 3)]])
+    assert ideal_from_generators(shifted) is firsts[0]
+    assert ideal_from_generators([below, *shifted[1:]]) is firsts[1]
+    assert ideal_from_generators([shifted[2], below, shifted[0]]) is firsts[2]
+    rng = random.Random(SEED + 12)
+    pool = [sample_matrix(rng, "with-neginf") for _ in range(40)] + shifted + [below]
+    for _ in range(500):
+        gens = rng.choices(pool, k=rng.randrange(1, 6))
+        best = max(map(principal_ideal_of, gens), key=lambda d: d.key())
+        assert ideal_from_generators(gens) is best, gens
+
+
+def _spelled_text(x):
+    # the text spelled from the Fraction fields
+    if isinstance(x, IsoType):
+        return f"interval:{x.diameter}" if x.kind == "interval" else x.kind
+    if x.kind == "closed":
+        return "closed:" + _spelled_text(x.iso)
+    return f"open:{x.width}" if x.kind == "open" else x.kind
+
+
+def test_the_text_and_the_decomposition_are_derived_once():
+    descriptors = _sampled_descriptors(SEED + 13)
+    types = [d.iso for d in descriptors if d.kind == "closed"]
+    types += [IsoType("interval", d.width) for d in descriptors if d.kind == "open"]
+    for x in types + descriptors:
+        text = _spelled_text(x)
+        assert str(x) == text and str(x) is str(x), x
+        assert all(str(twin) == text for twin in _twins(x)), x
+    for d in descriptors:
+        if d.kind == "closed":
+            assert decompose(d) == (d, None)
+            continue
+        parts = decompose(d)
+        assert decompose(d) is parts, d
+        t = IsoType("interval", d.width) if d.kind == "open" else IsoType("halfinf")
+        assert parts == (IdealDescriptor.closed(t), t), d
+        assert [str(x) for x in parts] == [_spelled_text(x) for x in parts], d
+        assert all(decompose(twin) == parts for twin in _twins(d)), d
 
 
 def test_the_principal_ideal_of_a_matrix_is_built_once():

@@ -26,7 +26,6 @@ from .semiring import (
     ProjPoint,
     _as_fraction,
     _cut,
-    _image,
     _point,
     _quote,
 )
@@ -118,11 +117,14 @@ class ConvexSet:
         return hash((self._lo, self._hi, self._den))
 
     def __str__(self):
-        if self.is_empty:
+        # spelled from the keys as ``str`` spells the points lo and hi
+        lo, hi, den = self._lo, self._hi, self._den
+        if lo is None:
             return "empty"
-        if self.is_point:
-            return "{" + str(self.lo) + "}"
-        return f"[{self.lo},{self.hi}]"
+        text = "+inf" if lo[0] == 1 else _token(lo[1], den)
+        if lo == hi:
+            return "{" + text + "}"
+        return f"[{text},{'+inf' if hi[0] == 1 else _token(hi[1], den)}]"
 
     def __repr__(self):
         return f"ConvexSet.parse({str(self)!r})"
@@ -158,17 +160,21 @@ class _Record:
     ``__slots__``; a subclass adding none declares ``__slots__ = ()`` and
     keeps its base's.  A slot named with a leading underscore is no field:
     it holds a value derived from the fields, by ``__init__`` or, left unset
-    there, on first use; it is never compared, hashed, printed or pickled.
+    there, on first use; it is never printed or pickled.
     ``_Record(*values)`` stores one value per field, in order; a subclass
     that checks its values stores them itself through ``object.__setattr__``.
     Two records are equal when they are of one type with equal fields, hash
     as the tuple of their fields and print like
     ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
-    raises ``AttributeError``.  The fields are read through one
-    ``operator.attrgetter`` per class, ``_get``: equality and hashing sit on
-    hot paths, where a loop over the names is several times slower."""
+    raises ``AttributeError``.  A class names in ``_key_slot`` a derived slot
+    that determines its fields one to one, such as the int keys of
+    ``IsoType`` and ``IdealDescriptor``, to compare and hash on it instead.
+    Each class reads its fields through one ``operator.attrgetter``,
+    ``_get``, and compares through ``_eq``: equality and hashing sit on hot
+    paths, where a loop over the names is several times slower."""
 
     __slots__ = ()
+    _key_slot = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -176,6 +182,8 @@ class _Record:
         names = cls._names = tuple(n for n in slots if n[0] != "_")
         get = operator.attrgetter(*names)
         cls._get = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
+        # read from the class dict: through the class a staticmethod unwraps
+        cls._eq = operator.attrgetter(cls._key_slot) if cls._key_slot else vars(cls)["_get"]
 
     def __init__(self, *values):
         names = self._names
@@ -188,11 +196,11 @@ class _Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._get(self) == other._get(other)
+            return self._eq(self) == other._eq(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._get(self))
+        return hash(self._eq(self))
 
     def __repr__(self):
         fields = zip(self._names, self._get(self))
@@ -234,6 +242,7 @@ class IsoType(_Record):
     """
 
     __slots__ = ("kind", "diameter", "_ikey", "_text")
+    _key_slot = "_ikey"
 
     def __init__(self, kind: str, diameter: Fraction | None = None):
         if kind not in _ISO_KINDS:  # a tuple, so an unhashable kind is refused too
@@ -303,21 +312,29 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
 
     Empty when both vectors are zero; a point when one is (the image of the
     other); otherwise the closed interval spanned by the two images, whose
-    keys are stored in lowest terms.
+    keys are stored in lowest terms.  The image of (x1, x2) is the key of
+    ``x2 - x1``: ``-inf`` when x2 is, ``+inf`` when only x1 is.
     """
     if x1 is None and x2 is None:
         x1, x2, y1, y2 = y1, y2, x1, x2
         if x1 is None and x2 is None:
             return ConvexSet.empty()
-    p = _image(x1, x2)
-    q = p if y1 is None and y2 is None else _image(y1, y2)
-    if q < p:
-        p, q = q, p
-    (kp, x), (kq, y) = p, q
-    g = gcd(den, x or 0, y or 0)
-    if g != 1:
-        p, q = (kp, x and x // g), (kq, y and y // g)  # None and 0 stay as they are
-    return ConvexSet._of(p, q, den // g)
+    p = _NEG_KEY if x2 is None else _POS_KEY if x1 is None else (0, x2 - x1)
+    if y1 is None and y2 is None:
+        q = p
+    else:
+        q = _NEG_KEY if y2 is None else _POS_KEY if y1 is None else (0, y2 - y1)
+        if q < p:
+            p, q = q, p
+    if den != 1:
+        (kp, x), (kq, y) = p, q
+        g = gcd(den, x or 0, y or 0)
+        if g != 1:  # None and 0 stay as they are
+            p, q, den = (kp, x and x // g), (kq, y and y // g), den // g
+    s = object.__new__(ConvexSet)  # ConvexSet._of, without its frame
+    s._lo, s._hi, s._den = p, q, den
+    s._ikey = s._iso = s._ideal = None
+    return s
 
 
 def proj_column_space(a: TropMatrix) -> ConvexSet:
@@ -370,7 +387,7 @@ def iso_type(s: ConvexSet) -> IsoType:
 def isometric(s: ConvexSet, t: ConvexSet) -> bool:
     """Whether a distance-preserving bijection exists (orientation may flip):
     equivalent to having equal isometry types."""
-    return _iso_key(s) == _iso_key(t)
+    return (s._ikey or _iso_key(s)) == (t._ikey or _iso_key(t))
 
 
 def embeds_isometrically(s: ConvexSet, t: ConvexSet) -> bool:
@@ -380,7 +397,7 @@ def embeds_isometrically(s: ConvexSet, t: ConvexSet) -> bool:
     finite intervals by diameter, then half-infinite intervals, then the full
     line.
     """
-    (r, d, e), (rt, dt, et) = _iso_key(s), _iso_key(t)
+    (r, d, e), (rt, dt, et) = s._ikey or _iso_key(s), t._ikey or _iso_key(t)
     return r < rt or (r == rt and d * et <= dt * e)
 
 

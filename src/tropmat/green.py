@@ -52,7 +52,7 @@ class GreenRelation(_Enum):
 
 
 # ``related`` compares with these: a lookup on the enum class is slow on 3.11
-_R, _L, _H, _D, _J, _LEQ_R, _LEQ_L, _LEQ_J = GreenRelation
+_R, _L, _H, _, _, _LEQ_R, _LEQ_L, _LEQ_J = GreenRelation
 
 
 def leq_R(a: TropMatrix, b: TropMatrix) -> bool:
@@ -74,24 +74,23 @@ def leq_J(a: TropMatrix, b: TropMatrix) -> bool:
 
 
 def related(rel: GreenRelation, a: TropMatrix, b: TropMatrix) -> bool:
-    """Decide any of the Green's relations or preorders for a 2x2 pair."""
+    """Decide any of the Green's relations or preorders for a 2x2 pair, by
+    one set rule on the spaces the matrices store (computed on a miss)."""
+    if type(rel) is not GreenRelation:  # no hash, so an unhashable value is refused too
+        raise TypeError(f"unknown relation {_quote(rel)}: expected a GreenRelation")
+    if rel is _L or rel is _LEQ_L:
+        s, t = a._pr or proj_row_space(a), b._pr or proj_row_space(b)
+        return s == t if rel is _L else subset(s, t)
+    s, t = a._pc or proj_column_space(a), b._pc or proj_column_space(b)
     if rel is _R:
-        return proj_column_space(a) == proj_column_space(b)
-    if rel is _L:
-        return proj_row_space(a) == proj_row_space(b)
-    if rel is _H:
-        return proj_column_space(a) == proj_column_space(b) and proj_row_space(
-            a
-        ) == proj_row_space(b)
-    if rel is _D or rel is _J:
-        return isometric(proj_column_space(a), proj_column_space(b))
+        return s == t
     if rel is _LEQ_R:
-        return leq_R(a, b)
-    if rel is _LEQ_L:
-        return leq_L(a, b)
+        return subset(s, t)
     if rel is _LEQ_J:
-        return leq_J(a, b)
-    raise TypeError(f"unknown relation {_quote(rel)}: expected a GreenRelation")
+        return embeds_isometrically(s, t)
+    if rel is _H:
+        return s == t and (a._pr or proj_row_space(a)) == (b._pr or proj_row_space(b))
+    return isometric(s, t)  # D and J
 
 
 def _family(kind: str, x, y, den: int) -> TropMatrix:

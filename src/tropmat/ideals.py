@@ -32,6 +32,7 @@ class IdealDescriptor(_Record):
 
     # kind: "closed" | "open" | "openline"
     __slots__ = ("kind", "iso", "width", "_key", "_text", "_parts")
+    _key_slot = "_key"
 
     def __init__(self, kind: str, iso: IsoType | None = None, width: Fraction | None = None):
         if width is not None and type(width) is not Fraction:

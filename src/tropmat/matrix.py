@@ -9,7 +9,8 @@ in the completed carrier that also contains ``+inf``: a residual coordinate
 is ``+inf`` exactly when nothing constrains it, i.e. every term of its min
 has a ``-inf`` divisor entry or a ``+inf`` target entry.  One rule,
 ``_least``, computes each entry of a residual as the entry of its witness,
-the concrete solution over the plain semiring that puts 0 at each ``+inf``.
+the concrete solution over the plain semiring that puts 0 at each ``+inf``
+(``solves_right`` spells it out inline, column by column).
 This makes ``A = B @ X`` decidable:  it is solvable iff that witness attains
 A.
 
@@ -403,14 +404,27 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     """Whether ``a = b @ X`` is solvable, i.e. a lies in b's right ideal.
 
     Decided by residuation: the equation is solvable iff the materialized
-    greatest subsolution attains a.
+    greatest subsolution attains a, checked column by column.
     """
-    (p, q, r, s), (e, f, g, h), _ = _common(b, a)
-    x00, x10 = _least(e, p, g, r), _least(e, q, g, s)
-    x01, x11 = _least(f, p, h, r), _least(f, q, h, s)
-    return (
-        _dot(p, x00, q, x10) == e
-        and _dot(p, x01, q, x11) == f
-        and _dot(r, x00, s, x10) == g
-        and _dot(r, x01, s, x11) == h
-    )
+    if b._den == a._den:
+        (p, q, r, s), (e, f, g, h) = b._e, a._e
+    else:
+        (p, q, r, s), (e, f, g, h), _ = _common(b, a)
+    for t1, t2 in ((e, g), (f, h)):
+        # the witness entries x0, x1 of the column's greatest subsolution
+        # over b's columns (p, r) and (q, s), as ``_least`` computes them
+        if p is None:
+            x0 = 0 if r is None else None if t2 is None else t2 - r
+        elif t1 is None or (r is not None and t2 is None):
+            x0 = None
+        else:
+            x0 = t1 - p if r is None or t1 - p < t2 - r else t2 - r
+        if q is None:
+            x1 = 0 if s is None else None if t2 is None else t2 - s
+        elif t1 is None or (s is not None and t2 is None):
+            x1 = None
+        else:
+            x1 = t1 - q if s is None or t1 - q < t2 - s else t2 - s
+        if _dot(p, x0, q, x1) != t1 or _dot(r, x0, s, x1) != t2:
+            return False
+    return True

@@ -285,22 +285,6 @@ def _point(k: tuple) -> ProjPoint:
     return p
 
 
-def _image(x1, x2) -> tuple:
-    """The projective image ``x2 - x1`` of the nonzero pair (x1, x2) of
-    numerators over one denominator, None standing for ``-inf``: the rule
-    behind the space maps.
-
-    Returned as an order key with a numerator for its value, so that images
-    order like the points they stand for."""
-    if x2 is None:
-        if x1 is None:
-            raise ValueError("the zero vector (-inf, -inf) has no projective image")
-        return _NEG_KEY
-    if x1 is None:
-        return _POS_KEY
-    return 0, x2 - x1
-
-
 class ExtDistance(_Key):
     """A distance value: a nonnegative exact rational, or infinite.
 

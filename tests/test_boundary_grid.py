@@ -7,8 +7,9 @@ them, and hold the geometric decisions, column membership included, to the
 residuation oracle and to the verified constructions on each one.  The
 product, the residual and the space maps, which compute on integer
 numerators, are also held to references built from the public scalar
-operators; the stored spaces to freshly computed ones, and
-``solves_right`` to the residual it materializes.  The ``classify``
+operators; the stored spaces to freshly computed ones, each relation asked
+first on fresh matrices to its set rule, set strings to their endpoints,
+and ``solves_right`` to the residual it materializes on both grids.  The ``classify``
 diameter is held to the endpoint distance, its R-class name to the relation
 R, principal-ideal membership to the J-preorder, and the grid part of each
 maximal subgroup to its group type and to its family's ``subgroup_element``.
@@ -58,6 +59,7 @@ from tropmat.matrix import (
     right_residual,
     solves_right,
 )
+from tropmat.sampling import sample_convex_set
 from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar, delta
 from tropmat.structure import (
     GroupType,
@@ -460,6 +462,61 @@ def test_spaces_and_iso_types_are_computed_once_per_object():
             make(3)
 
 
+def fresh(a):
+    # a new matrix equal to a, with no space stored yet
+    return a.transpose().transpose()
+
+
+def ref_relations(a_spaces, b_spaces):
+    """Each relation's set rule on the (column, row) spaces of a and b."""
+    (ca, ra), (cb, rb) = a_spaces, b_spaces
+    ta, tb = iso_type(ca), iso_type(cb)
+    return {
+        GreenRelation.R: ca == cb,
+        GreenRelation.L: ra == rb,
+        GreenRelation.H: ca == cb and ra == rb,
+        GreenRelation.D: ta == tb,
+        GreenRelation.J: ta == tb,
+        GreenRelation.LEQ_R: subset(ca, cb),
+        GreenRelation.LEQ_L: subset(ra, rb),
+        GreenRelation.LEQ_J: ta.key() <= tb.key(),
+    }
+
+
+@pytest.mark.parametrize("values", [["-inf", 0, 1], ["-inf", "1/2", "-1/3"]])
+def test_each_relation_asked_first_on_a_fresh_pair(values):
+    # related reads the spaces a matrix stores and computes the missing
+    # ones; the reference reads spaces computed on separate copies
+    matrices = grid(values)
+    refs = [spaces(TropMatrix(a.to_tokens())) for a in matrices]
+    assert all(m._pc is m._pr is None for m in map(fresh, matrices))
+    for (a, a_spaces), (b, b_spaces) in product(zip(matrices, refs), repeat=2):
+        want = ref_relations(a_spaces, b_spaces)
+        for rel in GreenRelation:
+            x, y = fresh(a), fresh(b)
+            assert related(rel, x, y) == want[rel], (rel, a, b)
+            # again, with one side warm and the other fresh
+            assert related(rel, x, fresh(b)) == want[rel], (rel, a, b)
+            assert related(rel, fresh(a), y) == want[rel], (rel, a, b)
+
+
+def test_set_strings_spell_their_endpoints():
+    sets = [s for a in grid(["-inf", "1/2", "-1/3"]) for s in spaces(a)]
+    rng = random.Random(20260809)
+    sets += [sample_convex_set(rng) for _ in range(2000)]
+    kinds = set()
+    for s in sets:
+        if s.is_empty:
+            want = "empty"
+        elif s.is_point:
+            want = "{" + str(s.lo) + "}"
+        else:
+            want = f"[{s.lo},{s.hi}]"
+        assert str(s) == want, want
+        kinds.add(iso_type(s).kind)
+    assert kinds == {"empty", "point", "interval", "halfinf", "fullline"}
+
+
 # A reference for the set decisions, built from the public endpoint points
 # and the Fraction values of their diameters.
 
@@ -517,9 +574,15 @@ def oracle(b, a):
 
 
 def test_solves_right_matches_the_materialized_residual():
+    # over {-inf, 1/2, -1/3} most pairs store different denominators, so
+    # solves_right rescales them first
+    rescaled = 0
+    for values in (["-inf", 0, 1], ["-inf", "1/2", "-1/3"]):
+        for a, b in product(grid(values), repeat=2):
+            assert solves_right(b, a) == oracle(b, a), (a, b)
+            rescaled += a._den != b._den
+    assert rescaled == 3_610  # 6,561 less the 1 + 15**2 + 15**2 + 50**2 pairs of one den
     matrices = grid(["-inf", 0, 1])
-    for a, b in product(matrices, repeat=2):
-        assert solves_right(b, a) == oracle(b, a), (a, b)
     rng = random.Random(20260810)
     for _ in range(200):
         a, b = rand_matrix(rng), rand_matrix(rng)

@@ -84,7 +84,8 @@ def test_related_refuses_what_is_not_a_relation():
         "R": False, "L": False, "H": False, "D": False, "J": False,
         "leqR": False, "leqL": True, "leqJ": True,
     }
-    for rel, text in (("R", "'R'"), (None, "None")):
+    # an unhashable value is refused with the same text
+    for rel, text in (("R", "'R'"), (None, "None"), ([], "[]")):
         with pytest.raises(TypeError) as exc:
             related(rel, a, b)
         assert str(exc.value) == f"unknown relation {text}: expected a GreenRelation"

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -449,6 +450,37 @@ def test_value_classes_are_frozen_records():
     assert repr(Point("interval", 2)) == (
         f"{Point.__qualname__}(kind='interval', diameter=Fraction(2, 1))"
     )
+
+
+def iso_fields(t):
+    return t.kind, t.diameter
+
+
+def descriptor_fields(d):
+    return d.kind, None if d.iso is None else iso_fields(d.iso), d.width
+
+
+def twins(record):
+    return record, copy.copy(record), pickle.loads(pickle.dumps(record))
+
+
+def test_keyed_records_compare_and_hash_like_their_fields():
+    # IsoType and IdealDescriptor compare and hash on their int keys, which
+    # must agree with their fields, also for records rebuilt by copy/pickle
+    rng = random.Random(SEED)
+    descriptors = [sample_descriptor(rng) for _ in range(4000)]
+    types = [d.iso for d in descriptors if d.iso is not None]
+    equal_apart = 0
+    for fields, records in ((descriptor_fields, descriptors), (iso_fields, types)):
+        for x, y in zip(records[::2], records[1::2]):
+            equal_apart += x is not y and fields(x) == fields(y)
+            for u, v in itertools.product(twins(x), twins(y)):
+                assert (u == v) == (fields(u) == fields(v)), (u, v)
+                if u == v:
+                    assert hash(u) == hash(v), (u, v)
+            for u, v in itertools.product(twins(x), repeat=2):
+                assert u == v and hash(u) == hash(v), (u, v)
+    assert equal_apart > 100
 
 
 def test_suite_results_are_records():

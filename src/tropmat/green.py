@@ -28,7 +28,7 @@ from .geometry import (
     proj_row_space,
     subset,
 )
-from .matrix import TropMatrix, VerificationError, left_residual, right_residual
+from .matrix import TropMatrix, VerificationError, _product, left_residual, right_residual
 from .semiring import _cut, _quote
 
 
@@ -172,18 +172,19 @@ def j_factorization(a: TropMatrix, b: TropMatrix) -> tuple[TropMatrix, TropMatri
     Constructed by embedding a's column space isometrically inside b's,
     building the connecting matrix for that image, and solving the two
     one-sided divisibilities by residuation.  The factorization is verified
-    exactly before returning.
+    exactly before returning, each product compared as a store.
     """
     if not leq_J(a, b):
         raise ValueError("left operand is not J-below the right operand")
     image = embed_image(proj_column_space(a), proj_column_space(b))
     z = witness_Z(image, proj_row_space(a))
     y = left_residual(b, z).witness()
-    if b @ y != z:
+    if _product(b._e, b._den, y._e, y._den) != (z._e, z._den):
         raise VerificationError("residuation defect: z must be right-divisible by b")
     x = right_residual(a, z).witness()
-    if x @ z != a:
+    if _product(x._e, x._den, z._e, z._den) != (a._e, a._den):
         raise VerificationError("residuation defect: a must be left-divisible by z")
-    if x @ b @ y != a:
+    nums, den = _product(x._e, x._den, b._e, b._den)
+    if _product(nums, den, y._e, y._den) != (a._e, a._den):
         raise VerificationError("j-factorization defect: x @ b @ y differs from a")
     return x, y

@@ -38,7 +38,9 @@ class IdealDescriptor(_Record):
         if width is not None and type(width) is not Fraction:
             width = _as_fraction(width)
         if kind == "closed":
-            if not isinstance(iso, IsoType) or width is not None:
+            # type, not isinstance: a subclass's instance is unequal to the
+            # IsoType whose key it has
+            if type(iso) is not IsoType or width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
             key = (*iso._ikey, 1)
         elif kind == "open":

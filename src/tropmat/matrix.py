@@ -4,10 +4,12 @@ Matrices are 2x2 grids of exact max-plus scalars, the only shape the
 classification theory has; every constructor refuses another.  The product
 is ``(A @ B)[i,j] = max_k A[i,k] + B[k,j]``.  A column vector v is asked
 about as the matrix ``[v v]`` whose two columns are both v.  Residuation
-computes the greatest X with ``B @ X <= A`` entrywise.  Residual entries live
-in the completed carrier that also contains ``+inf``: a residual coordinate
-is ``+inf`` exactly when nothing constrains it, i.e. every term of its min
-has a ``-inf`` divisor entry or a ``+inf`` target entry.  One rule,
+computes the greatest X with ``B @ X <= A`` entrywise (the left residual) or
+with ``X @ B <= A`` (the right residual, the transpose of the left residual
+of the transposes).  Residual entries live in the completed carrier that
+also contains ``+inf``: a residual coordinate is ``+inf`` exactly when
+nothing constrains it, i.e. every term of its min has a ``-inf`` divisor
+entry or a ``+inf`` target entry.  One rule,
 ``_least``, computes each entry of a residual as the entry of its witness,
 the concrete solution over the plain semiring that puts 0 at each ``+inf``
 (``solves_right`` spells it out inline, column by column).
@@ -23,6 +25,14 @@ denominators, compute on ints and reduce the result; only the public
 accessors build ``Fraction`` values.  Transposes, residual witnesses and the
 monomial inverse only move or negate canonical entries, and ``parse_matrix``
 and ``subgroup_element`` build theirs in lowest terms, so none reduces again.
+
+There is one product kernel, ``_product``, from two stores to the store of
+their product.  ``@`` wraps it in a matrix; the witness constructions
+(``j_factorization``, ``regular_witness``, ``idempotent_in_H``) run their
+checks on it directly, comparing stores and building no matrix.  Both
+residuals share one kernel, ``_residual``, which builds the residual matrix
+itself: the right residual reads the entry tuples transposed and writes X's
+entries transposed back, with no intermediate transpose.
 """
 
 from __future__ import annotations
@@ -93,6 +103,8 @@ def _stored(vals) -> tuple[tuple, int]:
 def _lowest(nums: tuple, den: int) -> tuple[tuple, int]:
     """The four numerators over den in lowest terms, which is the stored
     form: both divided by the gcd of den and every finite numerator."""
+    if den == 1:
+        return nums, den
     p, q, r, s = nums
     g = gcd(den, p or 0, q or 0, r or 0, s or 0)
     if g == 1:
@@ -117,6 +129,34 @@ def _common(x: "_Store", y: "_Store") -> tuple[tuple, tuple, int]:
         return x._e, y._e, dx
     den = lcm(dx, dy)
     return _rescaled(x._e, den // dx), _rescaled(y._e, den // dy), den
+
+
+def _product(x: tuple, dx: int, y: tuple, dy: int) -> tuple[tuple, int]:
+    """The store of the max-plus product of the stores (x, dx) and (y, dy):
+    the one product kernel.  Each entry is max(u + v, w + z) on numerators
+    over the lcm of the denominators, with None (``-inf``) absorbing in +
+    and neutral in max."""
+    if dx == dy:
+        den = dx
+    else:
+        den = lcm(dx, dy)
+        x, y = _rescaled(x, den // dx), _rescaled(y, den // dy)
+    (p, q, r, s), (e, f, g, h) = x, y
+    pe = None if p is None or e is None else p + e
+    qg = None if q is None or g is None else q + g
+    pf = None if p is None or f is None else p + f
+    qh = None if q is None or h is None else q + h
+    re = None if r is None or e is None else r + e
+    sg = None if s is None or g is None else s + g
+    rf = None if r is None or f is None else r + f
+    sh = None if s is None or h is None else s + h
+    nums = (
+        qg if pe is None or (qg is not None and qg > pe) else pe,
+        qh if pf is None or (qh is not None and qh > pf) else pf,
+        sg if re is None or (sg is not None and sg > re) else re,
+        sh if rf is None or (sh is not None and sh > rf) else rf,
+    )
+    return _lowest(nums, den)
 
 
 def _dot(x1, y1, x2, y2):
@@ -218,10 +258,8 @@ class TropMatrix(_Store):
     def __matmul__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        (p, q, r, s), (e, f, g, h), den = _common(self, other)
-        return TropMatrix._over(
-            (_dot(p, e, q, g), _dot(p, f, q, h), _dot(r, e, s, g), _dot(r, f, s, h)), den
-        )
+        nums, den = _product(self._e, self._den, other._e, other._den)
+        return TropMatrix._over(nums, den, True)
 
     def __add__(self, other):
         if not isinstance(other, TropMatrix):
@@ -242,7 +280,11 @@ class TropMatrix(_Store):
         return finite in ((True, False, False, True), (False, True, True, False))
 
     def to_tokens(self) -> list[list[str]]:
-        p, q, r, s = [_token(x, self._den) for x in self._e]
+        den = self._den
+        if den == 1:
+            p, q, r, s = ["-inf" if x is None else str(x) for x in self._e]
+        else:
+            p, q, r, s = [_token(x, den) for x in self._e]
         return [[p, q], [r, s]]
 
     def __str__(self):
@@ -370,6 +412,34 @@ def _least(t1, d1, t2, d2):
     return None if t2 is None else min(t1 - d1, t2 - d2)
 
 
+def _residual(b: TropMatrix, a: TropMatrix | ResidualMatrix, right: bool) -> ResidualMatrix:
+    """The one residual kernel: the greatest X with ``b @ X <= a`` or, when
+    ``right``, with ``X @ b <= a``.  The right residual is the transpose of
+    the left residual of the transposes, so it reads the entry tuples of b
+    and a transposed and writes X's entries transposed back."""
+    (p, q, r, s), (e, f, g, h), den = _common(b, a)
+    fe, ff, fg, fh = a._free
+    if right:
+        q, r, f, g, ff, fg = r, q, g, f, fg, ff
+    p0, q0 = (None, None) if fe else (p, q)
+    r0, s0 = (None, None) if fg else (r, s)
+    p1, q1 = (None, None) if ff else (p, q)
+    r1, s1 = (None, None) if fh else (r, s)
+    x0, x1, x2, x3 = (
+        _least(e, p0, g, r0), _least(f, p1, h, r1), _least(e, q0, g, s0), _least(f, q1, h, s1)
+    )
+    t0, t1 = p0 is None and r0 is None, p1 is None and r1 is None
+    t2, t3 = q0 is None and s0 is None, q1 is None and s1 is None
+    m = object.__new__(ResidualMatrix)
+    if right:
+        m._e, m._den = _lowest((x0, x2, x1, x3), den)
+        m._free = t0, t2, t1, t3
+    else:
+        m._e, m._den = _lowest((x0, x1, x2, x3), den)
+        m._free = t0, t1, t2, t3
+    return m
+
+
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
     """The greatest X with ``b @ X <= a`` entrywise: X[k,j] = min_i (a[i,j] - b[i,k])
     under the residuated subtraction of ``residual_scalar``.
@@ -377,27 +447,13 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     The target a may itself be a residual, whose ``+inf`` entries leave their
     coordinates unconstrained: such a term drops out of the min, as a term
     over a ``-inf`` divisor entry does."""
-    (p, q, r, s), (e, f, g, h), den = _common(b, a)
-    fe, ff, fg, fh = a._free
-    p0, q0 = (None, None) if fe else (p, q)
-    r0, s0 = (None, None) if fg else (r, s)
-    p1, q1 = (None, None) if ff else (p, q)
-    r1, s1 = (None, None) if fh else (r, s)
-    return ResidualMatrix._over(
-        (_least(e, p0, g, r0), _least(f, p1, h, r1), _least(e, q0, g, s0), _least(f, q1, h, s1)),
-        (
-            p0 is None and r0 is None,
-            p1 is None and r1 is None,
-            q0 is None and s0 is None,
-            q1 is None and s1 is None,
-        ),
-        den,
-    )
+    return _residual(b, a, False)
 
 
 def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
-    """The greatest X with ``X @ b <= a``; the transpose dual of left_residual."""
-    return left_residual(b.transpose(), a.transpose()).transpose()
+    """The greatest X with ``X @ b <= a``: X[i,k] = min_j (a[i,j] - b[k,j]), the
+    transpose dual of left_residual."""
+    return _residual(b, a, True)
 
 
 def solves_right(b: TropMatrix, a: TropMatrix) -> bool:

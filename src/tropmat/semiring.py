@@ -209,7 +209,7 @@ def _scalar_ratio(value) -> tuple[int | None, int]:
     takes it, ``(None, 1)`` for ``-inf``; a token builds no Fraction."""
     if not isinstance(value, str):  # first, so a CLI token pays for no fast path
         if type(value) is Fraction:
-            return value.numerator, value.denominator
+            return value.as_integer_ratio()
         if type(value) is int:  # a bool is refused by _as_fraction
             return value, 1
         f = value._k[1] if isinstance(value, TropScalar) else _as_fraction(value)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from math import lcm
 
-from .geometry import ConvexSet, _Enum, _Record, iso_type
+from .geometry import ConvexSet, _Enum, _iso_key, _Record
 from .green import _family, _witness_Z
-from .matrix import TropMatrix, VerificationError, _stored, left_residual, right_residual
+from .matrix import TropMatrix, VerificationError, _product, _stored, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote, _scalar_ratio
 
 
@@ -126,23 +126,20 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     if not _has_idempotent(m, n):
         return None
     e = _witness_Z(m, n)
-    if e @ e != e:
+    if _product(e._e, e._den, e._e, e._den) != (e._e, e._den):
         raise VerificationError(f"idempotent construction defect for ({_cut(m)}, {_cut(n)})")
     return e
+
+
+# by the rank of M's isometry type: empty, point, interval, half-infinite, full line
+_GROUP_TYPES = tuple(map(GroupType, ("trivial", "reals", "reals-x-s2", "reals", "reals-wr-s2")))
 
 
 def group_type_of_H(m: ConvexSet, n: ConvexSet) -> GroupType:
     """The abstract group carried by the maximal subgroup at (m, n)."""
     if not _has_idempotent(m, n):
         raise ValueError(f"the H-class at ({_cut(m)}, {_cut(n)}) contains no idempotent")
-    t = iso_type(m)
-    if t.kind == "empty":
-        return GroupType.TRIVIAL
-    if t.kind in ("point", "halfinf"):
-        return GroupType.REALS
-    if t.kind == "interval":
-        return GroupType.REALS_TIMES_S2
-    return GroupType.REALS_WREATH_S2
+    return _GROUP_TYPES[_iso_key(m)[0]]
 
 
 def regular_witness(a: TropMatrix) -> TropMatrix:
@@ -150,12 +147,13 @@ def regular_witness(a: TropMatrix) -> TropMatrix:
 
     The candidate is the greatest subsolution of ``a @ y @ a <= a`` obtained
     by two nested residuals (the outer one divides the inner residual), with
-    unconstrained coordinates set to 0.  Every 2x2 tropical matrix admits
-    such a witness; a verification failure would be a defect, never a
-    normal return.
+    unconstrained coordinates set to 0, and ``a @ y @ a`` is compared with
+    a as a store.  Every 2x2 tropical matrix admits such a witness; a
+    verification failure would be a defect, never a normal return.
     """
     y = left_residual(a, right_residual(a, a)).witness()
-    if a @ y @ a != a:
+    nums, den = _product(a._e, a._den, y._e, y._den)
+    if _product(nums, den, a._e, a._den) != (a._e, a._den):
         raise VerificationError("regularity witness defect")
     return y
 

@@ -15,7 +15,11 @@ and the J-preorder under (uav, bu).  Transposition swaps R and L, and the R-
 and L-preorders.  Units preserve isometry type, so a defect that is itself
 unit-invariant passes these checks.
 
-It takes about 8 s (Python 3.11, a shared 2-CPU host), so tier-1 does not
+The product and the right residual are held to their definitions on each
+pair: ``a @ b`` to a max-plus product on ``Fraction`` entries, and
+``right_residual`` to the transpose of the left residual of the transposes.
+
+It takes about 5 s (Python 3.11, a shared 2-CPU host), so tier-1 does not
 collect it: the file name is outside pytest's ``test_*.py`` pattern.  Run it
 with ``PYTHONPATH=src python -m pytest -q tests/grid_exhaustive.py``.
 """
@@ -34,7 +38,7 @@ from tropmat.green import (
     leq_R,
     related,
 )
-from tropmat.matrix import TropMatrix, monomial_inverse, solves_right
+from tropmat.matrix import TropMatrix, left_residual, monomial_inverse, right_residual, solves_right
 
 
 def grid(values):
@@ -106,6 +110,40 @@ def test_d_equals_j_on_every_pair():
             with pytest.raises(ValueError):
                 d_class_witness(a, b)
     assert related_pairs > 0
+
+
+def fractions(a):
+    """The entries of a row by row, as Fractions (None for ``-inf``)."""
+    return [e.frac for row in a.rows for e in row]
+
+
+def max_plus_product(x, y):
+    """The max-plus product of two flat 2x2 grids of Fractions (None for
+    ``-inf``), row by row."""
+    out = []
+    for i in (0, 2):
+        for j in (0, 1):
+            terms = [x[i + k] + y[2 * k + j] for k in (0, 1)
+                     if x[i + k] is not None and y[2 * k + j] is not None]
+            out.append(max(terms, default=None))
+    return out
+
+
+def kernel_mismatches(pairs):
+    """The pairs on which ``a @ b`` differs from ``max_plus_product``, and
+    those on which ``right_residual(a, b)`` differs from its definition,
+    ``left_residual(b.transpose(), a.transpose()).transpose()``."""
+    products, residuals = [], []
+    for a, b in pairs:
+        if fractions(a @ b) != max_plus_product(fractions(a), fractions(b)):
+            products.append((a, b))
+        if right_residual(a, b) != left_residual(b.transpose(), a.transpose()).transpose():
+            residuals.append((a, b))
+    return products, residuals
+
+
+def test_product_and_right_residual_match_their_definitions_on_every_pair():
+    assert kernel_mismatches(product(MATRICES, repeat=2)) == ([], [])
 
 
 def unit_mismatches(u):

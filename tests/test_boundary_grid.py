@@ -16,20 +16,25 @@ maximal subgroup to its group type and to its family's ``subgroup_element``.
 The set decisions are held to a reference on ``Fraction`` endpoints, and the
 Green relations on the 65,536-pair grid to their invariance under one unit
 (``tests/grid_exhaustive.py`` holds that check and runs it for two).  The
+product and the right residual are held to their definitions on 20,000
+seeded pairs, as that file holds them on every pair, and each of those two
+checks is shown to catch a mutant of its kernel.  The
 maximal-subgroup checks also run on the 1,296 matrices over
 {-inf,-2,-1,0,1,2}.
 """
 
+import __future__
+import inspect
 import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, cycle, islice, product
 from math import lcm
 
 import pytest
 
-from tropmat import cli
+from tropmat import cli, matrix
 from tropmat.geometry import (
     ConvexSet,
     IsoType,
@@ -59,7 +64,7 @@ from tropmat.matrix import (
     right_residual,
     solves_right,
 )
-from tropmat.sampling import sample_convex_set
+from tropmat.sampling import PROFILES, sample_convex_set, sample_matrix
 from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar, delta
 from tropmat.structure import (
     GroupType,
@@ -77,6 +82,7 @@ pytest.register_assert_rewrite("grid_exhaustive")
 from grid_exhaustive import (  # noqa: E402
     UNITS,
     grid,
+    kernel_mismatches,
     spaces,
     unit_mismatches,
 )
@@ -608,6 +614,46 @@ def test_rewritten_paths_match_the_scalar_reference_on_random_2x2_pairs():
         a, b = rand_matrix(rng), rand_matrix(rng)
         assert a @ b == ref_product(a, b), (a, b)
         assert left_residual(b, a) == ref_left_residual(b, a), (a, b)
+
+
+def seeded_pairs(n):
+    """n pairs of ``sample_matrix``, cycling through its three profiles."""
+    rng = random.Random(20261020)
+    return [(sample_matrix(rng, p), sample_matrix(rng, p)) for p in islice(cycle(PROFILES), n)]
+
+
+def test_product_and_right_residual_match_their_definitions_on_seeded_pairs():
+    assert kernel_mismatches(seeded_pairs(20_000)) == ([], [])
+
+
+def mutant(monkeypatch, name, old, new):
+    """Rebind ``matrix.<name>`` to a copy compiled from its source with the
+    one occurrence of old replaced by new."""
+    source = inspect.getsource(getattr(matrix, name))
+    assert source.count(old) == 1, old
+    code = compile(
+        source.replace(old, new), matrix.__file__, "exec",
+        __future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace = dict(vars(matrix))
+    exec(code, namespace)
+    monkeypatch.setattr(matrix, name, namespace[name])
+
+
+@pytest.mark.parametrize(
+    "name, old, new, caught",
+    [
+        # the product kernel without the second max term of its first entry
+        ("_product", "qg if pe is None or (qg is not None and qg > pe) else pe,", "pe,", 0),
+        # the residual kernel writing the right residual's entries untransposed
+        ("_residual", "(x0, x2, x1, x3)", "(x0, x1, x2, x3)", 1),
+    ],
+    ids=["product-drops-a-max-term", "right-residual-untransposed"],
+)
+def test_each_kernel_check_catches_a_mutant(monkeypatch, name, old, new, caught):
+    mutant(monkeypatch, name, old, new)
+    mismatches = kernel_mismatches(seeded_pairs(2_000))
+    assert mismatches[caught] and not mismatches[1 - caught]
 
 
 def test_uncoerced_results_equal_and_hash_like_coerced_ones():

@@ -450,6 +450,10 @@ def test_value_classes_are_frozen_records():
     assert repr(Point("interval", 2)) == (
         f"{Point.__qualname__}(kind='interval', diameter=Fraction(2, 1))"
     )
+    # so a descriptor refuses it, or closed(Point("point")) would equal
+    # closed(IsoType("point")) on their shared key
+    with pytest.raises(ValueError, match="closed descriptors carry exactly an isometry type"):
+        IdealDescriptor.closed(Point("point"))
 
 
 def iso_fields(t):

@@ -14,7 +14,9 @@ from tropmat.geometry import (
     proj_row_space,
 )
 from tropmat.green import witness_Z
-from tropmat.matrix import TropMatrix, VerificationError, monomial_inverse, solves_right
+from tropmat.matrix import (
+    ResidualMatrix, TropMatrix, VerificationError, monomial_inverse, solves_right
+)
 from tropmat.sampling import sample_matrix
 from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar
 from tropmat.structure import (
@@ -280,6 +282,14 @@ def test_regular_witness_randomized():
         a = sample_matrix(rng, "with-neginf")
         y = regular_witness(a)
         assert a @ y @ a == a
+
+
+def test_regular_witness_check_fires_on_a_wrong_residual(monkeypatch):
+    # an all -inf residual has the zero witness, and a @ 0 @ a is zero, not a
+    zero = ResidualMatrix([["-inf", "-inf"], ["-inf", "-inf"]])
+    monkeypatch.setattr(structure, "left_residual", lambda b, a: zero)
+    with pytest.raises(VerificationError, match="regularity witness defect"):
+        regular_witness(TropMatrix([[0, 0], [1, 2]]))
 
 
 def test_subgroup_element_examples():

@@ -416,8 +416,6 @@ def _ends(s: ConvexSet, den: int) -> list[tuple]:
     """The endpoint keys of the nonempty set s with their numerators over
     den, a multiple of its denominator."""
     k = den // s._den
-    if k == 1:
-        return [s._lo, s._hi]
     return [(kind, None if x is None else x * k) for kind, x in (s._lo, s._hi)]
 
 

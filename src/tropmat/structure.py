@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .geometry import ConvexSet, _Enum, _iso_key, _Record
+from .geometry import _ISO_KINDS, ConvexSet, _Enum, _iso_key, _Record
 from .green import _family, _witness_Z
 from .matrix import TropMatrix, VerificationError, _product, _stored, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote, _scalar_ratio
@@ -131,8 +131,14 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     return e
 
 
-# by the rank of M's isometry type: empty, point, interval, half-infinite, full line
-_GROUP_TYPES = tuple(map(GroupType, ("trivial", "reals", "reals-x-s2", "reals", "reals-wr-s2")))
+_GROUP_OF_KIND = {
+    "empty": GroupType.TRIVIAL,
+    "point": GroupType.REALS,
+    "interval": GroupType.REALS_TIMES_S2,
+    "halfinf": GroupType.REALS,
+    "fullline": GroupType.REALS_WREATH_S2,
+}
+_GROUP_TYPES = tuple(_GROUP_OF_KIND[k] for k in _ISO_KINDS)  # by the rank of M's isometry type
 
 
 def group_type_of_H(m: ConvexSet, n: ConvexSet) -> GroupType:

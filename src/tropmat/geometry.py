@@ -326,11 +326,10 @@ def _span(x1, x2, y1, y2, den: int) -> ConvexSet:
         q = _NEG_KEY if y2 is None else _POS_KEY if y1 is None else (0, y2 - y1)
         if q < p:
             p, q = q, p
-    if den != 1:
-        (kp, x), (kq, y) = p, q
-        g = gcd(den, x or 0, y or 0)
-        if g != 1:  # None and 0 stay as they are
-            p, q, den = (kp, x and x // g), (kq, y and y // g), den // g
+    (kp, x), (kq, y) = p, q
+    g = gcd(den, x or 0, y or 0)
+    if g != 1:  # None and 0 stay as they are
+        p, q, den = (kp, x and x // g), (kq, y and y // g), den // g
     s = object.__new__(ConvexSet)  # ConvexSet._of, without its frame
     s._lo, s._hi, s._den = p, q, den
     s._ikey = s._iso = s._ideal = None

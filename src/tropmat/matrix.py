@@ -9,30 +9,30 @@ with ``X @ B <= A`` (the right residual, the transpose of the left residual
 of the transposes).  Residual entries live in the completed carrier that
 also contains ``+inf``: a residual coordinate is ``+inf`` exactly when
 nothing constrains it, i.e. every term of its min has a ``-inf`` divisor
-entry or a ``+inf`` target entry.  One rule,
-``_least``, computes each entry of a residual as the entry of its witness,
-the concrete solution over the plain semiring that puts 0 at each ``+inf``
-(``solves_right`` spells it out inline, column by column).
-This makes ``A = B @ X`` decidable:  it is solvable iff that witness attains
-A.
+entry or a ``+inf`` target entry.  One rule, ``_column``, computes the
+entries of a residual column by column as the entries of its witness, the
+concrete solution over the plain semiring that puts 0 at each ``+inf``;
+``solves_right`` decides with the same rule.  This makes ``A = B @ X``
+decidable:  it is solvable iff that witness attains A.
 
 Each matrix and residual matrix stores its entries ``(p, q, r, s)`` flat,
 row by row, as ``int`` numerators (None for ``-inf``) over one positive
 ``int`` denominator, the lcm of their reduced denominators: a canonical
 form, held in ``_Store``.  Max and + commute with scaling by a positive
 integer, so the kernels rescale two operands to the lcm of their
-denominators, compute on ints and reduce the result; only the public
-accessors build ``Fraction`` values.  Transposes, residual witnesses and the
-monomial inverse only move or negate canonical entries, and ``parse_matrix``
-and ``subgroup_element`` build theirs in lowest terms, so none reduces again.
+denominators (``_common``, the one rescale), compute on ints and reduce the
+result; only the public accessors build ``Fraction`` values.  Transposes,
+residual witnesses and the monomial inverse only move or negate canonical
+entries, and ``parse_matrix`` and ``subgroup_element`` build theirs in
+lowest terms, so none reduces again.
 
 There is one product kernel, ``_product``, from two stores to the store of
 their product.  ``@`` wraps it in a matrix; the witness constructions
 (``j_factorization``, ``regular_witness``, ``idempotent_in_H``) run their
 checks on it directly, comparing stores and building no matrix.  Both
-residuals share one kernel, ``_residual``, which builds the residual matrix
-itself: the right residual reads the entry tuples transposed and writes X's
-entries transposed back, with no intermediate transpose.
+residuals share one kernel, ``_residual``, which returns
+``ResidualMatrix._over`` of its ``_column`` results: the right residual reads
+the entry tuples transposed and writes X's entries transposed back.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .semiring import (
-    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _scalar, _scalar_key, _scalar_ratio
+    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _quote, _scalar, _scalar_key, _scalar_ratio
 )
 
 
@@ -119,26 +119,20 @@ def _rescaled(nums: tuple, k: int) -> tuple:
     return p and p * k, q and q * k, r and r * k, s and s * k
 
 
-def _common(x: "_Store", y: "_Store") -> tuple[tuple, tuple, int]:
-    """The entries of two stores over the lcm of their denominators, and
-    that lcm."""
-    dx, dy = x._den, y._den
+def _common(x: tuple, dx: int, y: tuple, dy: int) -> tuple[tuple, tuple, int]:
+    """The entries x over dx and y over dy, both over the lcm of the two
+    denominators, and that lcm: the one rescale of two operands."""
     if dx == dy:
-        return x._e, y._e, dx
+        return x, y, dx
     den = lcm(dx, dy)
-    return _rescaled(x._e, den // dx), _rescaled(y._e, den // dy), den
+    return _rescaled(x, den // dx), _rescaled(y, den // dy), den
 
 
 def _product(x: tuple, dx: int, y: tuple, dy: int) -> tuple[tuple, int]:
     """The store of the max-plus product of the stores (x, dx) and (y, dy):
     the one product kernel, on numerators over the lcm of the
     denominators."""
-    if dx == dy:
-        den = dx
-    else:
-        den = lcm(dx, dy)
-        x, y = _rescaled(x, den // dx), _rescaled(y, den // dy)
-    (p, q, r, s), (e, f, g, h) = x, y
+    (p, q, r, s), (e, f, g, h), den = _common(x, dx, y, dy)
     return _lowest((_dot(p, e, q, g), _dot(p, f, q, h), _dot(r, e, s, g), _dot(r, f, s, h)), den)
 
 
@@ -247,7 +241,7 @@ class TropMatrix(_Store):
     def __add__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        xs, ys, den = _common(self, other)
+        xs, ys, den = _common(self._e, self._den, other._e, other._den)
         return TropMatrix._over(tuple(map(_max, xs, ys)), den)
 
     def transpose(self) -> "TropMatrix":
@@ -375,20 +369,25 @@ class ResidualMatrix(_Store):
         )
 
 
-def _least(t1, d1, t2, d2):
-    """The witness entry min(t1 - d1, t2 - d2) of a greatest subsolution,
-    on numerators over one denominator: a ``-inf`` divisor entry drops its
-    term (both dropped leave ``+inf``, whose witness entry is 0), and a
-    ``-inf`` target entry over a finite divisor entry gives ``-inf``."""
-    if d1 is None:
-        if d2 is None:
-            return 0
-        return None if t2 is None else t2 - d2
-    if t1 is None:
-        return None
-    if d2 is None:
-        return t1 - d1
-    return None if t2 is None else min(t1 - d1, t2 - d2)
+def _column(t1, t2, p, q, r, s) -> tuple:
+    """The one witness rule: the entries x0 = min(t1 - p, t2 - r) and
+    x1 = min(t1 - q, t2 - s) of the greatest x with ``[[p, q], [r, s]] @ x
+    <= (t1, t2)``, on numerators over one denominator.  A ``-inf`` divisor
+    entry drops its term (both dropped leave ``+inf``, witness entry 0), and
+    a ``-inf`` target entry over a finite divisor entry gives ``-inf``."""
+    if p is None:
+        x0 = 0 if r is None else None if t2 is None else t2 - r
+    elif t1 is None or (r is not None and t2 is None):
+        x0 = None
+    else:
+        x0 = t1 - p if r is None or t1 - p < t2 - r else t2 - r
+    if q is None:
+        x1 = 0 if s is None else None if t2 is None else t2 - s
+    elif t1 is None or (s is not None and t2 is None):
+        x1 = None
+    else:
+        x1 = t1 - q if s is None or t1 - q < t2 - s else t2 - s
+    return x0, x1
 
 
 def _residual(b: TropMatrix, a: TropMatrix | ResidualMatrix, right: bool) -> ResidualMatrix:
@@ -396,26 +395,25 @@ def _residual(b: TropMatrix, a: TropMatrix | ResidualMatrix, right: bool) -> Res
     ``right``, with ``X @ b <= a``.  The right residual is the transpose of
     the left residual of the transposes, so it reads the entry tuples of b
     and a transposed and writes X's entries transposed back."""
-    (p, q, r, s), (e, f, g, h), den = _common(b, a)
+    if not isinstance(b, TropMatrix):
+        raise TypeError(f"expected a TropMatrix, not {_quote(b)}")
+    if not isinstance(a, _Store):
+        raise TypeError(f"expected a TropMatrix or a ResidualMatrix, not {_quote(a)}")
+    (p, q, r, s), (e, f, g, h), den = _common(b._e, b._den, a._e, a._den)
     fe, ff, fg, fh = a._free
     if right:
         q, r, f, g, ff, fg = r, q, g, f, fg, ff
+    # a +inf target entry drops its row of b from its column's min
     p0, q0 = (None, None) if fe else (p, q)
     r0, s0 = (None, None) if fg else (r, s)
     p1, q1 = (None, None) if ff else (p, q)
     r1, s1 = (None, None) if fh else (r, s)
-    x0, x1, x2, x3 = (
-        _least(e, p0, g, r0), _least(f, p1, h, r1), _least(e, q0, g, s0), _least(f, q1, h, s1)
-    )
+    (x0, x2), (x1, x3) = _column(e, g, p0, q0, r0, s0), _column(f, h, p1, q1, r1, s1)
     t0, t1 = p0 is None and r0 is None, p1 is None and r1 is None
     t2, t3 = q0 is None and s0 is None, q1 is None and s1 is None
     if right:
         x1, x2, t1, t2 = x2, x1, t2, t1
-    # ``_over``'s body, inline: that frame made left_residual 6-10% slower
-    m = object.__new__(ResidualMatrix)
-    m._e, m._den = _lowest((x0, x1, x2, x3), den)
-    m._free = t0, t1, t2, t3
-    return m
+    return ResidualMatrix._over((x0, x1, x2, x3), (t0, t1, t2, t3), den)
 
 
 def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatrix:
@@ -428,9 +426,9 @@ def left_residual(b: TropMatrix, a: TropMatrix | ResidualMatrix) -> ResidualMatr
     return _residual(b, a, False)
 
 
-def right_residual(a: TropMatrix, b: TropMatrix) -> ResidualMatrix:
+def right_residual(a: TropMatrix | ResidualMatrix, b: TropMatrix) -> ResidualMatrix:
     """The greatest X with ``X @ b <= a``: X[i,k] = min_j (a[i,j] - b[k,j]), the
-    transpose dual of left_residual."""
+    transpose dual of left_residual; the target a may be a residual there too."""
     return _residual(b, a, True)
 
 
@@ -440,25 +438,13 @@ def solves_right(b: TropMatrix, a: TropMatrix) -> bool:
     Decided by residuation: the equation is solvable iff the materialized
     greatest subsolution attains a, checked column by column.
     """
-    if b._den == a._den:
-        (p, q, r, s), (e, f, g, h) = b._e, a._e
-    else:
-        (p, q, r, s), (e, f, g, h), _ = _common(b, a)
-    for t1, t2 in ((e, g), (f, h)):
-        # the witness entries x0, x1 of the column's greatest subsolution
-        # over b's columns (p, r) and (q, s), as ``_least`` computes them
-        if p is None:
-            x0 = 0 if r is None else None if t2 is None else t2 - r
-        elif t1 is None or (r is not None and t2 is None):
-            x0 = None
-        else:
-            x0 = t1 - p if r is None or t1 - p < t2 - r else t2 - r
-        if q is None:
-            x1 = 0 if s is None else None if t2 is None else t2 - s
-        elif t1 is None or (s is not None and t2 is None):
-            x1 = None
-        else:
-            x1 = t1 - q if s is None or t1 - q < t2 - s else t2 - s
-        if _dot(p, x0, q, x1) != t1 or _dot(r, x0, s, x1) != t2:
-            return False
-    return True
+    if not isinstance(b, TropMatrix) or not isinstance(a, TropMatrix):
+        bad = a if isinstance(b, TropMatrix) else b
+        raise TypeError(f"expected a TropMatrix, not {_quote(bad)}")
+    (p, q, r, s), (e, f, g, h), _ = _common(b._e, b._den, a._e, a._den)
+    # unrolled: a loop over the two columns made the call about 15% slower
+    x0, x1 = _column(e, g, p, q, r, s)
+    if _dot(p, x0, q, x1) != e or _dot(r, x0, s, x1) != g:
+        return False
+    x0, x1 = _column(f, h, p, q, r, s)
+    return _dot(p, x0, q, x1) == f and _dot(r, x0, s, x1) == h

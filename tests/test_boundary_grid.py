@@ -19,8 +19,10 @@ Green relations on the 65,536-pair grid to their invariance under one unit
 product and both residuals are held to the scalar reference on 20,000
 seeded pairs too, as that file holds the product and the right residual on
 every pair, and each of those two checks is shown to catch a mutant of its
-kernel.  The maximal-subgroup checks also run on the 1,296 matrices over
-{-inf,-2,-1,0,1,2}.
+kernel; so are the residual checks and ``solves_right`` a mutant of the one
+witness rule, and the right residual of a residual target a mutant that
+reads its ``+inf`` flags untransposed.  The maximal-subgroup checks also run
+on the 1,296 matrices over {-inf,-2,-1,0,1,2}.
 """
 
 import __future__
@@ -383,6 +385,7 @@ def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
         r = left_residual(b, a)
         assert r == ref_left_residual(b, a), (a, b)
         assert left_residual(a, r) == ref_left_residual(a, r), (a, b)
+        assert right_residual(r, a) == ref_right_residual(r, a), (a, b)
         for m in (a, ab):
             assert proj_column_space(m) == ref_span(columns(m)), m
             assert proj_row_space(m) == ref_span(m.rows), m
@@ -628,6 +631,26 @@ def test_each_kernel_check_catches_a_mutant(monkeypatch, name, old, new, caught)
     mutant(monkeypatch, name, old, new)
     mismatches = kernel_mismatches(seeded_pairs(2_000))
     assert mismatches[caught] and not mismatches[1 - caught]
+
+
+def test_a_mutant_of_the_witness_rule_fails_the_residual_and_solves_right_checks(monkeypatch):
+    # both residuals and solves_right read their witness entries from
+    # _column, so a mutant taking the larger term of x1's min shows in each
+    mutant(monkeypatch, "_column", "t1 - q < t2 - s", "t1 - q > t2 - s")
+    assert kernel_mismatches(seeded_pairs(2_000))[1]
+    pairs = list(product(grid(["-inf", 0, 1]), repeat=2))
+    assert any(left_residual(b, a) != ref_left_residual(b, a) for a, b in pairs)
+    assert any(leq_R(a, b) != solves_right(b, a) for a, b in pairs)
+
+
+def test_the_right_residual_of_a_residual_target_catches_a_mutant(monkeypatch):
+    # the right residual reads the +inf flags of its target transposed, as
+    # it reads the entries; a mutant that leaves the flags in place differs
+    old = "q, r, f, g, ff, fg = r, q, g, f, fg, ff"
+    mutant(monkeypatch, "_residual", old, "q, r, f, g = r, q, g, f")
+    pairs = product(grid(["-inf", 0, 1]), repeat=2)
+    targets = [(left_residual(b, a), a) for a, b in pairs]
+    assert any(right_residual(r, a) != ref_right_residual(r, a) for r, a in targets)
 
 
 def test_uncoerced_results_equal_and_hash_like_coerced_ones():

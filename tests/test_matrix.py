@@ -20,7 +20,7 @@ from tropmat.matrix import (
     solves_right,
 )
 from tropmat.sampling import sample_matrix
-from tropmat.semiring import BOTTOM, ProjPoint, TropScalar
+from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, _quote
 
 SEED = 20260808
 
@@ -149,6 +149,36 @@ def test_solves_right_examples():
     assert b @ left_residual(b, a).witness() == a
     assert not solves_right(Z2, a)
     assert solves_right(Z2, Z2)
+
+
+FREE = ResidualMatrix([["+inf", "0"], ["0", "0"]])
+LONG = "x" * 100
+
+
+@pytest.mark.parametrize(
+    "call, bad, what",
+    [
+        # no plain product has a +inf entry, so a residual is not a target
+        # of solves_right, nor a divisor of either residual
+        (lambda: solves_right(I2, FREE), FREE, "a TropMatrix"),
+        (lambda: solves_right(FREE, I2), FREE, "a TropMatrix"),
+        (lambda: left_residual(FREE, I2), FREE, "a TropMatrix"),
+        (lambda: right_residual(I2, FREE), FREE, "a TropMatrix"),
+        (lambda: solves_right(I2, 3), 3, "a TropMatrix"),
+        (lambda: left_residual([[0, 0], [0, 0]], I2), [[0, 0], [0, 0]], "a TropMatrix"),
+        (lambda: left_residual(I2, LONG), LONG, "a TropMatrix or a ResidualMatrix"),
+        (lambda: right_residual(None, I2), None, "a TropMatrix or a ResidualMatrix"),
+    ],
+    ids=[
+        "solves-right-residual-target", "solves-right-residual-divisor",
+        "left-residual-divisor", "right-residual-divisor", "solves-right-int",
+        "left-residual-list", "left-residual-long-str", "right-residual-none",
+    ],
+)
+def test_residuation_refuses_operands_of_the_wrong_type(call, bad, what):
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"expected {what}, not {_quote(bad)}"
 
 
 def test_galois_connection():

@@ -28,6 +28,7 @@ from .semiring import (
     _cut,
     _point,
     _quote,
+    _str,
 )
 
 
@@ -131,7 +132,7 @@ class ConvexSet:
 
     @staticmethod
     def parse(text: str) -> "ConvexSet":
-        token = text.strip()
+        token = _str(text, "set literal").strip()
         if token == "empty":
             return ConvexSet.empty()
         if token.startswith("{") and token.endswith("}"):
@@ -286,7 +287,7 @@ class IsoType(_Record):
 
     @staticmethod
     def parse(text: str) -> "IsoType":
-        token = text.strip()
+        token = _str(text, "isometry type").strip()
         if token.startswith("interval:"):
             return IsoType("interval", token[len("interval:"):])
         return IsoType(token)

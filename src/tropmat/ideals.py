@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .geometry import IsoType, _Enum, _Record, iso_type, proj_column_space
 from .matrix import TropMatrix, _token
-from .semiring import _as_fraction, _cut, _quote
+from .semiring import _as_fraction, _cut, _quote, _str
 
 
 class IdealDescriptor(_Record):
@@ -97,7 +97,7 @@ class IdealDescriptor(_Record):
 
     @staticmethod
     def parse(text: str) -> "IdealDescriptor":
-        token = text.strip()
+        token = _str(text, "ideal descriptor").strip()
         if token == "openline":
             return IdealDescriptor.open_line()
         if token.startswith("open:"):

@@ -42,7 +42,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .semiring import (
-    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _quote, _scalar, _scalar_key, _scalar_ratio
+    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _quote, _scalar, _scalar_key,
+    _scalar_ratio, _str,
 )
 
 
@@ -271,8 +272,7 @@ _DECODER = json.JSONDecoder(parse_int=str)
 
 def parse_matrix(text: str) -> TropMatrix:
     """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
-    if not isinstance(text, str):
-        raise TypeError(f"matrix JSON must be a str, not {type(text).__name__}")
+    _str(text, "matrix JSON")
     try:
         if text.startswith("\ufeff"):  # refused with json.loads's message
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -361,12 +361,6 @@ class ResidualMatrix(_Store):
 
     def witness(self) -> TropMatrix:
         return TropMatrix._over(self._e, self._den, True)
-
-    def dominates(self, x: TropMatrix) -> bool:
-        """Entrywise x <= self, with ``+inf`` maximal."""
-        return all(
-            ProjPoint(e) <= p for r, s in zip(x.rows, self.rows) for e, p in zip(r, s)
-        )
 
 
 def _column(t1, t2, p, q, r, s) -> tuple:

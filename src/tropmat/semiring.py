@@ -50,6 +50,13 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} characters)"
 
 
+def _str(value, what: str) -> str:
+    """value, if it is a str; a TypeError naming its type otherwise."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"{what} must be a str, not {type(value).__name__}")
+
+
 def _cut(value) -> str:
     """``str`` of a value for an error message, unquoted; past ``_QUOTE_CHARS``
     characters it is cut and marked as ``_quote`` marks a cut."""
@@ -159,10 +166,10 @@ _POS_KEY = (1, None)
 class TropScalar(_Key):
     """A max-plus scalar: an exact rational, or the bottom element ``-inf``.
 
-    Operators follow the tropical convention: ``a + b`` is max, ``a * b`` is
-    rational addition.  The order is total with ``-inf`` least.  Instances
-    are immutable and hashable; ``TropScalar("-inf")``, ``TropScalar(3)``,
-    ``TropScalar("1/2")`` and ``TropScalar(Fraction(1, 2))`` all work.
+    ``a * b`` is the tropical product, rational addition.  The order is
+    total with ``-inf`` least.  Instances are immutable and hashable;
+    ``TropScalar("-inf")``, ``TropScalar(3)``, ``TropScalar("1/2")`` and
+    ``TropScalar(Fraction(1, 2))`` all work.
     """
 
     __slots__ = ()
@@ -170,23 +177,12 @@ class TropScalar(_Key):
     def __init__(self, value):
         self._k = _scalar_key(value)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return self if other._k <= self._k else other
-
-    __radd__ = __add__
-
+    # no library code calls it: bench/perlayer.py times x * y as semiring.scalar_mul_us
     def __mul__(self, other):
         x, y = self._k[1], self._coerce(other)._k[1]
         return _scalar(None if x is None or y is None else x + y)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        kind, f = self._k
-        if kind:
-            raise ValueError("-inf has no tropical multiplicative inverse")
-        return _scalar(-f)
 
     def __str__(self):
         kind, f = self._k
@@ -237,9 +233,8 @@ def _scalar(f: Fraction | None) -> TropScalar:
 class ProjPoint(_Key):
     """A point of the projective tropical line: a rational, ``-inf`` or ``+inf``.
 
-    Totally ordered with ``-inf`` least and ``+inf`` greatest.  Negation is
-    defined everywhere and swaps the infinities.  Built from a point, a
-    ``+inf`` token, or anything ``TropScalar`` accepts.
+    Totally ordered with ``-inf`` least and ``+inf`` greatest.  Built from a
+    point, a ``+inf`` token, or anything ``TropScalar`` accepts.
     """
 
     __slots__ = ()
@@ -255,16 +250,6 @@ class ProjPoint(_Key):
     @property
     def is_finite(self) -> bool:
         return self._k[0] == 0
-
-    def to_scalar(self) -> TropScalar:
-        """Reinterpret as a tropical scalar; rejects ``+inf``."""
-        if self._k[0] == 1:
-            raise ValueError("+inf is not a tropical scalar")
-        return _scalar(self._k[1])
-
-    def __neg__(self):
-        kind, f = self._k
-        return _point((-kind, None if f is None else -f))
 
     def __str__(self):
         kind, f = self._k

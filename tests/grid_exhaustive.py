@@ -15,8 +15,9 @@ and the J-preorder under (uav, bu).  Transposition swaps R and L, and the R-
 and L-preorders.  Units preserve isometry type, so a defect that is itself
 unit-invariant passes these checks.
 
-The product and the right residual are held on each pair to references
-built from the public scalar operators one entry at a time.
+The product and the right residual are held on each pair to the
+independent reference of ``tests/maxplus_reference.py``, which computes on
+``Fraction`` values one entry at a time.
 
 It takes about 8 s (Python 3.11, a shared 2-CPU host), so tier-1 does not
 collect it: the file name is outside pytest's ``test_*.py`` pattern.  Run it
@@ -25,6 +26,7 @@ with ``PYTHONPATH=src python -m pytest -q tests/grid_exhaustive.py``.
 
 from itertools import product
 
+import maxplus_reference as ref
 import pytest
 
 from tropmat.geometry import proj_column_space, proj_row_space
@@ -37,15 +39,7 @@ from tropmat.green import (
     leq_R,
     related,
 )
-from tropmat.matrix import (
-    ResidualMatrix,
-    TropMatrix,
-    monomial_inverse,
-    residual_scalar,
-    right_residual,
-    solves_right,
-)
-from tropmat.semiring import BOTTOM
+from tropmat.matrix import TropMatrix, monomial_inverse, right_residual, solves_right
 
 
 def grid(values):
@@ -119,44 +113,16 @@ def test_d_equals_j_on_every_pair():
     assert related_pairs > 0
 
 
-# Reference versions of the product and the right residual, built from the
-# public scalar operators one entry at a time.
-
-
-def ref_dot(xs, ys):
-    acc = BOTTOM
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-def columns(m):
-    return list(zip(*m.rows))
-
-
-def ref_product(a, b):
-    return TropMatrix([[ref_dot(row, col) for col in columns(b)] for row in a.rows])
-
-
-def ref_right_residual(a, b):
-    # the greatest X with X @ b <= a: X[i,k] = min_j (a[i,j] - b[k,j])
-    n = 2
-    return ResidualMatrix(
-        [
-            [min(residual_scalar(a[i, j], b[k, j]) for j in range(n)) for k in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
 def kernel_mismatches(pairs):
-    """The pairs on which ``a @ b`` differs from ``ref_product``, and those
-    on which ``right_residual(a, b)`` differs from ``ref_right_residual``."""
+    """The pairs on which ``a @ b`` differs from the reference product, and
+    those on which ``right_residual(a, b)`` differs from the reference right
+    residual."""
     products, residuals = [], []
     for a, b in pairs:
-        if a @ b != ref_product(a, b):
+        x, y = ref.read(a), ref.read(b)
+        if ref.read(a @ b) != ref.product(x, y):
             products.append((a, b))
-        if right_residual(a, b) != ref_right_residual(a, b):
+        if ref.read(right_residual(a, b)) != ref.right_residual(x, y):
             residuals.append((a, b))
     return products, residuals
 

@@ -6,17 +6,18 @@ singleton column spaces, half-infinite intervals); these grids reach all of
 them, and hold the geometric decisions, column membership included, to the
 residuation oracle and to the verified constructions on each one.  The
 product, the residual and the space maps, which compute on integer
-numerators, are also held to references built from the public scalar
-operators; the stored spaces to freshly computed ones, each relation asked
+numerators, are also held to the independent reference of
+``tests/maxplus_reference.py``, which computes on ``Fraction`` values; the
+stored spaces to freshly computed ones, each relation asked
 first on fresh matrices to its set rule, set strings to their endpoints,
 and ``solves_right`` to the residual it materializes on both grids.  The ``classify``
-diameter is held to the endpoint distance, its R-class name to the relation
+diameter is held to the reference's endpoint distance, its R-class name to the relation
 R, principal-ideal membership to the J-preorder, and the grid part of each
 maximal subgroup to its group type and to its family's ``subgroup_element``.
 The set decisions are held to a reference on ``Fraction`` endpoints, and the
 Green relations on the 65,536-pair grid to their invariance under one unit
 (``tests/grid_exhaustive.py`` holds that check and runs it for two).  The
-product and both residuals are held to the scalar reference on 20,000
+product and both residuals are held to the reference on 20,000
 seeded pairs too, as that file holds the product and the right residual on
 every pair, and each of those two checks is shown to catch a mutant of its
 kernel; so are the residual checks and ``solves_right`` a mutant of the one
@@ -34,6 +35,7 @@ from fractions import Fraction
 from itertools import combinations, cycle, islice, product
 from math import lcm
 
+import maxplus_reference as ref
 import pytest
 
 from tropmat import cli, matrix
@@ -58,16 +60,9 @@ from tropmat.green import (
     witness_Z,
 )
 from tropmat.ideals import IdealDescriptor, ideal_contains, principal_ideal_of
-from tropmat.matrix import (
-    ResidualMatrix,
-    TropMatrix,
-    left_residual,
-    residual_scalar,
-    right_residual,
-    solves_right,
-)
+from tropmat.matrix import ResidualMatrix, TropMatrix, left_residual, right_residual, solves_right
 from tropmat.sampling import PROFILES, sample_convex_set, sample_matrix
-from tropmat.semiring import BOTTOM, NEG_INF, POS_INF, ProjPoint, TropScalar, delta
+from tropmat.semiring import NEG_INF, POS_INF, ProjPoint, TropScalar
 from tropmat.structure import (
     GroupType,
     IdempotentForm,
@@ -83,11 +78,8 @@ from tropmat.structure import (
 pytest.register_assert_rewrite("grid_exhaustive")
 from grid_exhaustive import (  # noqa: E402
     UNITS,
-    columns,
     grid,
     kernel_mismatches,
-    ref_product,
-    ref_right_residual,
     spaces,
     unit_mismatches,
 )
@@ -254,9 +246,9 @@ def test_classify_diameter_on_the_256_matrix_grid(capsys):
     for a in grid(["-inf", -1, 0, 1]):
         assert cli.main(["classify", str(a)]) == 0
         got = json.loads(capsys.readouterr().out)["diameter"]
-        pc = proj_column_space(a)
-        want = "0" if pc.is_empty or pc.is_point else str(delta(pc.lo, pc.hi))
-        assert got == want, a
+        ends = ref.span(zip(*ref.read(a)))
+        d = ref.distance(*ends) if ends else 0
+        assert got == ("inf" if d is ref.INF else str(d)), a
         seen.add(got)
     assert seen == {"0", "1", "2", "3", "4", "inf"}
 
@@ -322,35 +314,19 @@ def test_green_relations_are_invariant_under_one_unit_on_the_65536_pair_grid():
     assert not any(mismatches.values()), (mismatches, first)
 
 
-# Reference versions of the left residual and the space maps, built from the
-# public scalar operators one entry at a time, as grid_exhaustive builds the
-# product and the right residual.
+def space_ends(m):
+    """The endpoints of m's column and row spaces, as reference values."""
+    return ref.ends(proj_column_space(m)), ref.ends(proj_row_space(m))
 
 
-def ref_left_residual(b, a):
-    n = 2
-    rows = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            cands = [residual_scalar(a[i, j], b[i, k]) for i in range(n)]
-            row.append(min(cands))
-        rows.append(row)
-    return ResidualMatrix(rows)
+def ref_spans(m):
+    """The reference spans of m's columns and of its rows."""
+    rows = ref.read(m)
+    return ref.span(zip(*rows)), ref.span(rows)
 
 
-def ref_image(x1, x2):
-    """The projective image x2 - x1 of the nonzero pair of scalars (x1, x2)."""
-    if x1 == BOTTOM:
-        return POS_INF
-    return ProjPoint(x2 * -x1)
-
-
-def ref_span(vectors):
-    images = [ref_image(x1, x2) for x1, x2 in vectors if (x1, x2) != (BOTTOM, BOTTOM)]
-    if not images:
-        return ConvexSet.empty()
-    return ConvexSet.interval(min(images), max(images))
+def left_residual_matches(b, a):
+    return ref.read(left_residual(b, a)) == ref.left_residual(ref.read(b), ref.read(a))
 
 
 def assert_scalars(got, want):
@@ -380,19 +356,15 @@ def assert_plain(a):
 def test_rewritten_paths_match_the_scalar_reference_on_the_81_matrix_grid():
     matrices = grid(["-inf", 0, 1])
     for a, b in product(matrices, repeat=2):
+        x, y = ref.read(a), ref.read(b)
         ab = a @ b
-        assert ab == ref_product(a, b), (a, b)
-        r = left_residual(b, a)
-        assert r == ref_left_residual(b, a), (a, b)
-        assert left_residual(a, r) == ref_left_residual(a, r), (a, b)
-        assert right_residual(r, a) == ref_right_residual(r, a), (a, b)
+        assert ref.read(ab) == ref.product(x, y), (a, b)
+        r, ref_r = left_residual(b, a), ref.left_residual(y, x)
+        assert ref.read(r) == ref_r, (a, b)
+        assert ref.read(left_residual(a, r)) == ref.left_residual(x, ref_r), (a, b)
+        assert ref.read(right_residual(r, a)) == ref.right_residual(ref_r, x), (a, b)
         for m in (a, ab):
-            assert proj_column_space(m) == ref_span(columns(m)), m
-            assert proj_row_space(m) == ref_span(m.rows), m
-
-
-def ref_witness(r):
-    return TropMatrix([[0 if p == POS_INF else p.to_scalar() for p in row] for row in r.rows])
+            assert space_ends(m) == ref_spans(m), m
 
 
 def test_kernels_match_the_scalar_reference_on_the_half_and_third_grid():
@@ -404,17 +376,16 @@ def test_kernels_match_the_scalar_reference_on_the_half_and_third_grid():
     assert len(matrices) == 81
     dens, checked = set(), set()
     for a, b in product(matrices, repeat=2):
+        x, y = ref.read(a), ref.read(b)
         ab, total = a @ b, a + b
-        assert ab == ref_product(a, b), (a, b)
-        ref_total = TropMatrix([[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
-        assert total == ref_total, (a, b)
+        assert ref.read(ab) == ref.product(x, y), (a, b)
+        assert ref.read(total) == ref.maximum(x, y), (a, b)
         r, s = left_residual(b, a), right_residual(a, b)
-        ref_r, ref_s = ref_left_residual(b, a), ref_right_residual(a, b)
-        assert r == ref_r and r.witness() == ref_witness(ref_r), (a, b)
-        assert s == ref_s and s.witness() == ref_witness(ref_s), (a, b)
+        ref_r, ref_s = ref.left_residual(y, x), ref.right_residual(x, y)
+        assert ref.read(r) == ref_r and ref.read(r.witness()) == ref.witness(ref_r), (a, b)
+        assert ref.read(s) == ref_s and ref.read(s.witness()) == ref.witness(ref_s), (a, b)
         for m in (ab, total):
-            assert proj_column_space(m) == ref_span(columns(m)), m
-            assert proj_row_space(m) == ref_span(m.rows), m
+            assert space_ends(m) == ref_spans(m), m
         # results equal as stored share one check; a result not in lowest
         # terms differs, as stored, from its value's canonical form, so it
         # is checked on its own
@@ -429,8 +400,7 @@ def test_kernels_match_the_scalar_reference_on_the_half_and_third_grid():
         t = a.transpose()
         assert t == TropMatrix([[a[j, i] for j in range(2)] for i in range(2)]), a
         for m in (a, t):
-            assert proj_column_space(m) == ref_span(columns(m)), m
-            assert proj_row_space(m) == ref_span(m.rows), m
+            assert space_ends(m) == ref_spans(m), m
         assert_plain(t)
 
 
@@ -600,7 +570,7 @@ def test_rewritten_paths_match_the_scalar_reference_on_random_2x2_pairs():
     pairs = [(rand_matrix(rng), rand_matrix(rng)) for _ in range(200)] + seeded_pairs(20_000)
     assert kernel_mismatches(pairs) == ([], [])
     for a, b in pairs:
-        assert left_residual(b, a) == ref_left_residual(b, a), (a, b)
+        assert left_residual_matches(b, a), (a, b)
 
 
 def mutant(monkeypatch, name, old, new):
@@ -639,7 +609,7 @@ def test_a_mutant_of_the_witness_rule_fails_the_residual_and_solves_right_checks
     mutant(monkeypatch, "_column", "t1 - q < t2 - s", "t1 - q > t2 - s")
     assert kernel_mismatches(seeded_pairs(2_000))[1]
     pairs = list(product(grid(["-inf", 0, 1]), repeat=2))
-    assert any(left_residual(b, a) != ref_left_residual(b, a) for a, b in pairs)
+    assert not all(left_residual_matches(b, a) for a, b in pairs)
     assert any(leq_R(a, b) != solves_right(b, a) for a, b in pairs)
 
 
@@ -650,7 +620,10 @@ def test_the_right_residual_of_a_residual_target_catches_a_mutant(monkeypatch):
     mutant(monkeypatch, "_residual", old, "q, r, f, g = r, q, g, f")
     pairs = product(grid(["-inf", 0, 1]), repeat=2)
     targets = [(left_residual(b, a), a) for a, b in pairs]
-    assert any(right_residual(r, a) != ref_right_residual(r, a) for r, a in targets)
+    assert any(
+        ref.read(right_residual(r, a)) != ref.right_residual(ref.read(r), ref.read(a))
+        for r, a in targets
+    )
 
 
 def test_uncoerced_results_equal_and_hash_like_coerced_ones():

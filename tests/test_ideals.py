@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropmat.geometry import IsoType, _Record, iso_type, proj_column_space
+from tropmat.geometry import ConvexSet, IsoType, _Record, iso_type, proj_column_space
 from tropmat.green import GreenRelation
 from tropmat.ideals import (
     IdealDescriptor,
@@ -18,7 +18,7 @@ from tropmat.ideals import (
     ideal_from_generators,
     principal_ideal_of,
 )
-from tropmat.matrix import TropMatrix
+from tropmat.matrix import TropMatrix, parse_matrix
 from tropmat.sampling import PROFILES, sample_descriptor, sample_matrix
 from tropmat.structure import GroupType, IdempotentForm
 from tropmat.verify import SuiteResult, _strict_type, matrix_with_iso_type
@@ -349,6 +349,23 @@ def test_descriptor_tokens_round_trip():
         IdealDescriptor.parse("halfopen:2")
     with pytest.raises(ValueError):
         IdealDescriptor.open_finite(0)
+
+
+PARSERS = {
+    "ConvexSet.parse": (ConvexSet.parse, "set literal"),
+    "IsoType.parse": (IsoType.parse, "isometry type"),
+    "IdealDescriptor.parse": (IdealDescriptor.parse, "ideal descriptor"),
+    "parse_matrix": (parse_matrix, "matrix JSON"),
+}
+
+
+@pytest.mark.parametrize("value", [3, None, b"empty"], ids=["int", "None", "bytes"])
+@pytest.mark.parametrize("name", PARSERS)
+def test_every_parser_refuses_a_non_str_by_its_type(name, value):
+    parse, what = PARSERS[name]
+    with pytest.raises(TypeError) as exc:
+        parse(value)
+    assert str(exc.value) == f"{what} must be a str, not {type(value).__name__}"
 
 
 def test_strict_type_separates_every_ordered_pair():

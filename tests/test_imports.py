@@ -3,10 +3,12 @@ imports.  ``tropmat/__init__.py`` names each public name once, in a table
 under its defining module, and loads the modules on the first read of a name.
 Every private helper the package defines is read somewhere in the package
 or the benchmark, and every class method and function the traced benchmark
-patches by name exists where it looks for it.  Importing ``tropmat.cli``
+patches by name exists where it looks for it, as does the scalar product
+its per-layer timings call.  Importing ``tropmat.cli``
 loads no ``dataclasses``, ``argparse`` or ``gettext``, and none of the
 modules its commands run; each command loads only its own.  The geometric
-route imports nothing of the residuation oracle.
+route imports nothing of the residuation oracle, and the tests' max-plus
+reference imports nothing but the standard library.
 """
 
 import ast
@@ -132,6 +134,28 @@ def test_the_geometric_route_does_not_import_the_oracle():
     assert imported_names(source) & oracle == set()
 
 
+def non_stdlib_imports(source: str) -> set[str]:
+    """The modules a source imports from outside the standard library; a
+    relative import counts as its dots and module name."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    return {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names}
+
+
+def test_the_max_plus_reference_imports_nothing_of_the_library():
+    # the kernels are held to tests/maxplus_reference.py, which must not
+    # share their arithmetic, and it leaves every check to its callers
+    scan = "import tropmat\nfrom tropmat.matrix import _dot\nfrom . import x\nimport math\n"
+    assert non_stdlib_imports(scan) == {"tropmat", "tropmat.matrix", "."}
+    source = (ROOT / "tests" / "maxplus_reference.py").read_text()
+    assert non_stdlib_imports(source) == set()
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source)))
+
+
 def private_definitions(source: str) -> set[str]:
     """The private names (one leading underscore) a module binds at its top
     level by ``def``, ``class`` or a plain assignment.  A name an unpacking
@@ -187,6 +211,15 @@ def test_the_traced_benchmark_finds_every_name_it_patches():
             if not isinstance(getattr(module, name, None), types.FunctionType)
         ]
     assert missing == []
+
+
+def test_the_per_layer_timings_find_the_scalar_product():
+    # bench/perlayer.py times ``x * y`` on two TropScalars as
+    # semiring.scalar_mul_us; no library code multiplies scalars, so without
+    # this pin a deleted __mul__ breaks only the traced benchmark run
+    source = (ROOT / "bench" / "perlayer.py").read_text()
+    assert '"semiring.scalar_mul_us": (lambda x, y: x * y,' in source
+    assert "__mul__" in vars(tropmat.TropScalar)
 
 
 _COLD_IMPORT = """

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import maxplus_reference as ref
 import pytest
 from test_boundary_grid import assert_plain
 from test_semiring import REFUSED_TOKENS
@@ -16,6 +17,7 @@ from tropmat.matrix import (
     left_residual,
     monomial_inverse,
     parse_matrix,
+    residual_scalar,
     right_residual,
     solves_right,
 )
@@ -31,6 +33,11 @@ Z2 = TropMatrix.zero(2)
 def leq(a, b):
     """The entrywise order of two matrices."""
     return all(x <= y for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
+
+
+def dominated(x, r):
+    """Whether x <= r entrywise, ``+inf`` maximal, by the reference max."""
+    return ref.maximum(ref.read(x), ref.read(r)) == ref.read(r)
 
 
 def test_mat_mul_examples():
@@ -138,7 +145,15 @@ def test_residual_is_greatest_solution_brute_force():
     for entries in product(grid, repeat=4):
         x = TropMatrix([entries[:2], entries[2:]])
         if leq(b @ x, b):
-            assert r.dominates(x)
+            assert dominated(x, r)
+
+
+def test_residual_scalar_is_the_reference_residual():
+    # targets include +inf, the entries of a residual target
+    targets = ["-inf", -1, "1/2", 3, "+inf"]
+    for t, d in product(targets, targets[:-1]):
+        want = ref.residual(ref.value(t), ref.value(d))
+        assert ref.value(residual_scalar(t, d)) == want, (t, d)
 
 
 def test_solves_right_examples():
@@ -189,7 +204,7 @@ def test_galois_connection():
         b = sample_matrix(rng, "with-neginf")
         x = sample_matrix(rng, "with-neginf")
         r = left_residual(b, a)
-        assert leq(b @ x, a) == r.dominates(x)
+        assert leq(b @ x, a) == dominated(x, r)
 
 
 def test_right_residual_galois():
@@ -199,7 +214,7 @@ def test_right_residual_galois():
         b = sample_matrix(rng, "with-neginf")
         x = sample_matrix(rng, "with-neginf")
         r = right_residual(a, b)
-        assert leq(x @ b, a) == r.dominates(x)
+        assert leq(x @ b, a) == dominated(x, r)
 
 
 def test_product_laws_on_random_triples():

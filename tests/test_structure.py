@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
+import maxplus_reference as ref
 import pytest
 
 from tropmat import green, structure
@@ -119,18 +120,24 @@ def test_exhaustive_grid_idempotent_classification():
 
 
 def test_idempotent_form_matrix_equals_the_coercing_definition():
-    # parameters over denominators 1, 2 and 3, with x*y <= 0
+    # parameters over denominators 1, 2 and 3, with x + y <= 0; the
+    # definitions are built on the reference's tropical product
     values = [BOTTOM] + [TropScalar(v) for v in ("-3/2", "-1/3", "0", "1/2", "2/3")]
     definitions = {
-        "upper": lambda x, y: [[0, x], [y, x * y]],
-        "diagonal": lambda x, y: [[0, x], [y, 0]],
-        "lower": lambda x, y: [[x * y, x], [y, 0]],
+        "upper": lambda x, y, xy: [[0, x], [y, xy]],
+        "diagonal": lambda x, y, xy: [[0, x], [y, 0]],
+        "lower": lambda x, y, xy: [[xy, x], [y, 0]],
     }
-    pairs = [(x, y) for x, y in product(values, repeat=2) if x * y <= 0]
+    pairs = []
+    for x, y in product(values, repeat=2):
+        xy = ref.times(ref.value(x), ref.value(y))
+        if xy is None or xy <= 0:
+            pairs.append((x, y, ref.text(xy)))
     assert len(pairs) == 24
-    for x, y in pairs:
+    for x, y, xy in pairs:
         for kind, rows in definitions.items():
-            assert IdempotentForm(kind, x, y).matrix() == TropMatrix(rows(x, y)), (kind, x, y)
+            want = TropMatrix(rows(x, y, xy))
+            assert IdempotentForm(kind, x, y).matrix() == want, (kind, x, y)
     assert IdempotentForm("zero").matrix() == Z2
 
 

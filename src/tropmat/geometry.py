@@ -152,18 +152,19 @@ class ConvexSet:
         )
 
 
-_ISO_RANK = {"empty": 0, "point": 1, "interval": 2, "halfinf": 3, "fullline": 4}
-_ISO_KINDS = tuple(_ISO_RANK)  # the kinds by rank
+_ISO_KINDS = ("empty", "point", "interval", "halfinf", "fullline")  # the kinds by rank
 
 
 class _Record:
     """Base of the value classes.  A subclass names its fields once, in
     ``__slots__``; a subclass adding none declares ``__slots__ = ()`` and
     keeps its base's.  A slot named with a leading underscore is no field:
-    it holds a value derived from the fields, by ``__init__`` or, left unset
-    there, on first use; it is never printed or pickled.
+    it holds a value the constructor derives from the fields; it is never
+    printed or pickled, and it follows the fields in ``__slots__``.
     ``_Record(*values)`` stores one value per field, in order; a subclass
-    that checks its values stores them itself through ``object.__setattr__``.
+    that checks its values stores them with its derived values at once, in
+    ``__slots__`` order, through ``_fill``, the one store of every record,
+    so no slot is written after the record is built.
     Two records are equal when they are of one type with equal fields, hash
     as the tuple of their fields and print like
     ``IsoType(kind='point', diameter=None)``; assigning or deleting a field
@@ -179,7 +180,7 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        slots = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
+        slots = cls._slots = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
         names = cls._names = tuple(n for n in slots if n[0] != "_")
         get = operator.attrgetter(*names)
         cls._get = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
@@ -192,7 +193,10 @@ class _Record:
             raise TypeError(
                 f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}"
             )
-        for name, value in zip(names, values):
+        self._fill(*values)
+
+    def _fill(self, *values):
+        for name, value in zip(self._slots, values):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -238,8 +242,8 @@ class IsoType(_Record):
     ``interval`` carries its (positive, finite) diameter, an int, Fraction
     or ``p/q`` token stored as a Fraction; the other kinds carry none.
     Isometric embedding totally orders the types, realized by ``key()``.
-    ``__init__`` derives the int isometry key ``(rank, num, den)`` of
-    ``_iso_key``, and the first ``str()`` spells the text from it.
+    The constructor derives the int isometry key ``(rank, num, den)`` of
+    ``_iso_key`` and the text ``str()`` returns.
     """
 
     __slots__ = ("kind", "diameter", "_ikey", "_text")
@@ -257,33 +261,27 @@ class IsoType(_Record):
         elif diameter is not None:
             raise ValueError(f"{kind} types carry no diameter")
         else:
-            key = (_ISO_RANK[kind], 0, 1)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "_ikey", key)
+            key = (_ISO_KINDS.index(kind), 0, 1)
+        self._derive(key, diameter)
 
     @classmethod
     def _of(cls, key: tuple[int, int, int]) -> "IsoType":
         """The type of the int key ``(rank, num, den)`` in lowest terms, unchecked."""
         t = object.__new__(cls)
-        rank, num, den = key
-        object.__setattr__(t, "kind", _ISO_KINDS[rank])
-        object.__setattr__(t, "diameter", Fraction(num, den) if rank == 2 else None)
-        object.__setattr__(t, "_ikey", key)
+        t._derive(key, Fraction(key[1], key[2]) if key[0] == 2 else None)
         return t
+
+    def _derive(self, key: tuple[int, int, int], diameter: Fraction | None) -> None:
+        # every slot of the type of the key, whose diameter is given
+        kind = _ISO_KINDS[key[0]]
+        self._fill(kind, diameter, key, kind if diameter is None else "interval:" + str(diameter))
 
     def key(self) -> tuple[int, Fraction]:
         rank, num, den = self._ikey
         return (rank, Fraction(num, den))
 
     def __str__(self):
-        try:
-            return self._text
-        except AttributeError:
-            rank, num, den = self._ikey
-            text = "interval:" + _token(num, den) if rank == 2 else self.kind
-            object.__setattr__(self, "_text", text)
-            return text
+        return self._text
 
     @staticmethod
     def parse(text: str) -> "IsoType":

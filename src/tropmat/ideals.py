@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import IsoType, _Enum, _Record, iso_type, proj_column_space
-from .matrix import TropMatrix, _token
+from .matrix import TropMatrix
 from .semiring import _as_fraction, _cut, _quote, _str
 
 
@@ -25,9 +25,13 @@ class IdealDescriptor(_Record):
 
     The width is an int, Fraction or ``p/q`` token, stored as a Fraction.
     Half-infinite open intervals are unrepresentable by construction: no
-    ideal corresponds to one.  ``__init__`` derives the int order key
-    ``(rank, num, den, closed)``, the first ``str()`` spells the text from
-    it, and the first ``decompose`` of an open descriptor stores its pair.
+    ideal corresponds to one.  Each kind has a boundary isometry type: a
+    closed descriptor its ``iso``, an open one the interval of its width,
+    the open line the half-infinite type; a non-principal ideal is the
+    principal ideal of its boundary type minus that type's J-class.  The
+    constructor derives from that type the int order key
+    ``(rank, num, den, closed)``, the text ``str()`` returns and, for an
+    open kind, the pair ``decompose`` returns.
     """
 
     # kind: "closed" | "open" | "openline"
@@ -42,21 +46,20 @@ class IdealDescriptor(_Record):
             # IsoType whose key it has
             if type(iso) is not IsoType or width is not None:
                 raise ValueError("closed descriptors carry exactly an isometry type")
-            key = (*iso._ikey, 1)
+            t, text = iso, "closed:" + iso._text
         elif kind == "open":
             if iso is not None or width is None or width.numerator <= 0:
                 raise ValueError("open descriptors carry exactly a positive width")
-            key = (2, width.numerator, width.denominator, 0)
+            t, text = IsoType("interval", width), "open:" + str(width)
         elif kind == "openline":
             if iso is not None or width is not None:
                 raise ValueError("the open-line descriptor carries no parameters")
-            key = (3, 0, 1, 0)
+            t, text = IsoType("halfinf"), kind
         else:
             raise ValueError(f"unknown descriptor kind {_quote(kind)}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "iso", iso)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "_key", key)
+        closed = 1 if kind == "closed" else 0
+        parts = None if closed else (IdealDescriptor.closed(t), t)
+        self._fill(kind, iso, width, (*t._ikey, closed), text, parts)
 
     @classmethod
     def closed(cls, t: IsoType) -> "IdealDescriptor":
@@ -82,18 +85,7 @@ class IdealDescriptor(_Record):
         return (rank, Fraction(num, den), closed)
 
     def __str__(self):
-        try:
-            return self._text
-        except AttributeError:
-            kind = self.kind
-            if kind == "closed":
-                text = "closed:" + str(self.iso)
-            elif kind == "open":
-                text = "open:" + _token(self._key[1], self._key[2])
-            else:
-                text = kind
-            object.__setattr__(self, "_text", text)
-            return text
+        return self._text
 
     @staticmethod
     def parse(text: str) -> "IdealDescriptor":
@@ -182,17 +174,13 @@ def ideal_from_generators(generators: list[TropMatrix]) -> IdealDescriptor:
 def decompose(d: IdealDescriptor) -> tuple[IdealDescriptor, IsoType | None]:
     """Express an ideal as (principal ideal, removed J-class or None).
 
-    Open descriptors name the least closed descriptor strictly above every
-    member class; removing that class's own J-class recovers the ideal.
-    The pair of an open descriptor is built on the first call and returned
-    by every later one.
+    A closed descriptor is its own principal ideal.  An open one is the
+    principal ideal of its boundary type minus that type's J-class: the
+    least closed descriptor strictly above every member class.  Its pair is
+    built with it, so every call returns the same pair.
     """
-    if d.kind == "closed":
-        return (d, None)
     try:
-        return d._parts
+        parts = d._parts
     except AttributeError:
-        t = IsoType("interval", d.width) if d.kind == "open" else IsoType("halfinf")
-        parts = (IdealDescriptor.closed(t), t)
-        object.__setattr__(d, "_parts", parts)
-        return parts
+        raise TypeError(f"expected an IdealDescriptor, not {_quote(d)}") from None
+    return parts or (d, None)

@@ -5,8 +5,7 @@ tropical addition is max (so ``-inf`` is the additive identity) and tropical
 multiplication is ordinary addition (so 0 is the multiplicative identity and
 ``-inf`` is absorbing).  Projectivising nonzero pairs of scalars also needs a
 top element ``+inf``, giving the two-point compactification of the rational
-line, which carries the distance ``delta``:  |y - x| between rationals, 0
-between equal infinities, infinite otherwise.
+line.
 
 Everything here is exact: scalars are arbitrary-precision ``Fraction`` values,
 read once from a ``p/q`` token into a reduced pair of ints (``_ratio``), and
@@ -304,14 +303,3 @@ class ExtDistance(_Key):
 
 
 INF_DIST = ExtDistance("inf")
-
-
-def delta(x, y) -> ExtDistance:
-    """The projective-line distance: |y - x| on rationals, 0 between equal
-    infinities, infinite otherwise."""
-    x, y = ProjPoint(x), ProjPoint(y)
-    if x.is_finite and y.is_finite:
-        return ExtDistance(abs(y.frac - x.frac))
-    if x == y:
-        return ExtDistance(0)
-    return INF_DIST

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .geometry import _ISO_KINDS, ConvexSet, _Enum, _iso_key, _Record
+from .geometry import ConvexSet, _Enum, _iso_key, _Record
 from .green import _family, _witness_Z
 from .matrix import TropMatrix, VerificationError, _product, _stored, left_residual, right_residual
 from .semiring import TropScalar, _cut, _quote, _scalar_ratio
@@ -49,9 +49,7 @@ class IdempotentForm(_Record):
             fx, fy = x._k[1], y._k[1]
             if fx is not None and fy is not None and fx + fy > 0:
                 raise ValueError(f"the {kind} family needs x*y <= 0, got x={_cut(x)}, y={_cut(y)}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self._fill(kind, x, y)
 
     def matrix(self) -> TropMatrix:
         if self.kind == "zero":
@@ -131,14 +129,14 @@ def idempotent_in_H(m: ConvexSet, n: ConvexSet) -> TropMatrix | None:
     return e
 
 
-_GROUP_OF_KIND = {
-    "empty": GroupType.TRIVIAL,
-    "point": GroupType.REALS,
-    "interval": GroupType.REALS_TIMES_S2,
-    "halfinf": GroupType.REALS,
-    "fullline": GroupType.REALS_WREATH_S2,
-}
-_GROUP_TYPES = tuple(_GROUP_OF_KIND[k] for k in _ISO_KINDS)  # by the rank of M's isometry type
+# by the rank of M's isometry type: empty, point, interval, halfinf, fullline
+_GROUP_TYPES = (
+    GroupType.TRIVIAL,
+    GroupType.REALS,
+    GroupType.REALS_TIMES_S2,
+    GroupType.REALS,
+    GroupType.REALS_WREATH_S2,
+)
 
 
 def group_type_of_H(m: ConvexSet, n: ConvexSet) -> GroupType:

@@ -1,9 +1,11 @@
+import ast
 import copy
 import itertools
 import pickle
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,9 @@ def test_the_ideal_functions_name_the_type_they_expect():
         (lambda: principal_ideal_of(rows), matrix + "[[0, 1], [2, 3]]"),
         (lambda: principal_ideal_of(None), matrix + "None"),
         (lambda: ideal_from_generators([a, rows]), matrix + "[[0, 1], [2, 3]]"),
+        (lambda: decompose("openline"), descriptor + "'openline'"),
+        (lambda: decompose(IsoType("halfinf")), descriptor + repr(IsoType("halfinf"))),
+        (lambda: decompose(None), descriptor + "None"),
     ]
     for call, message in calls:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$") as info:
@@ -218,6 +223,48 @@ def test_the_text_and_the_decomposition_are_derived_once():
         assert parts == (IdealDescriptor.closed(t), t), d
         assert [str(x) for x in parts] == [_spelled_text(x) for x in parts], d
         assert all(decompose(twin) == parts for twin in _twins(d)), d
+
+
+def _slot_values(record):
+    # every slot the record's class declares; an unset one raises here
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
+def _boundary(d):
+    # the isometry type a descriptor stops at, spelled from its fields
+    if d.kind == "closed":
+        return d.iso
+    return IsoType("interval", d.width) if d.kind == "open" else IsoType("halfinf")
+
+
+def _spelled_int_key(t):
+    # an isometry type's int key spelled from its fields
+    kinds = ("empty", "point", "interval", "halfinf", "fullline")
+    diameter = t.diameter or Fraction(0)
+    return (kinds.index(t.kind), diameter.numerator, diameter.denominator)
+
+
+def test_every_slot_is_set_when_a_record_is_built():
+    # each record is read slot by slot before any str(), decompose or key()
+    rng = random.Random(SEED + 14)
+    matrices = [sample_matrix(rng, profile) for profile in PROFILES for _ in range(20)]
+    types = [IsoType(k) for k in ("empty", "point", "halfinf", "fullline")]
+    types += [IsoType("interval", "3/2"), IsoType.parse("interval:5/3"), IsoType.parse("point")]
+    types += [iso_type(proj_column_space(a)) for a in matrices]
+    descriptors = [IdealDescriptor.closed(IsoType("point")), IdealDescriptor.open_line()]
+    descriptors += [IdealDescriptor("open", width=2), IdealDescriptor.open_finite("7/3")]
+    descriptors += [IdealDescriptor.parse(t) for t in ("closed:interval:1/2", "open:5/2", "openline")]
+    descriptors += [principal_ideal_of(a) for a in matrices]
+    for record in types + descriptors:
+        for twin in (record, *_twins(record)):
+            slots = _slot_values(twin)
+            assert slots["_text"] == _spelled_text(record), record
+            if isinstance(record, IsoType):
+                assert slots["_ikey"] == _spelled_int_key(record), record
+                continue
+            t, closed = _boundary(record), record.kind == "closed"
+            assert slots["_key"] == (*_spelled_int_key(t), closed), record
+            assert slots["_parts"] == (None if closed else (IdealDescriptor.closed(t), t)), record
 
 
 def test_the_principal_ideal_of_a_matrix_is_built_once():
@@ -573,6 +620,49 @@ def test_a_record_is_its_slots():
     for values in (fields[:-1], fields + (None,)):
         with pytest.raises(TypeError, match=f"SuiteResult takes 7 fields, got {len(values)}"):
             SuiteResult(*values)
+
+
+def slot_stores(source: str) -> list[str]:
+    """The name of the innermost function around each ``object.__setattr__``
+    call of a source, in source order; None for a call outside every
+    function.  A lambda counts as part of the function around it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+                found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_finds_every_slot_store():
+    source = (
+        "object.__setattr__(m, 'a', 1)\n"
+        "class R:\n"
+        "    def __str__(self):\n"
+        "        try:\n"
+        "            return self._text\n"
+        "        except AttributeError:\n"
+        "            object.__setattr__(self, '_text', 't')\n"
+        "            return (lambda: object.__setattr__(self, '_x', 1))()\n"
+    )
+    assert slot_stores(source) == [None, "__str__", "__str__"]
+
+
+def test_no_record_slot_is_written_after_construction():
+    # records are frozen: the library stores a record's slots only while
+    # building it, in a constructor or in the one store every record goes
+    # through, _Record._fill; so no cache fills a slot later
+    package = sorted((Path(__file__).resolve().parent.parent / "src" / "tropmat").glob("*.py"))
+    stores = [f for path in package for f in slot_stores(path.read_text())]
+    assert len(package) > 8 and set(stores) <= {"__init__", "_of", "_fill"}, stores
+    assert stores.count("_fill") == 1, stores
 
 
 @pytest.mark.parametrize(

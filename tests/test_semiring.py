@@ -19,7 +19,6 @@ from tropmat.semiring import (
     _as_fraction,
     _ratio,
     _scalar_ratio,
-    delta,
 )
 
 SEED = 20260808
@@ -29,15 +28,6 @@ def rand_scalar(rng):
     if rng.randrange(5) == 0:
         return BOTTOM
     return TropScalar(Fraction(rng.randrange(-30, 31), rng.randrange(1, 6)))
-
-
-def rand_point(rng):
-    roll = rng.randrange(6)
-    if roll == 0:
-        return NEG_INF
-    if roll == 1:
-        return POS_INF
-    return ProjPoint(Fraction(rng.randrange(-30, 31), rng.randrange(1, 6)))
 
 
 def test_t_mul_examples():
@@ -64,13 +54,6 @@ def test_ext_sub_rejects_double_bottom():
         ext_sub(BOTTOM, BOTTOM)
 
 
-def test_delta_examples():
-    assert delta(2, 5) == ExtDistance(3)
-    assert delta(NEG_INF, NEG_INF) == ExtDistance(0)
-    assert delta(3, POS_INF) == INF_DIST
-    assert delta(POS_INF, POS_INF) == ExtDistance(0)
-
-
 def test_semiring_laws_on_random_samples():
     """The laws of the tropical product: associativity, commutativity, the
     identity 0 and the absorbing ``-inf``.  Scalars have no tropical sum: the
@@ -83,15 +66,6 @@ def test_semiring_laws_on_random_samples():
         assert a * b == b * a
         assert a * zero == a
         assert a * BOTTOM == BOTTOM
-
-
-def test_delta_is_a_metric_with_infinity():
-    rng = random.Random(SEED + 1)
-    for _ in range(2000):
-        x, y, z = rand_point(rng), rand_point(rng), rand_point(rng)
-        assert (delta(x, y) == ExtDistance(0)) == (x == y)
-        assert delta(x, y) == delta(y, x)
-        assert delta(x, z) <= delta(x, y) + delta(y, z)
 
 
 def test_scalar_total_order():
@@ -289,6 +263,9 @@ def test_a_plain_operand_a_class_refuses_equals_none_of_its_values():
     for d in (ExtDistance(3), ExtDistance(0), INF_DIST):
         assert d != -1 and not d == -1 and -1 != d
         assert d != Fraction(-1, 2) and not Fraction(-1, 2) == d
+        # one it takes adds like its value, on either side; infinity absorbs
+        assert d + 0 == 0 + d == d and d + INF_DIST == INF_DIST + d == INF_DIST
+    assert ExtDistance(3) + Fraction(1, 2) == Fraction(1, 2) + ExtDistance(3) == ExtDistance("7/2")
 
 
 _EXACT = "arithmetic here is exact, pass an int, Fraction, or 'p/q' string"

@@ -22,7 +22,7 @@ from functools import cache
 from importlib import import_module
 from types import SimpleNamespace
 
-from .semiring import NEG_INF, POS_INF, _as_fraction, _cut, _quote, _ratio
+from .semiring import _NEG_KEY, _POS_KEY, _as_fraction, _cut, _quote, _ratio
 
 
 @cache
@@ -53,19 +53,20 @@ def _diameter(t) -> str:
 def _rclass(pc) -> tuple[str, dict[str, str]]:
     """The R-class of a matrix, named by its column space pc: the shape of
     pc (one of eight) and its finite endpoints, ``x`` below ``y`` and a
-    lone one ``y``."""
-    if pc.is_empty:
+    lone one ``y``, spelled from pc's keys as ``str(pc)`` spells them."""
+    lo, hi, den = pc._lo, pc._hi, pc._den
+    if lo is None:
         return "zero", {}
-    lo, hi = pc.lo, pc.hi
-    if pc.is_point:
-        if lo.is_finite:
-            return "point", {"y": str(lo)}
-        return ("point-neginf" if lo == NEG_INF else "point-posinf"), {}
-    if lo == NEG_INF:
-        return ("fullline", {}) if hi == POS_INF else ("half-low", {"y": str(hi)})
-    if hi == POS_INF:
-        return "half-high", {"y": str(lo)}
-    return "interval", {"x": str(lo), "y": str(hi)}
+    token = _lib("matrix")._token
+    if lo == hi:
+        if lo[0] == 0:
+            return "point", {"y": token(lo[1], den)}
+        return ("point-neginf" if lo == _NEG_KEY else "point-posinf"), {}
+    if lo == _NEG_KEY:
+        return ("fullline", {}) if hi == _POS_KEY else ("half-low", {"y": token(hi[1], den)})
+    if hi == _POS_KEY:
+        return "half-high", {"y": token(lo[1], den)}
+    return "interval", {"x": token(lo[1], den), "y": token(hi[1], den)}
 
 
 def _cmd_classify(ns) -> tuple[dict, int]:

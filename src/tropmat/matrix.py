@@ -23,8 +23,10 @@ integer, so the kernels rescale two operands to the lcm of their
 denominators (``_common``, the one rescale), compute on ints and reduce the
 result; only the public accessors build ``Fraction`` values.  Transposes,
 residual witnesses and the monomial inverse only move or negate canonical
-entries, and ``parse_matrix`` and ``subgroup_element`` build theirs in
-lowest terms, so none reduces again.
+entries, and the JSON decoder and ``subgroup_element`` build theirs in
+lowest terms, so none reduces again.  ``parse_matrix`` reads a canonical
+literal in one match of ``_LITERAL`` and reduces its store once; every
+other input goes through the JSON decoder, which gives every error message.
 
 There is one product kernel, ``_product``, from two stores to the store of
 their product.  ``@`` wraps it in a matrix; the witness constructions
@@ -38,12 +40,13 @@ the entry tuples transposed and writes X's entries transposed back.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from .semiring import (
-    _NEG_KEY, _POS_KEY, ProjPoint, TropScalar, _point, _quote, _scalar, _scalar_key,
-    _scalar_ratio, _str,
+    _NEG_KEY, _POS_KEY, _RATIONAL_TOKEN, MAX_TOKEN_CHARS, ProjPoint, TropScalar, _point,
+    _quote, _scalar, _scalar_key, _scalar_ratio, _str,
 )
 
 
@@ -269,9 +272,27 @@ class TropMatrix(_Store):
 # built once, as ``json.loads(text, parse_int=str)`` would build it per call
 _DECODER = json.JSONDecoder(parse_int=str)
 
+# the canonical literal: two rows of two quoted tokens, each ``-inf`` or of
+# the one rational grammar, with only JSON whitespace around ``[``, ``,``, ``]``
+_WS, _TOKEN = r"[ \t\n\r]*", f'"(?:-inf|{_RATIONAL_TOKEN.pattern})"'
+_ROW = rf"\[{_WS}{_TOKEN}{_WS},{_WS}{_TOKEN}{_WS}\]"
+_LITERAL = re.compile(rf"{_WS}\[{_WS}{_ROW}{_WS},{_WS}{_ROW}{_WS}\]{_WS}")
+
 
 def parse_matrix(text: str) -> TropMatrix:
-    """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``."""
+    """Parse the JSON interchange form, e.g. ``[["0","-inf"],["1/2","3"]]``: a canonical
+    literal within the token cap (so no token is over it) by one match, else by the decoder."""
+    m = _LITERAL.fullmatch(text) if type(text) is str and len(text) <= MAX_TOKEN_CHARS else None
+    if m is None:
+        return _decode_matrix(text)
+    nums = [None if x is None else int(x) for x in m.group(1, 3, 5, 7)]
+    dens = [1 if x is None else int(x) for x in m.group(2, 4, 6, 8)]
+    den = lcm(*dens)  # of the unreduced denominators: ``_over`` brings it to lowest terms
+    return TropMatrix._over(tuple([x and x * (den // d) for x, d in zip(nums, dens)]), den)
+
+
+def _decode_matrix(text: str) -> TropMatrix:
+    """``parse_matrix`` of any text by the JSON decoder, which gives every error message."""
     _str(text, "matrix JSON")
     try:
         if text.startswith("\ufeff"):  # refused with json.loads's message

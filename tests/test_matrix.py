@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,10 +10,12 @@ import pytest
 from test_boundary_grid import assert_plain
 from test_semiring import REFUSED_TOKENS
 
+from tropmat import matrix
 from tropmat.geometry import proj_column_space, proj_row_space
 from tropmat.matrix import (
     ResidualMatrix,
     TropMatrix,
+    _decode_matrix,
     _lowest,
     left_residual,
     monomial_inverse,
@@ -21,7 +24,7 @@ from tropmat.matrix import (
     right_residual,
     solves_right,
 )
-from tropmat.sampling import sample_matrix
+from tropmat.sampling import PROFILES, sample_matrix
 from tropmat.semiring import BOTTOM, ProjPoint, TropScalar, _quote
 
 SEED = 20260808
@@ -392,6 +395,104 @@ def test_parse_matrix_keeps_its_messages_and_their_order(text):
     with pytest.raises(ValueError) as exc:
         parse_matrix(text)
     assert str(exc.value) == PARSE_ERRORS[text]
+
+
+def read_or_refuse(read, text):
+    """The store ``read`` builds from text, or the type and text of what it
+    raises."""
+    try:
+        m = read(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return m._e, m._den
+
+
+def spellings(rows):
+    """A literal printed compact, by default ``json.dumps`` and indented."""
+    return [json.dumps(rows, separators=(",", ":")), json.dumps(rows), json.dumps(rows, indent=1)]
+
+
+class Str(str):
+    pass
+
+
+def long_token(n):
+    return "-" + "7" * (n - 1)
+
+
+# Texts near the literal's edges: each is either a canonical literal read by
+# the match or one the decoder must read or refuse with its own message.
+ADVERSARIAL = [
+    '["0"[,"1"],["2","3"]]',  # its five separators are right only as one string
+    *[f'[{ws}["0","1"],["2","3"]]' for ws in ("\x0b", "\x0c", "\u00a0", "\u3000")],
+    '\ufeff[["0","1"],["2","3"]]',
+    '[["0","1"],["2","3"]] x',
+    '[["0","1"],["2","3"]]]',
+    "[[0,1],[2,3]]",
+    '"1"',
+    '[[" 1/2 ","1"],["2","3"]]',
+    '[["1 2","1"],["2","3"]]',
+    '[["0","1"],["2","\\u0033"]]',
+    *[f'[["{t}","1"],["2","3"]]'
+      for t in ("+7", "-0", "6/4", "0/5", "007/014", "1/0", "+inf", "\u0661")],
+    f'[["{long_token(3_980)}","1"],["2","3"]]',  # under the cap, read by the match
+    f'[["{long_token(4_000)}","1"],["2","3"]]',  # a token at the cap, the literal over it
+    f'[["{long_token(4_001)}","1"],["2","3"]]',
+    '[["0","1"]]',
+    '[["0","1"],["2","3"],["4","5"]]',
+    Str('[["0","1"],["2","3"]]'),
+]
+
+
+def literal_cases():
+    grid = [spellings([list(e[:2]), list(e[2:])]) for e in product(
+        ["-inf", "-2", "-1", "0", "1", "2"], repeat=4)]
+    rng = random.Random(SEED)
+    samples = [spellings(sample_matrix(rng, profile).to_tokens())
+               for profile in PROFILES for _ in range(1_000)]
+    return [text for texts in grid + samples for text in texts] + ADVERSARIAL
+
+
+def disagreements(texts):
+    return [text for text in texts
+            if read_or_refuse(parse_matrix, text) != read_or_refuse(_decode_matrix, text)]
+
+
+def test_the_literal_match_agrees_with_the_decoder():
+    texts = literal_cases()
+    assert len(texts) == 3 * 1_296 + 3 * 3_000 + len(ADVERSARIAL)
+    assert disagreements(texts) == []
+    # the match reads every grid and sampled literal, so the agreement is
+    # not the decoder agreeing with itself
+    assert all(matrix._LITERAL.fullmatch(text) for text in texts[: -len(ADVERSARIAL)])
+
+
+class Concatenated:
+    """A mutant of ``_LITERAL`` that checks the five separators only as one
+    string, whitespace dropped, rather than each in its place."""
+
+    sep, token = r"([\[\], \t\n\r]*)", r'"(-inf|[+-]?[0-9]+(?:/[1-9][0-9]*)?)"'
+    loose, literal = re.compile(token.join([sep] * 5)), matrix._LITERAL
+
+    def fullmatch(self, text):
+        m = self.loose.fullmatch(text)
+        if m is None or re.sub(r"[ \t\n\r]", "", "".join(m.group(1, 3, 5, 7, 9))) != "[[,],[,]]":
+            return None
+        return self.literal.fullmatch('[["{}","{}"],["{}","{}"]]'.format(*m.group(2, 4, 6, 8)))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("_LITERAL", Concatenated()),
+        ("_LITERAL", re.compile(matrix._LITERAL.pattern.replace(r"[ \t\n\r]*", r"\s*"))),
+        ("MAX_TOKEN_CHARS", 10**6),
+    ],
+    ids=["separators-concatenated", "any-whitespace", "no-length-gate"],
+)
+def test_each_literal_check_catches_a_mutant(monkeypatch, name, value):
+    monkeypatch.setattr(matrix, name, value)
+    assert disagreements(ADVERSARIAL)
 
 
 def test_lowest_terms_match_fractions():
